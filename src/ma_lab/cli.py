@@ -137,8 +137,7 @@ def cmd_solve(opts, outdir):
         "model": opts["model"], "seed": opts["seed"], "p": opts["p"],
         "residual": res.residual, "verdict": res.verdict,
         "energy_trace": list(res.energy_trace),
-        "diagnostics": {k: v for k, v in res.diagnostics.items()
-                        if not isinstance(v, tuple)},
+        "diagnostics": res.diagnostics,
     })
     _write_csv(os.path.join(outdir, "solution.csv"), ["coordinate", "offset"],
                list(zip(grid.tolist(), offsets.tolist())))

@@ -10,8 +10,15 @@ discrete level because the discrete objects are honest admissible
 potentials.
 
 The toric backend uses the Aleksandrov subgradient measure: the mass at
-a node is the area of its cell in the moment square, computed from the
-lower convex hull of the lifted grid.
+a node is the area of its cell in the moment square.  The cells are the
+discrete Legendre dual of the lower convex hull of the lifted grid: the
+cell of a hull vertex is the polygon of the gradients of its incident
+lower facets, clipped to the square, the power-diagram picture of
+semi-discrete optimal transport.  Every edge of the cell diagram is
+dual to one hull edge, so areas, first moments and the area Jacobian
+come from one vectorized pass over the hull edges.  Each distinct
+potential gets one hull: the last one is kept, so the cells, the hull
+projection and the convexity check of one potential share it.
 """
 
 from dataclasses import dataclass
@@ -377,8 +384,177 @@ def demailly_margin(model, phi, psi, c=0.0):
 # toric backend: Aleksandrov cells on the moment square
 # ----------------------------------------------------------------------
 
+LOWER_FACET_TOL = 1e-12  # facets whose unit normal has z below -this are lower
+PROJECTION_BLOCK = 1 << 20  # facet-plane evaluations per block of off-hull nodes
+
+
+@dataclass(frozen=True)
+class _LowerHull:
+    """Lower convex hull of a lifted toric grid; every array is read-only.
+
+    V, Z are the node positions and heights.  tris lists the lower
+    facets, counter-clockwise in the plane, with gradients grad and
+    values icpt at the origin (the facet plane is z = grad . v + icpt).
+    on_hull marks the nodes that are vertices of some lower facet.
+    """
+
+    V: np.ndarray
+    Z: np.ndarray
+    tris: np.ndarray
+    grad: np.ndarray
+    icpt: np.ndarray
+    on_hull: np.ndarray
+
+
+_last_hull = [None, None]  # [(t1, t2, Psi) copies, _LowerHull]
+
+
+def _lower_hull(t1, t2, Psi):
+    """The lower hull of (t1 x t2, Psi); the last result is reused.
+
+    The reuse is keyed by exact equality of the inputs, against copies
+    taken when the hull was built, so a caller mutating its arrays
+    afterwards cannot reach the cached hull.
+    """
+    key = (np.array(t1, float), np.array(t2, float), np.array(Psi, float))
+    old_key, hull = _last_hull
+    if old_key is not None and all(a.shape == b.shape and np.array_equal(a, b)
+                                   for a, b in zip(key, old_key)):
+        return hull
+    X, Y = np.meshgrid(key[0], key[1], indexing="ij")
+    V = np.column_stack([X.ravel(), Y.ravel()])
+    Z = key[2].ravel()
+    qh = ConvexHull(np.column_stack([V, Z]), qhull_options="Qt")
+    lower = qh.equations[:, 2] < -LOWER_FACET_TOL
+    eq = qh.equations[lower]
+    tris = qh.simplices[lower].astype(np.intp)  # k * N + l overflows int32
+    a, b, c = V[tris[:, 0]], V[tris[:, 1]], V[tris[:, 2]]
+    cw = _cross(b - a, c - a) < 0
+    tris[cw] = tris[cw][:, [0, 2, 1]]
+    on_hull = np.zeros(len(Z), bool)
+    on_hull[tris.ravel()] = True
+    hull = _LowerHull(V, Z, tris, -eq[:, :2] / eq[:, 2:3], -eq[:, 3] / eq[:, 2], on_hull)
+    for arr in (*key, V, Z, tris, hull.grad, hull.icpt, on_hull):
+        arr.setflags(write=False)
+    _last_hull[:] = [key, hull]
+    return hull
+
+
+def _cross(u, v):
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+
+def _dual_segments(hull):
+    """The edges of the cell diagram, one per lower-hull edge (k, l), k < l.
+
+    Returns k, l and each edge's dual as B + s*D for s in [s0, s1],
+    oriented so that k's cell lies on its left.  An edge shared by the
+    lower facets L (left of k->l) and R runs from grad_R to grad_L.  An
+    edge with one lower facet lies on the domain boundary (or next to a
+    vertical facet); its dual is the ray from the facet's gradient along
+    the edge's outward normal, away from the facet.  Sides come from the
+    facets' orientation in the plane, so the lower triangles must have
+    positive area (Qt may in principle emit zero-area ones; no grid
+    potential tried has produced one).
+    """
+    V, tris = hull.V, hull.tris
+    N = len(V)
+    src = tris.ravel()
+    dst = tris[:, [1, 2, 0]].ravel()
+    fac = np.repeat(np.arange(len(tris)), 3)
+    k, l = np.minimum(src, dst), np.maximum(src, dst)
+    left = src < dst  # the facet lies left of k->l
+    edge = k * N + l
+    order = np.argsort(edge, kind="stable")
+    pair = edge[order][1:] == edge[order][:-1]
+    i1, i2 = order[:-1][pair], order[1:][pair]
+    single = np.ones(len(k), bool)
+    single[i1] = single[i2] = False
+    i0 = np.flatnonzero(single)
+
+    fL = np.where(left[i1], fac[i1], fac[i2])
+    fR = np.where(left[i1], fac[i2], fac[i1])
+    d = V[l[i0]] - V[k[i0]]
+    rot = np.column_stack([-d[:, 1], d[:, 0]])  # left normal of k->l
+    outgoing = ~left[i0]  # for k the ray leaves the facet's gradient
+    n_pair = len(i1)
+    B = np.concatenate([hull.grad[fR], hull.grad[fac[i0]]])
+    D = np.concatenate([hull.grad[fL] - hull.grad[fR], rot])
+    s0 = np.concatenate([np.zeros(n_pair), np.where(outgoing, 0.0, -np.inf)])
+    s1 = np.concatenate([np.ones(n_pair), np.where(outgoing, np.inf, 0.0)])
+    return (np.concatenate([k[i1], k[i0]]), np.concatenate([l[i1], l[i0]]),
+            B, D, s0, s1)
+
+
+def _clip_to_square(B, D, s0, s1):
+    """Liang-Barsky clip of B + s*D, s in [s0, s1], to the unit square.
+
+    Returns the kept rows and their clipped ends P, Q.  An end cut by a
+    side is placed exactly on it, so side membership is an exact test.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at0, at1 = -B / D, (1.0 - B) / D
+    lo = np.where(D > 0, at0, np.where(D < 0, at1, -np.inf))
+    hi = np.where(D > 0, at1, np.where(D < 0, at0, np.inf))
+    s_in = np.maximum(s0, lo.max(axis=1))
+    s_out = np.minimum(s1, hi.min(axis=1))
+    inside = ((D != 0) | ((B >= 0) & (B <= 1))).all(axis=1)
+    keep = np.flatnonzero(inside & (s_in < s_out))
+    B, D, lo, hi = B[keep], D[keep], lo[keep], hi[keep]
+    s_in, s_out = s_in[keep, None], s_out[keep, None]
+    P = np.where(lo == s_in, np.where(D > 0, 0.0, 1.0), B + s_in * D)
+    Q = np.where(hi == s_out, np.where(D > 0, 1.0, 0.0), B + s_out * D)
+    return keep, np.clip(P, 0.0, 1.0), np.clip(Q, 0.0, 1.0)
+
+
+def _side_terms(P, Q):
+    """Boundary-side contributions at the clipped ends, for Green's theorem.
+
+    With the origin at (0, 0) the sides x = 0 and y = 0 add nothing to
+    the area sum (x dy - y dx) or to the moment sums, so along the square
+    boundary these sums have a potential Phi: (y, 2y, y^2) on x = 1,
+    (2 - x, 3 - x^2, 3 - 2x) on y = 1, and constant on the other two
+    sides, where it drops by (2, 3, 3) at one jump point.  The side piece
+    of a cell from u to w adds Phi(w) - Phi(u), so a cell collects
+    +Phi at each end where its dual edge leaves the boundary and -Phi
+    where one arrives; ownership of the pieces comes from the edges'
+    orientation, not from sorting.  The jump sits mid-way along the
+    widest gap between ends on x = 0 or y = 0, so no two ends that
+    rounding could swap straddle it.  Returns Phi(P) - Phi(Q).
+    """
+    ends = np.concatenate([P, Q])
+    x, y = ends[:, 0], ends[:, 1]
+    low_side = ((x == 0) | (y == 0)) & (x != 1) & (y != 1)
+    v = np.where(x == 0, 1.0 - y, 1.0 + x)  # arc length from (0, 1) via (0, 0)
+    marks = np.sort(np.concatenate([[0.0, 2.0], v[low_side]]))
+    i = np.argmax(np.diff(marks))
+    v_jump = 0.5 * (marks[i] + marks[i + 1])
+    phi = np.zeros((len(ends), 3))
+    phi[low_side & (v < v_jump)] = (2.0, 3.0, 3.0)
+    right = x == 1
+    phi[right] = np.column_stack([y, 2.0 * y, y * y])[right]
+    top = (y == 1) & ~right
+    phi[top] = np.column_stack([2.0 - x, 3.0 - x * x, 3.0 - 2.0 * x])[top]
+    return phi[:len(P)] - phi[len(P):]
+
+
 def toric_cells(t1, t2, Psi, want_jac=False):
     """Subgradient cell areas, first moments, and the area Jacobian.
+
+    The cell of a lower-hull vertex k is the convex polygon of the
+    gradients of its incident lower facets -- the 2-D discrete Legendre
+    dual, the same duality profiles.legendre uses in 1-D -- clipped to
+    the moment square.  Each lower-hull edge (k, l) is dual to one edge
+    of the cell diagram: the segment between the gradients of its two
+    lower facets, or, on the domain boundary, a ray from its one facet's
+    gradient along the outward normal.  All these are clipped to the
+    square in one vectorized pass; Green's theorem then gives every
+    cell's area and first moments as sums over its dual edges plus the
+    pieces of the square's sides it owns (see _side_terms), accumulated
+    per node with bincount.  The lower hull comes from _lower_hull, which
+    reuses the last hull when called again with the same potential, so
+    toric_hull_projection after toric_cells (or before, as in
+    toric_measure) builds no second hull.
 
     Parameters
     ----------
@@ -399,104 +575,71 @@ def toric_cells(t1, t2, Psi, want_jac=False):
         First moments of the cells (used by the solver's merit
         function).
     H : scipy.sparse matrix or None
-        Symmetric Jacobian; row sums vanish.
+        Symmetric Jacobian; row sums vanish.  The entry of a hull edge
+        (k, l) is the clipped length of its dual edge over |V_l - V_k|.
     """
-    n1, n2 = len(t1), len(t2)
-    X, Y = np.meshgrid(t1, t2, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel(), np.asarray(Psi, float).ravel()])
-    hull = ConvexHull(pts, qhull_options="Qt")
-    tris = hull.simplices[hull.equations[:, 2] < -1e-12]
-    N = n1 * n2
-    nbrs = [set() for _ in range(N)]
-    for a, b, c in tris:
-        nbrs[a].update((b, c))
-        nbrs[b].update((a, c))
-        nbrs[c].update((a, b))
-    V = pts[:, :2]
-    Z = pts[:, 2]
-    areas = np.zeros(N)
-    mom = np.zeros((N, 2))
-    rows, cols, vals = [], [], []
-    on_hull = np.zeros(N, bool)
-    if tris.size:
-        on_hull[tris.ravel()] = True
-    for k in range(N):
-        if not on_hull[k]:
-            continue
-        # clip the unit square by the half-planes of k's neighbors,
-        # tracking which neighbor produced each polygon edge
-        poly = [((0.0, 0.0), -1), ((1.0, 0.0), -1), ((1.0, 1.0), -1), ((0.0, 1.0), -1)]
-        for l in nbrs[k]:
-            d = V[l] - V[k]
-            rhs = Z[l] - Z[k]
-            out = []
-            n = len(poly)
-            for i in range(n):
-                (p, lab), (q, _) = poly[i], poly[(i + 1) % n]
-                fp = d[0] * p[0] + d[1] * p[1] - rhs
-                fq = d[0] * q[0] + d[1] * q[1] - rhs
-                if fp <= 0:
-                    out.append((p, lab))
-                    if fq > 0:
-                        s = fp / (fp - fq)
-                        out.append(((p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1])), l))
-                elif fq < 0:
-                    s = fp / (fp - fq)
-                    out.append(((p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1])), lab))
-            poly = out
-            if not poly:
-                break
-        if len(poly) >= 3:
-            A = mx = my = 0.0
-            n = len(poly)
-            for i in range(n):
-                (x1, y1), lab = poly[i]
-                (x2, y2), _ = poly[(i + 1) % n]
-                cr = x1 * y2 - x2 * y1
-                A += cr
-                mx += (x1 + x2) * cr
-                my += (y1 + y2) * cr
-                if want_jac and lab >= 0:
-                    L = np.hypot(x2 - x1, y2 - y1)
-                    if L > 0:
-                        rows.append(k)
-                        cols.append(lab)
-                        vals.append(L / np.hypot(*(V[lab] - V[k])))
-            sgn = 1.0 if A >= 0 else -1.0
-            areas[k] = 0.5 * abs(A)
-            mom[k, 0] = sgn * mx / 6.0
-            mom[k, 1] = sgn * my / 6.0
+    hull = _lower_hull(t1, t2, Psi)
+    N = len(hull.Z)
+    k, l, B, D, s0, s1 = _dual_segments(hull)
+    keep, P, Q = _clip_to_square(B, D, s0, s1)
+    k, l = k[keep], l[keep]
+    cr = _cross(P, Q)
+    w = np.column_stack([cr, (P[:, 0] + Q[:, 0]) * cr, (P[:, 1] + Q[:, 1]) * cr])
+    w += _side_terms(P, Q)
+    # float even when no edge meets the square (bincount is then integer)
+    S = np.array([np.bincount(k, w[:, i], N) - np.bincount(l, w[:, i], N)
+                  for i in range(3)], dtype=float)
+    # the one cell owning the jump of the side potential misses (2, 3, 3);
+    # others sum to 2*area >= 0, so below -0.5 it is the minimum, and
+    # otherwise its area is at least 3/4 and it contains the centre
+    c = np.argmin(S[0])
+    if S[0, c] >= -0.5:
+        c = np.argmax(hull.V.sum(axis=1) * 0.5 - hull.Z)
+    S[:, c] += (2.0, 3.0, 3.0)
+    areas = np.maximum(0.5 * S[0], 0.0)
+    mom = S[1:].T / 6.0
     H = None
     if want_jac:
-        H = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
-        H = 0.5 * (H + H.T)
-        H = H - sp.diags(np.asarray(H.sum(axis=1)).ravel())
+        dV = hull.V[l] - hull.V[k]
+        wt = np.hypot(*(Q - P).T) / np.hypot(*dV.T)
+        # along a side of the square the area is not differentiable: one
+        # way the edge leaves the square, so take the mean one-sided slope
+        on_side = ((P == Q) & ((P == 0) | (P == 1))).any(axis=1)
+        wt[on_side] *= 0.5
+        rowsum = np.bincount(k, wt, N) + np.bincount(l, wt, N)
+        diag = np.arange(N)
+        H = sp.csr_matrix((np.concatenate([wt, wt, -rowsum]),
+                           (np.concatenate([k, l, diag]), np.concatenate([l, k, diag]))),
+                          shape=(N, N))
     return areas, mom, H
 
 
 def toric_hull_projection(t1, t2, Psi):
     """Project a toric potential onto its lower convex hull.
 
+    Hull vertices keep their values.  Every other node takes the hull's
+    value there, the max over the lower-facet planes, which is exact for
+    the convex envelope and costs nothing when every node is a vertex.
+
     Returns the projected array and the sup projection distance.
     """
-    from scipy.interpolate import LinearNDInterpolator
-
-    n1, n2 = len(t1), len(t2)
-    X, Y = np.meshgrid(t1, t2, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel(), np.asarray(Psi, float).ravel()])
-    hull = ConvexHull(pts, qhull_options="Qt")
-    tris = hull.simplices[hull.equations[:, 2] < -1e-12]
-    verts = np.unique(tris.ravel())
-    interp = LinearNDInterpolator(pts[verts, :2], pts[verts, 2])
-    low = interp(pts[:, :2])
-    low = np.where(np.isnan(low), pts[:, 2], low)
-    low = np.minimum(low, pts[:, 2])
-    dist = float((pts[:, 2] - low).max())
-    return low.reshape(n1, n2), dist
+    hull = _lower_hull(t1, t2, Psi)
+    low = hull.Z.copy()
+    off = np.flatnonzero(~hull.on_hull)
+    step = max(1, PROJECTION_BLOCK // len(hull.icpt))
+    for i in range(0, len(off), step):
+        idx = off[i:i + step]
+        planes = hull.V[idx] @ hull.grad.T + hull.icpt
+        low[idx] = np.minimum(planes.max(axis=1), low[idx])
+    dist = float((hull.Z - low).max())
+    return low.reshape(len(t1), len(t2)), dist
 
 
 def toric_measure(model, phi, check_convex=True):
-    """Aleksandrov measure of a toric potential (raw mass = 2)."""
+    """Aleksandrov measure of a toric potential (raw mass = 2).
+
+    The convexity check and the cells share one lower hull.
+    """
     t1, t2, base = model.reference_potential
     Psi = base if phi is None else phi.values
     if check_convex:

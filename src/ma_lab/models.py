@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, MaLabError
 from .profiles import Profile, default_grid
 
 RADIAL_P2 = "RadialP2"
@@ -89,14 +89,16 @@ def _radial_self_test(model):
     from . import ma
 
     full = ma.ma_measure(model, None)  # reference measure
-    assert abs(full.total_mass - 1.0) < 1e-10
+    if not abs(full.total_mass - 1.0) < 1e-10:
+        raise MaLabError("radial reference measure does not have mass 1")
     from .profiles import RelativeProfile
 
     base = model.reference_potential
     dirac = RelativeProfile(base, base.grid / 2 - base.values)
     m = ma.ma_measure(model, dirac)
-    assert dict(m.atoms).get("fixed_point_a", 0.0) > 1.0 - 1e-12
-    assert np.abs(m.density).max() < 1e-12
+    if not (dict(m.atoms).get("fixed_point_a", 0.0) > 1.0 - 1e-12
+            and np.abs(m.density).max() < 1e-12):
+        raise MaLabError("radial Dirac anchor is not the unit fixed-point atom")
 
 
 @lru_cache(maxsize=None)

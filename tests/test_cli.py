@@ -47,6 +47,16 @@ def test_solve_radial_with_target(tmp_path):
     assert (out / "solution.csv").exists() and (out / "trace.csv").exists()
 
 
+def test_solve_toric_writes_level_diagnostics(tmp_path):
+    out = tmp_path / "t"
+    assert run(["solve", "--model", "toric-p1p1:32", "--seed", "1", "--out", str(out)]) == 0
+    payload = json.loads((out / "solve.json").read_text())
+    levels = len(payload["energy_trace"])
+    assert payload["verdict"] == "solved"
+    assert payload["diagnostics"]["stop_reasons"] == ["tol"] * levels
+    assert len(payload["diagnostics"]["mollification_consistency"]) == levels - 1
+
+
 def test_solve_bad_target_schema(tmp_path):
     tpath = tmp_path / "target.json"
     tpath.write_text(json.dumps({"node_mass": [1.0]}))

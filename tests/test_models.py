@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ma_lab import ma, models
-from ma_lab.errors import InvalidInput
+from ma_lab.errors import InvalidInput, MaLabError
 from ma_lab.models import (ToricGrid, model_from_descriptor, product_p1p1,
                            radial_p2, toric_p1p1)
 
@@ -33,6 +33,19 @@ def test_radial_dirac_anchor(radial):
     m = ma.ma_measure(radial, dirac)
     assert m.atom_mass(ma.FIXED_POINT) == pytest.approx(1.0, abs=1e-12)
     assert np.abs(m.density).max() < 1e-12
+
+
+def test_radial_self_test_raises_package_error(radial, monkeypatch):
+    # a package exception, not an assert that python -O would strip
+    real = ma.ma_measure
+
+    def off_by_mass(model, phi):
+        m = real(model, phi)
+        return ma.MaMeasure(m.kind, m.grid, m.density, m.atoms, 0.5, m.cdf_seq)
+
+    monkeypatch.setattr(ma, "ma_measure", off_by_mass)
+    with pytest.raises(MaLabError):
+        models._radial_self_test(radial)
 
 
 def test_product_volume(product):

@@ -1,0 +1,145 @@
+"""Toric kernel against the per-node reference, and the one-hull rule.
+
+The vectorized dual-cell kernel in ``ma`` must agree with the
+Sutherland-Hodgman loop and the Delaunay-interpolated hull projection in
+``toric_reference`` on smooth, degenerate and non-convex potentials, and
+build one lower hull per distinct potential.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ma_lab import ma, models, solver
+from ma_lab.models import ToricGrid
+from toric_reference import reference_cells, reference_hull_projection
+
+TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def grid16():
+    t1, t2, base = models.toric_p1p1(16).reference_potential
+    return t1, t2, base
+
+
+def assert_matches_reference(t1, t2, Psi):
+    areas, mom, H = ma.toric_cells(t1, t2, Psi, want_jac=True)
+    ref_areas, ref_mom, ref_H = reference_cells(t1, t2, Psi, want_jac=True)
+    assert np.abs(areas - ref_areas).max() <= TOL
+    assert np.abs(mom - ref_mom).max() <= TOL
+    assert abs(H - ref_H).max() <= TOL
+    assert areas.sum() == pytest.approx(1.0, abs=TOL)
+
+
+def _degenerate(name, t1, t2, base):
+    T1, T2 = np.meshgrid(t1, t2, indexing="ij")
+    if name == "separable":
+        return base  # lifted grid quads are coplanar
+    if name == "kinked":
+        return 0.3 * T1 ** 2 / 64 + 0.4 * np.abs(T2)
+    if name == "ruled":
+        return 0.5 * T1 ** 2 / 64  # dual edges lie on the side y = 0
+    # gradients leave the square on every side
+    return 2.0 * base - 0.5 * (T1 + T2) + 0.01 * T1 ** 2
+
+
+@pytest.mark.parametrize("name", ["separable", "kinked", "ruled", "leaving"])
+def test_cells_match_reference_on_degenerate_potentials(grid16, name):
+    t1, t2, base = grid16
+    assert_matches_reference(t1, t2, _degenerate(name, t1, t2, base))
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=st.floats(0.0, 2.0), q=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+       lin=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+       kink=st.floats(0.0, 0.6), at=st.integers(0, 16),
+       bump=st.floats(0.0, 0.5), node=st.tuples(st.integers(0, 16), st.integers(0, 16)))
+def test_cells_match_reference(grid16, w, q, lin, kink, at, bump, node):
+    t1, t2, base = grid16
+    T1, T2 = np.meshgrid(t1, t2, indexing="ij")
+    # the quadratic part keeps dual edges off the sides of the square,
+    # where the area map is not differentiable and the Jacobian entry is
+    # a convention read from rounded data (see the "ruled" case above)
+    Psi = (w * base + (q[0] * T1 ** 2 + q[1] * T2 ** 2) / 64 + lin[0] * T1 + lin[1] * T2
+           + kink * np.abs(T2 - t2[at]))
+    Psi[node] += bump  # may lift a node off the hull
+    assert_matches_reference(t1, t2, Psi)
+
+
+def test_hull_projection_matches_reference_off_hull(grid16):
+    t1, t2, base = grid16
+    bad = base.copy()
+    bad[8, 8] += 0.5
+    low, dist = ma.toric_hull_projection(t1, t2, bad)
+    ref_low, ref_dist = reference_hull_projection(t1, t2, bad)
+    assert dist > 0.1 and low[8, 8] < bad[8, 8]
+    assert np.abs(low - ref_low).max() <= TOL
+    assert abs(dist - ref_dist) <= TOL
+
+
+@pytest.fixture
+def hull_calls(monkeypatch):
+    calls = []
+    real = ma.ConvexHull
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ma, "ConvexHull", counting)
+    return calls
+
+
+def test_measure_builds_one_hull(grid16, hull_calls):
+    t1, t2, base = grid16
+    model = models.toric_p1p1(16)
+    psi = ToricGrid(t1, t2, base + 0.01 * t1[:, None] ** 2)
+    ma.toric_measure(model, psi, check_convex=True)
+    assert len(hull_calls) == 1
+
+
+def test_newton_builds_no_more_hulls_than_cell_calls(monkeypatch, hull_calls):
+    model = models.toric_p1p1(16)
+    t1, t2, _ = model.reference_potential
+    c = (0.35, 0.6)
+    vals = (np.logaddexp(0.0, c[0] * t1[:, None] + c[1] * t2[None, :])
+            + np.logaddexp(0.0, (1 - c[0]) * t1[:, None] + (1 - c[1]) * t2[None, :]))
+    areas, _, _ = ma.toric_cells(t1, t2, vals)
+    target = ma.MaMeasure("TwoD", (t1, t2), 2.0 * areas.reshape(vals.shape), (),
+                          2.0 * float(areas.sum()))
+    cell_calls = []
+    real_cells = ma.toric_cells
+
+    def counting_cells(*args, **kwargs):
+        cell_calls.append(1)
+        return real_cells(*args, **kwargs)
+
+    monkeypatch.setattr(ma, "toric_cells", counting_cells)
+    del hull_calls[:]
+    res = solver.solve_newton_toric(model, target, widths=(0.25,))
+    assert res.verdict == "solved"
+    assert 0 < len(hull_calls) <= len(cell_calls)
+
+
+def test_returned_arrays_do_not_reach_the_cached_hull(grid16):
+    t1, t2, base = grid16
+    Psi = base + 0.02 * t2[None, :] ** 2
+    areas, mom, H = ma.toric_cells(t1, t2, Psi, want_jac=True)
+    low, dist = ma.toric_hull_projection(t1, t2, Psi)
+    want = (areas.copy(), mom.copy(), H.toarray(), low.copy())
+    areas[:] = -1.0
+    mom[:] = -1.0
+    H.data[:] = 0.0
+    low[:] = -1.0
+    hull = ma._lower_hull(t1, t2, Psi)
+    assert not any(a.flags.writeable for a in vars(hull).values())
+    areas2, mom2, H2 = ma.toric_cells(t1, t2, Psi, want_jac=True)
+    low2, dist2 = ma.toric_hull_projection(t1, t2, Psi)
+    assert np.array_equal(areas2, want[0]) and np.array_equal(mom2, want[1])
+    assert np.array_equal(H2.toarray(), want[2])
+    assert np.array_equal(low2, want[3]) and dist2 == dist
+    # mutating the caller's input after the call must not leave a stale hull
+    Psi[4, 4] += 1.0
+    low3, dist3 = ma.toric_hull_projection(t1, t2, Psi)
+    assert dist3 > 0.5 and low3[4, 4] < Psi[4, 4]
