@@ -29,14 +29,17 @@ import ma_lab.capacity as cap_mod
 
 from . import energy, ma, solver, verify
 from .errors import MaLabError
-from .models import model_from_descriptor, product_p1p1, radial_p2
-from .profiles import RelativeProfile, compose_weight, truncate, zero_offset
+from .models import (RADIAL_P2, TORIC_P1P1, model_from_descriptor,
+                     product_p1p1, radial_p2)
+from .profiles import RelativeProfile, compose_weight, zero_offset
 
-CONFIG_KEYS = {"model", "seed", "out", "p", "tol", "size", "checks",
-               "target", "id"}
+# config key -> the JSON value types it accepts
+_NULL = type(None)
+CONFIG_KEYS = {"model": (str, dict), "seed": int, "out": (str, _NULL),
+               "p": (int, float), "size": int, "checks": (list, _NULL),
+               "target": (str, _NULL), "id": (str, _NULL)}
 DEFAULTS = {"model": "radial-p2", "seed": 0, "out": None, "p": 1.0,
-            "tol": 1e-7, "size": 60, "checks": None, "target": None,
-            "id": None}
+            "size": 60, "checks": None, "target": None, "id": None}
 
 
 def _fmt(x):
@@ -91,6 +94,12 @@ def _load_target(model, path):
         d = json.load(fh)
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError("target JSON must be an object with a 'kind' key")
+    for kind, key, model_kind in (("OneD", "node_mass", RADIAL_P2),
+                                  ("TwoD", "density", TORIC_P1P1)):
+        if d["kind"] == kind and key not in d:
+            raise ValueError(f"a {kind} target needs a {key!r} key")
+        if d["kind"] == kind and model.kind != model_kind:
+            raise ValueError(f"a {kind} target needs the {model_kind} model")
     if d["kind"] == "OneD":
         return solver.radial_target(
             model, np.asarray(d["node_mass"], dtype=float),
@@ -343,35 +352,20 @@ def _ex_separable_integrability(outdir):
     ok = True
     for p in (1.0, 3.0):
         joint = energy.ep_limit(model, (u, v), p, 2)
-        # factor-side verdict with the same truncation scheme
-        ks, es = [], []
-        k = 1.0
-        depth = -v.offset.min()
-        while True:
-            vk = truncate(v, k) if depth > k else v
-            mk = ma.factor_measure(vk)
+        # factor-side verdict on the same cutoff ladder and classifier
+        depth, cut = energy._truncations((u, v), model)
+        ks = energy.cutoff_ladder(depth)
+        es = []
+        for k in ks:
+            vk = cut(k)[1]
             w = np.power(np.maximum(-vk.offset, 0.0), p)
-            es.append(ma.weighted_mass(mk, w, 0.0, abs(vk.offset[-1]) ** p))
-            ks.append(k)
-            if k >= depth:
-                break
-            k *= 2.0
-        es = np.array(es)
-        es = es[np.isfinite(es)]
-        if ks[-1] > depth:
-            es = es[:-1]  # final ladder step is shorter than a doubling
-        inc = np.diff(es)
-        pos = inc[inc > 0]
-        tail = pos[-3:]
-        if len(tail) >= 2 and tail[0] > 0:
-            rho = float(np.exp(np.mean(np.log(tail[1:] / tail[:-1]))))
-        else:
-            rho = 0.0
-        factor_finite = rho < energy.RHO_INF_EP
+            es.append(ma.weighted_mass(ma.factor_measure(vk), w, 0.0,
+                                       abs(vk.offset[-1]) ** p))
+        factor = energy.ladder_verdict(ks, es, depth)
         payload[f"p={p}"] = {"joint_finite": joint.finite,
-                             "factor_finite": factor_finite,
-                             "joint_rho": joint.rho, "factor_rho": rho}
-        ok = ok and joint.finite == factor_finite
+                             "factor_finite": factor.finite,
+                             "joint_rho": joint.rho, "factor_rho": factor.rho}
+        ok = ok and joint.finite == factor.finite
     ok = ok and payload["p=1.0"]["joint_finite"] and not payload["p=3.0"]["joint_finite"]
     return payload, bool(ok), []
 
@@ -417,9 +411,13 @@ def _load_config(path):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(cfg) - CONFIG_KEYS
+    unknown = set(cfg) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        # JSON true/false must not pass as the integers 1/0
+        if isinstance(value, bool) or not isinstance(value, CONFIG_KEYS[key]):
+            raise ValueError(f"config key {key!r} has the wrong type")
     return cfg
 
 
@@ -432,7 +430,6 @@ def build_parser():
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--p", type=float, default=None)
-    ap.add_argument("--tol", type=float, default=None)
     ap.add_argument("--size", type=int, default=None, help="corpus size")
     ap.add_argument("--checks", default=None,
                     help="comma-separated check ids for verify")
@@ -448,7 +445,7 @@ def main(argv=None):
     try:
         if args.config:
             opts.update(_load_config(args.config))
-        for key in ("model", "seed", "p", "tol", "size", "target", "id"):
+        for key in ("model", "seed", "p", "size", "target", "id"):
             v = getattr(args, key)
             if v is not None:
                 opts[key] = v

@@ -7,8 +7,12 @@ increments are asymptotically geometric for the singularity families of
 interest, so the doubling ratio rho of the last increments separates
 convergence (rho < 1) from divergence, and for convergent cases the
 geometric tail rho/(1-rho) turns the last partial sum into a limit
-estimate.  The gradient energy is handled the same way with per-octave
-contributions in t.
+estimate.  :func:`ladder_verdict` is the one classifier of such cutoff
+ladders: :func:`ep_limit` and every other ladder in the package (other
+cutoff subsequences, factor measures) go through it, with the ladder
+itself from :func:`cutoff_ladder`.  The gradient energy is handled the
+same way with per-octave contributions in t, sharing the ratio and tail
+step.
 
 Default exponent sweep: p in {1, 1.5, 2, 3}.
 """
@@ -20,7 +24,7 @@ import numpy as np
 from . import ma
 from .errors import InvalidInput
 from .models import PRODUCT_P1P1, RADIAL_P2
-from .profiles import RelativeProfile, truncate
+from .profiles import truncate
 
 P_SWEEP = (1.0, 1.5, 2.0, 3.0)
 
@@ -70,13 +74,17 @@ def _measure_for(model, phi, j):
     raise InvalidInput("wedge index j must be 0, 1 or 2")
 
 
-def _radial_ep(model, phi, p, j):
-    m = _measure_for(model, phi, j)
+def _radial_weights(phi, p):
+    """Node weights (-phi)^p and their limits at both ends."""
     w = np.power(np.maximum(-phi.offset, 0.0), p)
     ll, lr = phi.limit_values()
     wl = np.inf if np.isinf(ll) else abs(ll) ** p
     wr = np.inf if np.isinf(lr) else abs(lr) ** p
-    return ma.weighted_mass(m, w, wl, wr)
+    return w, wl, wr
+
+
+def _radial_ep(model, phi, p, j):
+    return ma.weighted_mass(_measure_for(model, phi, j), *_radial_weights(phi, p))
 
 
 def _product_ep(model, phi, p, j):
@@ -145,24 +153,34 @@ def _truncations(phi, model):
     return depth, cut
 
 
-def ep_limit(model, phi, p, j=2, max_doublings=54):
-    """Limit of the energy along canonical cutoffs, with verdict.
-
-    Returns
-    -------
-    DivergenceVerdict
-        finite/infinite flag, the limit estimate (inf when divergent),
-        the observed doubling ratio, and the (k, energy) trace.
-    """
-    depth, cut = _truncations(phi, model)
-    ks, es = [], []
-    k = 1.0
+def cutoff_ladder(depth, start=1.0, max_doublings=54):
+    """Cutoffs k = start * 2^i, up to the first one at or past depth."""
+    ks = []
+    k = start
     for _ in range(max_doublings):
         ks.append(k)
-        es.append(ep_integral(model, cut(k), p, j))
         if k >= depth:
             break
         k *= 2.0
+    return ks
+
+
+def _ratio_and_tail(tail):
+    """Mean ratio rho of consecutive terms of a positive tail, and the
+    geometric remainder tail[-1] * rho/(1-rho) (0 unless 0 < rho < 1)."""
+    rho = float(np.exp(np.mean(np.log(tail[1:] / tail[:-1]))))
+    rest = float(tail[-1]) * rho / (1.0 - rho) if 0.0 < rho < 1.0 else 0.0
+    return rho, rest
+
+
+def ladder_verdict(ks, es, depth):
+    """Divergence verdict of energies es along the cutoffs ks.
+
+    depth is the potential's grid depth: a last cutoff past it is a
+    partial doubling.  Returns a DivergenceVerdict with the limit
+    estimate (inf when divergent), the doubling ratio and the (k, e)
+    trace.
+    """
     trace = tuple(zip(ks, es))
     # the last entry may be the raw untruncated integral, which can be
     # inf purely from a sub-resolution tail atom; the truncated series
@@ -184,16 +202,24 @@ def ep_limit(model, phi, p, j=2, max_doublings=54):
     inc = np.diff(ratio_es)
     pos = inc[inc > 0]
     tail = pos[-3:]
-    if len(tail) >= 2 and tail[0] > 0:
-        rho = float(np.exp(np.mean(np.log(tail[1:] / tail[:-1]))))
-    else:
-        rho = 0.0
+    rho, rest = _ratio_and_tail(tail) if len(tail) >= 2 else (0.0, 0.0)
     if rho >= RHO_INF_EP:
         return DivergenceVerdict(False, float(np.inf), rho, trace)
-    value = float(es[-1])
-    if 0.0 < rho < 1.0:
-        value += float(tail[-1]) * rho / (1.0 - rho)
-    return DivergenceVerdict(True, value, rho, trace)
+    return DivergenceVerdict(True, float(es[-1]) + rest, rho, trace)
+
+
+def ep_limit(model, phi, p, j=2, max_doublings=54):
+    """Limit of the energy along canonical cutoffs, with verdict.
+
+    Returns
+    -------
+    DivergenceVerdict
+        finite/infinite flag, the limit estimate (inf when divergent),
+        the observed doubling ratio, and the (k, energy) trace.
+    """
+    depth, cut = _truncations(phi, model)
+    ks = cutoff_ladder(depth, max_doublings=max_doublings)
+    return ladder_verdict(ks, [ep_integral(model, cut(k), p, j) for k in ks], depth)
 
 
 def gradient_energy_verdict(model, phi, core=40.0):
@@ -213,34 +239,24 @@ def gradient_energy_verdict(model, phi, core=40.0):
         sums = sums[sums > 1e-10 * max(1.0, raw)]
         if len(sums) < 3:
             continue
-        tail = sums[-4:]
-        rho = float(np.exp(np.mean(np.log(tail[1:] / tail[:-1]))))
+        rho, rest = _ratio_and_tail(sums[-4:])
         worst_rho = max(worst_rho, rho)
         if rho >= RHO_INF_GRAD:
             return DivergenceVerdict(False, float(np.inf), rho)
-        if rho > 0:
-            value += float(tail[-1]) * rho / (1.0 - rho)
+        value += rest
     return DivergenceVerdict(True, value, worst_rho)
 
 
 def sobolev_distance(model, phi, psi):
     """W^{1,2}-type distance of two potentials against the reference form."""
-    if model.kind == RADIAL_P2:
-        g = phi.base.grid
-        h = np.diff(g)
-        d = np.diff(phi.offset - psi.offset) / h
-        du = np.diff(phi.base.values) / h
-        return float(np.sqrt(np.sum(d * d * du * h) / model.slope_cap ** 2))
-    if model.kind == PRODUCT_P1P1:
-        total = 0.0
-        for a, b in zip(phi, psi):
-            g = a.base.grid
-            h = np.diff(g)
-            d = np.diff(a.offset - b.offset) / h
-            du = np.diff(a.base.values) / h
-            total += np.sum(d * d * du * h)
-        return float(np.sqrt(total))
-    raise InvalidInput("sobolev distance implemented on the 1-D backends")
+    if model.kind not in (RADIAL_P2, PRODUCT_P1P1):
+        raise InvalidInput("sobolev distance implemented on the 1-D backends")
+    pairs = ((phi, psi),) if model.kind == RADIAL_P2 else zip(phi, psi)
+    total = 0.0
+    for a, b in pairs:
+        total += np.sum(ma.gradient_density(
+            a.base.grid, a.offset - b.offset, a.base.values, model.slope_cap))
+    return float(np.sqrt(total))
 
 
 def _nonpositive(model, phi):
@@ -273,11 +289,8 @@ def energy_report(model, phi, p=1.0):
     if p < 1.0:
         raise InvalidInput("exponent p must be >= 1")
     phi, shift = _nonpositive(model, phi)
-    mixed = []
-    for j in range(3):
-        v = ep_limit(model, phi, p, j)
-        mixed.append(v.value)
-    full = ep_limit(model, phi, p, 2)
+    mixed = [ep_limit(model, phi, p, j) for j in range(3)]
+    full = mixed[2]
     if model.kind == RADIAL_P2:
         grad = gradient_energy_verdict(model, phi)
         in_e = grad.finite
@@ -295,7 +308,7 @@ def energy_report(model, phi, p=1.0):
     return EnergyReport(
         p=p,
         E_p_full=full.value,
-        E_p_mixed=tuple(mixed),
+        E_p_mixed=tuple(v.value for v in mixed),
         gradient_energy=grad_val,
         e_p=ep_val,
         sobolev_norm=sob,
@@ -314,6 +327,8 @@ def energy_concavity_data(model, phi, psi, p=1.0):
     bound 6*M (p = 1) or (p+1)^{p/(p-1)} * M (p > 1) for the mixed
     cross terms.
     """
+    if model.kind != RADIAL_P2:
+        raise InvalidInput("concavity data implemented on the radial model")
     phi, _ = _nonpositive(model, phi)
     psi, _ = _nonpositive(model, psi)
     measures = {
@@ -323,15 +338,9 @@ def energy_concavity_data(model, phi, psi, p=1.0):
     }
     out = {}
     for uname, u in (("phi", phi), ("psi", psi)):
-        if model.kind == RADIAL_P2:
-            w = np.power(np.maximum(-u.offset, 0.0), p)
-            ll, lr = u.limit_values()
-            wl = np.inf if np.isinf(ll) else abs(ll) ** p
-            wr = np.inf if np.isinf(lr) else abs(lr) ** p
-            for mname, m in measures.items():
-                out[f"{uname}_{mname}"] = ma.weighted_mass(m, w, wl, wr)
-        else:
-            raise InvalidInput("concavity data implemented on the radial model")
+        weights = _radial_weights(u, p)
+        for mname, m in measures.items():
+            out[f"{uname}_{mname}"] = ma.weighted_mass(m, *weights)
     M = max(out["phi_phi2"], out["psi_psi2"])
     bound = 6.0 * M if p == 1.0 else (p + 1.0) ** (p / (p - 1.0)) * M
     out["M"] = M

@@ -29,7 +29,7 @@ from scipy.spatial import ConvexHull
 
 from .errors import InvalidInput, NotOmegaPsh
 from .models import PRODUCT_P1P1, RADIAL_P2, TORIC_P1P1
-from .profiles import RelativeProfile, zero_offset
+from .profiles import zero_offset
 
 ATOM_SLOPE_TOL = 1e-12  # slope deficits below this are treated as zero
 
@@ -226,6 +226,15 @@ def reference_wedge(model, phi):
     return mixed_measure(model, phi, None)
 
 
+def gradient_density(grid, offset, background, cap):
+    """Per-cell density d(offset)^2 d(background) / cap^2 of a gradient
+    pairing on a 1-D grid, where background holds the full values of the
+    background form's potential."""
+    h = np.diff(grid)
+    d = np.diff(offset) / h
+    return (d ** 2) * (np.diff(background) / h) * h / cap ** 2
+
+
 def gradient_current_mass(model, phi, psi=None, weight=None):
     """Mass of the gradient pairing d phi ^ d^c phi ^ omega_psi.
 
@@ -247,33 +256,21 @@ def gradient_current_mass(model, phi, psi=None, weight=None):
         Divergence verdicts for the underlying improper integral are
         the energy module's octave analysis.
     """
-    if model.kind == RADIAL_P2:
-        phi = _as_offset(model, phi)
-        psi = _as_offset(model, psi)
-        g = phi.base.grid
-        h = np.diff(g)
-        dphi = np.diff(phi.offset) / h
-        du = np.diff(psi.full_values()) / h
-        contrib = (dphi ** 2) * du * h / model.slope_cap ** 2
+    if model.kind not in (RADIAL_P2, PRODUCT_P1P1):
+        raise InvalidInput("gradient pairing implemented on the 1-D backends")
+    phi = _as_offset(model, phi)
+    psi = _as_offset(model, psi)
+    # product model: one term per line factor, since the complementary
+    # factor of omega_psi integrates to 1
+    pairs = ((phi, psi),) if model.kind == RADIAL_P2 else zip(phi, psi)
+    total = 0.0
+    for u, bg in pairs:
+        contrib = gradient_density(u.base.grid, u.offset, bg.full_values(),
+                                   model.slope_cap)
         if weight is not None:
             contrib = contrib * weight
-        return float(np.sum(contrib))
-    if model.kind == PRODUCT_P1P1:
-        phi = _as_offset(model, phi)
-        psi = _as_offset(model, psi)
-        total = 0.0
-        for (u, bg) in zip(phi, psi):
-            g = u.base.grid
-            h = np.diff(g)
-            dphi = np.diff(u.offset) / h
-            du = np.diff(bg.full_values()) / h
-            contrib = (dphi ** 2) * du * h
-            if weight is not None:
-                contrib = contrib * weight
-            # the complementary factor of omega_psi integrates to 1
-            total += float(np.sum(contrib))
-        return total
-    raise InvalidInput("gradient pairing implemented on the 1-D backends")
+        total += float(np.sum(contrib))
+    return total
 
 
 def gradient_cell_contributions(model, phi, psi=None):
@@ -281,11 +278,8 @@ def gradient_cell_contributions(model, phi, psi=None):
     _require_radial(model)
     phi = _as_offset(model, phi)
     psi = _as_offset(model, psi)
-    g = phi.base.grid
-    h = np.diff(g)
-    dphi = np.diff(phi.offset) / h
-    du = np.diff(psi.full_values()) / h
-    return (dphi ** 2) * du * h / model.slope_cap ** 2
+    return gradient_density(phi.base.grid, phi.offset, psi.full_values(),
+                            model.slope_cap)
 
 
 def weighted_mass(measure, w_nodes, w_left=None, w_right=None):

@@ -66,6 +66,12 @@ class KahlerModel:
         return mass / self.volume
 
 
+def _frozen(a):
+    """Make an array of a cached model read-only: every caller shares it."""
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=None)
 def radial_p2():
     """The radial model on the projective plane.
@@ -79,7 +85,7 @@ def radial_p2():
     the fixed point.
     """
     g = default_grid()
-    base = Profile(g, psi_fs(g), 0.0, 0.5, 0.5)
+    base = Profile(g, _frozen(psi_fs(g)), 0.0, 0.5, 0.5)
     model = KahlerModel(RADIAL_P2, base, 1.0, 0.5, 2)
     _radial_self_test(model)
     return model
@@ -109,7 +115,7 @@ def product_p1p1():
     reports carry both raw and unit-volume numbers.
     """
     g = default_grid()
-    f = Profile(g, psi_line(g), 0.0, 1.0, 1.0)
+    f = Profile(g, _frozen(psi_line(g)), 0.0, 1.0, 1.0)
     return KahlerModel(PRODUCT_P1P1, (f, f), 2.0, 1.0, 1)
 
 
@@ -134,9 +140,9 @@ def toric_p1p1(resolution=64, box=8.0):
     """
     if resolution < 16:
         raise InvalidInput("toric resolution must be >= 16")
-    t1 = np.linspace(-box, box, resolution + 1)
-    t2 = t1.copy()
-    Psi = psi_line(t1)[:, None] + psi_line(t2)[None, :]
+    t1 = _frozen(np.linspace(-box, box, resolution + 1))
+    t2 = _frozen(t1.copy())
+    Psi = _frozen(psi_line(t1)[:, None] + psi_line(t2)[None, :])
     return KahlerModel(TORIC_P1P1, (t1, t2, Psi), 2.0, 1.0, 1, resolution)
 
 

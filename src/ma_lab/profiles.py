@@ -30,14 +30,17 @@ def default_grid(core_half_width=40.0, core_step=0.02, octaves=45, per_octave=8)
     Returns
     -------
     ndarray
-        Strictly increasing abscissae, symmetric about 0.
+        Strictly increasing abscissae, symmetric about 0; cached and
+        read-only.
     """
     key = (core_half_width, core_step, octaves, per_octave)
     if key not in _GRID_CACHE:
         core = np.arange(-core_half_width, core_half_width + core_step / 2, core_step)
         m = np.arange(1, per_octave * octaves + 1)
         ext = core_half_width * 2.0 ** (m / per_octave)
-        _GRID_CACHE[key] = np.concatenate([-ext[::-1], core, ext])
+        grid = np.concatenate([-ext[::-1], core, ext])
+        grid.setflags(write=False)  # shared by every caller
+        _GRID_CACHE[key] = grid
     return _GRID_CACHE[key]
 
 

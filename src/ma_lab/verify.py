@@ -22,7 +22,7 @@ from . import energy, ma, solver
 from .errors import InvalidInput
 from .models import psi_fs, radial_p2
 from .profiles import (RelativeProfile, compose_weight, max_offsets, scale,
-                       truncate, zero_offset)
+                       truncate)
 
 SLACK = 1e-7
 
@@ -188,12 +188,13 @@ def ordered_pairs(corpus, limit=None):
 # individual checks
 # ----------------------------------------------------------------------
 
-def _report(cid, citation, margins, scale_hint=1.0, details=None):
+def _report(cid, margins, scale_hint=1.0, details=None):
+    """Report of check cid, with its citation read from CHECKS."""
     margins = np.asarray(margins, dtype=float)
     tol = SLACK * max(scale_hint, 1.0)
     failures = int(np.sum(margins < -tol))
     worst = float(margins.min()) if margins.size else 0.0
-    return CheckReport(cid, citation, int(margins.size), failures, worst,
+    return CheckReport(cid, CHECKS[cid][0], int(margins.size), failures, worst,
                        details or {})
 
 
@@ -204,7 +205,7 @@ def check_mixed_mass(corpus, model):
         psi = members[(i + 1) % len(members)]
         m = ma.mixed_measure(model, phi, psi)
         margins.append(1e-9 - abs(m.total_mass - model.volume))
-    return _report("mixed-mass-probability", "Prop 1.3", margins)
+    return _report("mixed-mass-probability", margins)
 
 
 def check_star_shaped(corpus, model):
@@ -215,7 +216,7 @@ def check_star_shaped(corpus, model):
             continue
         lam = energy.gradient_energy_verdict(model, scale(e.phi, 0.5))
         margins.append(1.0 if lam.finite else -1.0)
-    return _report("class-star-shaped", "Prop 1.3", margins)
+    return _report("class-star-shaped", margins)
 
 
 def check_max_stable(corpus, model):
@@ -228,7 +229,7 @@ def check_max_stable(corpus, model):
         gt = energy.gradient_energy_verdict(model, top)
         if gp.finite:
             margins.append(1.0 if gt.finite else -1.0)
-    return _report("max-stable", "Prop 1.3", margins)
+    return _report("max-stable", margins)
 
 
 def check_chain_sobolev(corpus, model):
@@ -238,7 +239,7 @@ def check_chain_sobolev(corpus, model):
         d = [energy.sobolev_distance(model, phi, tail) for phi in chain[:-1]]
         margins.append(1e-3 - d[-1])
         margins.extend(np.diff(d) * -1.0)  # distances decrease along the chain
-    return _report("chain-sobolev-convergence", "Lemma 1.1", margins, 10.0)
+    return _report("chain-sobolev-convergence", margins, 10.0)
 
 
 def check_capacity_decay(corpus, model):
@@ -254,7 +255,7 @@ def check_capacity_decay(corpus, model):
         for t in ts:
             c = cap_mod.capacity(model, cap_mod.phi_sublevel(phi, t))
             margins.append(C / t ** 2 - c)
-    return _report("sublevel-capacity-decay", "Prop 2.3", margins)
+    return _report("sublevel-capacity-decay", margins)
 
 
 def check_ma_continuity(corpus, model):
@@ -265,7 +266,7 @@ def check_ma_continuity(corpus, model):
              for phi in chain[:-1]]
         # convergence, not monotonicity: only the terminal distance counts
         margins.append(1e-3 - d[-1])
-    return _report("ma-continuity-decreasing", "Cor 2.2", margins)
+    return _report("ma-continuity-decreasing", margins)
 
 
 def check_energy_functional_convergence(corpus, model):
@@ -277,7 +278,7 @@ def check_energy_functional_convergence(corpus, model):
         e_last = energy.ep_integral(model, chain[-2], 1.0, 1)
         if abs(e_last - e_tail) < 1e-3:
             margins.append(1e-2 - energy.sobolev_distance(model, chain[-2], tail))
-    return _report("energy-to-sobolev", "Thm 2.1", margins)
+    return _report("energy-to-sobolev", margins)
 
 
 def _test_functions(grid):
@@ -303,7 +304,7 @@ def check_weak_continuity(corpus, model):
     margins = []
     for chain in corpus_chains(corpus):
         margins.append(1e-4 - weak_continuity_error(model, chain[-2], chain[-1]))
-    return _report("weighted-ma-weak-continuity", "Thm 3.1", margins)
+    return _report("weighted-ma-weak-continuity", margins)
 
 
 def check_energy_order(corpus, model):
@@ -314,7 +315,7 @@ def check_energy_order(corpus, model):
         e1 = energy.ep_integral(model, phi, 1.0, 1)
         e2 = energy.ep_integral(model, phi, 1.0, 2)
         margins.extend([e1 - e0, e2 - e1])
-    return _report("linear-energy-order", "Prop 3.2", margins, 10.0)
+    return _report("linear-energy-order", margins, 10.0)
 
 
 def check_cross_energy(corpus, model):
@@ -324,7 +325,7 @@ def check_cross_energy(corpus, model):
         psi = bounded[(i + 1) % len(bounded)]
         data = energy.energy_concavity_data(model, phi, psi, 1.0)
         margins.extend([data["margin_phi"], data["margin_psi"]])
-    return _report("cross-energy-six-bound", "Prop 3.2", margins, 10.0)
+    return _report("cross-energy-six-bound", margins, 10.0)
 
 
 def check_gradient_self_bound(corpus, model):
@@ -334,7 +335,7 @@ def check_gradient_self_bound(corpus, model):
         lhs = ma.gradient_current_mass(model, phi, phi)
         rhs = energy.ep_integral(model, phi, 1.0, 2)
         margins.append(rhs - lhs)
-    return _report("gradient-energy-bound", "Prop 3.2", margins, 10.0)
+    return _report("gradient-energy-bound", margins, 10.0)
 
 
 def check_uniqueness(corpus, model):
@@ -343,7 +344,7 @@ def check_uniqueness(corpus, model):
         res = solver.solve_radial(model, ma.ma_measure(model, e.phi))
         rec = solver.uniqueness_check(model, res.psi, e.phi)
         margins.append(1e-5 - rec["deviation"])
-    return _report("uniqueness-up-to-constant", "Thm 3.4", margins)
+    return _report("uniqueness-up-to-constant", margins)
 
 
 def check_triple_continuity(corpus, model):
@@ -359,7 +360,7 @@ def check_triple_continuity(corpus, model):
                                          abs(u.limit_values()[0]),
                                          abs(u.limit_values()[1])))
         margins.append(1e-3 * max(1.0, a) - abs(vals[-1] - vals[-2]))
-    return _report("triple-decreasing-continuity", "Thm 3.3", margins)
+    return _report("triple-decreasing-continuity", margins)
 
 
 def _fit_holdout(pairs_lhs_rhs, power):
@@ -375,7 +376,7 @@ def _fit_holdout(pairs_lhs_rhs, power):
 def check_l1_criterion(corpus, model):
     singular = corpus.with_tag("divisor_bounded")
     if not singular:
-        return _report("l1-criterion-constant", "Lemma 3.6", [])
+        return _report("l1-criterion-constant", [])
     mu = ma.ma_measure(model, singular[0].phi)
     data = []
     for e in corpus.with_tag("bounded"):
@@ -384,14 +385,14 @@ def check_l1_criterion(corpus, model):
         rhs = energy.ep_integral(model, phi, 1.0, 2)
         data.append((lhs, rhs))
     A, margins = _fit_holdout(data, 0.5)
-    return _report("l1-criterion-constant", "Lemma 3.6", margins, 10.0,
+    return _report("l1-criterion-constant", margins, 10.0,
                    {"fitted_constant": A})
 
 
 def check_lp_criterion(corpus, model, p=2.0):
     singular = corpus.with_tag("divisor_bounded")
     if not singular:
-        return _report("lp-criterion-constant", "Lemma 4.7", [])
+        return _report("lp-criterion-constant", [])
     mu = ma.ma_measure(model, singular[-1].phi)
     data = []
     for e in corpus.with_tag("bounded"):
@@ -401,7 +402,7 @@ def check_lp_criterion(corpus, model, p=2.0):
         rhs = energy.ep_integral(model, phi, p, 2)
         data.append((lhs, rhs))
     A, margins = _fit_holdout(data, p / (p + 1.0))
-    return _report("lp-criterion-constant", "Lemma 4.7", margins, 10.0,
+    return _report("lp-criterion-constant", margins, 10.0,
                    {"fitted_constant": A})
 
 
@@ -420,7 +421,7 @@ def check_weighted_chain(corpus, model, p=2.0):
             (p + 1.0) * a1 - b1,                   # linear-wedge comparison
             (p + 1.0) ** 2 * a2 - b2,              # full-measure comparison
         ])
-    return _report("weighted-energy-chain", "Lemma 4.2", margins, 100.0)
+    return _report("weighted-energy-chain", margins, 100.0)
 
 
 def check_truncation_free(corpus, model):
@@ -432,25 +433,11 @@ def check_truncation_free(corpus, model):
 
         # a different cutoff subsequence must give the same verdict
         depth, cut = energy._truncations(e.phi, model)
-        ks, es = [], []
-        k = 1.5
-        for _ in range(54):
-            ks.append(k)
-            es.append(energy.ep_integral(model, cut(k), 1.0, 2))
-            if k >= depth:
-                break
-            k *= 2.0
-        es = np.array(es)
-        es = es[np.isfinite(es)]
-        if len(es) < 4 or abs(es[-1] - es[-4]) <= 1e-12 * max(1.0, abs(es[-1])):
-            alt_finite = True
-        else:
-            inc = np.diff(es)
-            pos = inc[inc > 0][-3:]
-            rho = float(np.exp(np.mean(np.log(pos[1:] / pos[:-1])))) if len(pos) >= 2 else 0.0
-            alt_finite = rho < energy.RHO_INF_EP
-        margins.append(1.0 if alt_finite == v2.finite else -1.0)
-    return _report("cutoff-sequence-free", "Cor 4.3", margins)
+        ks = energy.cutoff_ladder(depth, start=1.5)
+        alt = energy.ladder_verdict(
+            ks, [energy.ep_integral(model, cut(k), 1.0, 2) for k in ks], depth)
+        margins.append(1.0 if alt.finite == v2.finite else -1.0)
+    return _report("cutoff-sequence-free", margins)
 
 
 def check_convergence_in_capacity(corpus, model):
@@ -461,7 +448,7 @@ def check_convergence_in_capacity(corpus, model):
                 for k in (4.0, 16.0, 64.0)]
         margins.extend(-np.diff(caps))
         margins.append(0.05 - caps[-1])
-    return _report("truncation-capacity-convergence", "Thm 4.4", margins)
+    return _report("truncation-capacity-convergence", margins)
 
 
 def check_max_in_ep(corpus, model, p=2.0):
@@ -472,7 +459,7 @@ def check_max_in_ep(corpus, model, p=2.0):
         if energy.ep_limit(model, e.phi, p, 2).finite:
             top = max_offsets(e.phi, b.phi)
             margins.append(1.0 if energy.ep_limit(model, top, p, 2).finite else -1.0)
-    return _report("max-stable-in-ep", "Cor 4.5", margins)
+    return _report("max-stable-in-ep", margins)
 
 
 def check_cross_energy_p(corpus, model, p=2.0):
@@ -488,7 +475,7 @@ def check_cross_energy_p(corpus, model, p=2.0):
         w = np.power(np.maximum(-mid_off, 0.0), p - 1.0)
         val = ma.gradient_current_mass(model, phi, phi, weight=w)
         margins.append(1.0 if np.isfinite(val) else -1.0)
-    return _report("weighted-cross-energy", "Prop 4.6", margins, 10.0)
+    return _report("weighted-cross-energy", margins, 10.0)
 
 
 def check_demailly(corpus, model):
@@ -497,7 +484,7 @@ def check_demailly(corpus, model):
     for i, phi in enumerate(members):
         psi = members[(i + 1) % len(members)]
         margins.append(ma.demailly_margin(model, phi, psi, c=0.5))
-    return _report("local-max-domination", "Thm 4.8", margins)
+    return _report("local-max-domination", margins)
 
 
 def check_a_priori_energy(corpus, model):
@@ -514,7 +501,7 @@ def check_a_priori_energy(corpus, model):
             lhs_rhs.append((lhs, rhs))
         C = 2.0 * max(l / max(r, 1e-300) for l, r in lhs_rhs[:2])
         margins.extend([C * r - l for l, r in lhs_rhs[2:]])
-    return _report("solver-energy-a-priori", "Lemma 5.3", margins, 10.0)
+    return _report("solver-energy-a-priori", margins, 10.0)
 
 
 def check_mollification_consistency(corpus, model):
@@ -530,7 +517,7 @@ def check_mollification_consistency(corpus, model):
         # the sequence converges to zero; it need not be monotone
         margins.append(vals[0] - vals[-1])
         margins.append(1e-3 - vals[-1])
-    return _report("mollification-consistency", "Lemma 5.4", margins)
+    return _report("mollification-consistency", margins)
 
 
 def check_uniform_l2(corpus, model):
@@ -544,7 +531,7 @@ def check_uniform_l2(corpus, model):
         rhs = ma.weighted_mass(ma.ma_measure(model, phi), w, 0.0, 0.0)
         data.append((lhs, rhs))
     A, margins = _fit_holdout(data, 0.5)
-    return _report("uniform-l2-bound", "Lemma 5.5", margins, 10.0,
+    return _report("uniform-l2-bound", margins, 10.0,
                    {"fitted_constant": A})
 
 
@@ -555,7 +542,7 @@ def check_comparison(corpus, model):
         psi = bounded[(i + 1) % len(bounded)]
         lhs, rhs = ma.comparison_masses(model, phi, psi)
         margins.append(rhs - lhs)
-    return _report("comparison-principle", "Prop 6.1", margins)
+    return _report("comparison-principle", margins)
 
 
 def check_sandwich(corpus, model, p=1.0):
@@ -568,7 +555,7 @@ def check_sandwich(corpus, model, p=1.0):
             continue
         margins.append(vals["sandwich_mid"] - vals["sandwich_lower"])
         margins.append(vals["sandwich_upper"] - vals["sandwich_mid"])
-    return _report("capacity-energy-sandwich", "Lemma 6.2", margins, 100.0)
+    return _report("capacity-energy-sandwich", margins, 100.0)
 
 
 def check_eq6(corpus, model):
@@ -583,7 +570,7 @@ def check_eq6(corpus, model):
         for t, mass in zip(ts, masses):
             c = cap_mod.capacity(model, cap_mod.phi_sublevel(phi, t))
             margins.append(t ** 2 * c - mass)
-    return _report("sublevel-mass-vs-capacity", "Eq (6)", margins, 100.0)
+    return _report("sublevel-mass-vs-capacity", margins, 100.0)
 
 
 def check_eq7(corpus, model):
@@ -602,7 +589,7 @@ def check_eq7(corpus, model):
                 + 1.0 / t ** 2 * cap_mod.sublevel_masses(m2, phi, [t])[0]
             lhs = cap_mod.capacity(model, cap_mod.phi_sublevel(phi, 2.0 * t))
             margins.append(rhs - lhs)
-    return _report("capacity-split-bound", "Eq (7)", margins, 10.0)
+    return _report("capacity-split-bound", margins, 10.0)
 
 
 def check_divisor_integrability(corpus, model, p=1.0):
@@ -612,7 +599,7 @@ def check_divisor_integrability(corpus, model, p=1.0):
         in_ep = energy.ep_limit(model, e.phi, p, 2).finite
         if in_ep:
             margins.append(1.0 if v.finite else -1.0)
-    return _report("divisor-bounded-integrability", "Prop 6.4", margins)
+    return _report("divisor-bounded-integrability", margins)
 
 
 def check_energy_holder(corpus, model, p=2.0):
@@ -629,7 +616,7 @@ def check_energy_holder(corpus, model, p=2.0):
         rhs = ma.weighted_mass(ma.ma_measure(model, u), w, 0.0, 0.0)
         data.append((lhs, rhs))
     A, margins = _fit_holdout(data, gamma)
-    return _report("energy-holder-domination", "Eq (9)", margins, 10.0,
+    return _report("energy-holder-domination", margins, 10.0,
                    {"fitted_constant": A, "gamma": gamma})
 
 
@@ -638,7 +625,7 @@ def check_capacity_domination(corpus, model, p=2.0):
     bounded = [e.phi for e in corpus.with_tag("bounded")]
     singular = [e.phi for e in corpus.with_tag("divisor_bounded")]
     if not singular:
-        return _report("measure-capacity-domination", "Prop 6.5", [])
+        return _report("measure-capacity-domination", [])
     mu = ma.ma_measure(model, bounded[0])
     data = []
     ts = np.geomspace(1.0, 32.0, 8)
@@ -648,7 +635,7 @@ def check_capacity_domination(corpus, model, p=2.0):
             c = cap_mod.capacity(model, cap_mod.phi_sublevel(phi, t))
             data.append((mass, c))
     A, margins = _fit_holdout(data, gamma)
-    return _report("measure-capacity-domination", "Prop 6.5", margins, 1.0,
+    return _report("measure-capacity-domination", margins, 1.0,
                    {"fitted_constant": A, "alpha": gamma})
 
 
@@ -661,7 +648,7 @@ def check_gradient_threshold(corpus, model):
             margins.append(1.0 if g.finite else -1.0)
         elif alpha >= 0.51:
             margins.append(1.0 if not g.finite else -1.0)
-    return _report("gradient-energy-threshold", "Prop 1.5", margins)
+    return _report("gradient-energy-threshold", margins)
 
 
 CHECKS = {

@@ -59,8 +59,16 @@ def test_solve_toric_writes_level_diagnostics(tmp_path):
 
 def test_solve_bad_target_schema(tmp_path):
     tpath = tmp_path / "target.json"
-    tpath.write_text(json.dumps({"node_mass": [1.0]}))
+    for bad in ({"node_mass": [1.0]}, {"kind": "OneD"}, {"kind": "TwoD"},
+                {"kind": []}, {"kind": "OneD", "node_mass": "abc"}):
+        tpath.write_text(json.dumps(bad))
+        assert run(["solve", "--out", str(tmp_path), "--target", str(tpath)]) == 2, bad
+    # a target of the other backend's kind
+    tpath.write_text(json.dumps({"kind": "TwoD", "density": [[1.0]]}))
     assert run(["solve", "--out", str(tmp_path), "--target", str(tpath)]) == 2
+    tpath.write_text(json.dumps({"kind": "OneD", "node_mass": [1.0]}))
+    assert run(["solve", "--model", "toric-p1p1:16", "--out", str(tmp_path),
+                "--target", str(tpath)]) == 2
 
 
 def test_capacity_artifacts(tmp_path):
@@ -106,15 +114,26 @@ def test_examples_unknown_id(tmp_path):
     assert run(["examples", "--out", str(tmp_path), "--id", "9.9"]) == 2
 
 
-def test_config_file(tmp_path):
+def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "radial-p2", "seed": 2}))
     out = tmp_path / "o"
     assert run(["energy", "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads((out / "energy.json").read_text())["seed"] == 2
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"mode": "radial-p2"}))
+    for cfg_bad in ({"mode": "radial-p2"}, {"seed": "abc"}, {"size": "x"},
+                    {"p": "x"}, {"seed": True}, {"seed": None}):
+        bad.write_text(json.dumps(cfg_bad))
+        assert run(["energy", "--config", str(bad), "--out", str(out)]) == 2, cfg_bad
+    # --tol was parsed and defaulted but never read; it is gone
+    with pytest.raises(SystemExit) as exc:
+        run(["energy", "--tol", "1e-7", "--out", str(out)])
+    assert exc.value.code == 2
+    bad.write_text(json.dumps({"tol": 1e-7}))
+    capsys.readouterr()
     assert run(["energy", "--config", str(bad), "--out", str(out)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    assert "tol" not in cli.DEFAULTS and "tol" not in cli.CONFIG_KEYS
 
 
 def test_out_env_var(tmp_path, monkeypatch):

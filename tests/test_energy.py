@@ -130,7 +130,7 @@ def test_energy_report_consistency(radial):
     phi = RelativeProfile(base, full - base.values).shifted(2.0)
     rep = energy.energy_report(radial, phi, 2.0)
     assert rep.sup_shift > 0.0  # positive sup gets renormalized
-    assert rep.E_p_mixed[2] == pytest.approx(rep.E_p_full)
+    assert rep.E_p_mixed[2] == rep.E_p_full
     assert set(rep.memberships) == {"in_E", "in_E1", "in_Ep"}
     assert all(rep.memberships.values())
     assert rep.sobolev_norm == pytest.approx(np.sqrt(rep.gradient_energy))
@@ -158,3 +158,86 @@ def test_concavity_margins(radial):
         data = energy.energy_concavity_data(radial, phi, psi, p)
         assert data["margin_phi"] >= -1e-9
         assert data["margin_psi"] >= -1e-9
+
+
+def test_cutoff_ladder():
+    assert energy.cutoff_ladder(10.0) == [1.0, 2.0, 4.0, 8.0, 16.0]
+    assert energy.cutoff_ladder(10.0, start=1.5) == [1.5, 3.0, 6.0, 12.0]
+    assert energy.cutoff_ladder(0.5) == [1.0]
+    assert len(energy.cutoff_ladder(np.inf, max_doublings=7)) == 7
+
+
+# synthetic ladders, one per branch of the classifier
+KS20 = [2.0 ** i for i in range(20)]
+
+
+def test_ladder_verdict_stabilized():
+    es = [1.0, 2.0, 3.0] + [3.5] * 17
+    v = energy.ladder_verdict(KS20, es, np.inf)
+    assert (v.finite, v.value, v.rho) == (True, 3.5, 0.0)
+    assert v.trace == tuple(zip(KS20, es))
+    # too short to judge counts as stabilized too
+    assert energy.ladder_verdict([1.0, 2.0], [1.0, 5.0], np.inf).value == 5.0
+
+
+def test_ladder_verdict_full_depth_within_12_doublings():
+    ks = [1.0, 2.0, 4.0, 8.0, 16.0]
+    v = energy.ladder_verdict(ks, [1.0, 2.0, 4.0, 8.0, 16.0], 10.0)
+    assert (v.finite, v.value, v.rho) == (True, 16.0, 0.0)
+
+
+def test_ladder_verdict_partial_final_doubling():
+    # increments double, but the last rung is a short partial step past
+    # the grid depth; it must not enter the ratio
+    es = list(np.cumsum([2.0 ** i for i in range(19)] + [1e-3]))
+    v = energy.ladder_verdict(KS20, es, 0.6 * KS20[-1])
+    assert not v.finite and v.value == np.inf
+    assert v.rho == pytest.approx(2.0, rel=1e-12)
+    # with the depth past the last rung the short step is a full doubling
+    assert energy.ladder_verdict(KS20, es, np.inf).finite
+
+
+def test_ladder_verdict_convergent_adds_geometric_tail():
+    es = list(np.cumsum([0.5 ** i for i in range(20)]))
+    v = energy.ladder_verdict(KS20, es, np.inf)
+    assert v.finite
+    assert v.rho == pytest.approx(0.5, rel=1e-12)
+    assert es[-1] < v.value
+    assert v.value == pytest.approx(2.0, rel=1e-14)  # sum of 2^-i
+
+
+def test_ladder_verdict_divergent():
+    es = [float(i) for i in range(20)]  # log-type growth: rho = 1
+    v = energy.ladder_verdict(KS20, es, np.inf)
+    assert not v.finite and v.value == np.inf
+    assert v.rho == 1.0 >= energy.RHO_INF_EP
+
+
+def test_ladder_classifier_is_shared(radial, corpus36, monkeypatch, tmp_path):
+    # the cutoff-sequence-free check and example 6.3.3 classify their own
+    # ladders with the production classifier, not with copies of it
+    from ma_lab import cli, verify
+
+    real = energy.ladder_verdict
+    calls = []
+
+    def spy(ks, es, depth):
+        v = real(ks, es, depth)
+        calls.append((ks, v))
+        return v
+
+    monkeypatch.setattr(energy, "ladder_verdict", spy)
+    rep = verify.check_truncation_free(corpus36, radial)
+    alt = [v for ks, v in calls if ks[0] == 1.5]
+    assert rep.instances > 0 and len(alt) == rep.instances
+
+    calls.clear()
+    # the joint energies are not what is checked here; skip their cost
+    monkeypatch.setattr(energy, "ep_limit",
+                        lambda *a, **k: energy.DivergenceVerdict(True, 0.0, 0.0))
+    payload, _, _ = cli._ex_separable_integrability(tmp_path)
+    assert len(calls) == 2
+    for (ks, v), p in zip(calls, ("p=1.0", "p=3.0")):
+        assert ks[0] == 1.0 and len(ks) == 22
+        assert payload[p]["factor_rho"] == v.rho
+        assert payload[p]["factor_finite"] == v.finite

@@ -118,3 +118,16 @@ def test_reparameterization_invariance(radial):
     m1 = ma.measure_1d_pair(base.grid, ns(base, 0.5), ns(base, 0.5))
     m2 = ma.measure_1d_pair(g2, ns(base2, 0.25), ns(base2, 0.25))
     assert np.abs(m1.cdf_seq - m2.cdf_seq).max() < 1e-12
+
+
+def test_cached_model_arrays_are_read_only(radial, product):
+    from ma_lab.profiles import default_grid
+
+    toric = toric_p1p1(16)
+    assert radial.reference_potential.grid is default_grid()
+    arrays = [default_grid(), radial.reference_potential.values,
+              *(f.values for f in product.reference_potential),
+              *toric.reference_potential]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0

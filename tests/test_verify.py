@@ -72,3 +72,16 @@ def test_ordered_pairs(corpus36):
     assert len(pairs) == 6
     for phi, psi in pairs:
         assert np.all(phi.offset <= psi.offset + 1e-12)
+
+
+def test_direct_check_call_reports_registered_citation(corpus36, radial):
+    # citations live only in CHECKS; a check called directly still
+    # returns a full report carrying its registered citation
+    for fn, cid in ((verify.check_mixed_mass, "mixed-mass-probability"),
+                    (verify.check_l1_criterion, "l1-criterion-constant")):
+        r = fn(corpus36, radial)
+        assert isinstance(r, verify.CheckReport)
+        assert (r.check_id, r.citation) == (cid, verify.CHECKS[cid][0])
+        assert r.instances > 0 and r.failures == 0
+        assert np.isfinite(r.worst_margin)
+    assert "fitted_constant" in r.details
