@@ -16,7 +16,8 @@ import numpy as np
 
 from . import energy, ma
 from .errors import InvalidInput, PreconditionViolated
-from .profiles import RelativeProfile
+from .models import RADIAL_P2, require
+from .profiles import RelativeProfile, truncate
 
 FIT_EXCLUDE_TOP = 0.1  # drop the largest thresholds from the fit window
 
@@ -78,6 +79,7 @@ def _resolve_T(model, K):
 
 def exit_slope(model, T):
     """Tangent slope of the extremal potential leaving {t <= T}."""
+    require(model, RADIAL_P2, "exit_slope")
     base = model.reference_potential
     cap = model.slope_cap
     if np.isposinf(T):
@@ -107,8 +109,7 @@ def relative_extremal(model, K):
     RelativeProfile
         Equals -1 on K, lies in [-1, 0], and is admissible.
     """
-    if model.kind != "RadialP2":
-        raise InvalidInput("extremal profiles implemented on the radial model")
+    require(model, RADIAL_P2, "relative_extremal")
     T = _resolve_T(model, K)
     if T is None:
         raise InvalidInput("empty set")
@@ -126,6 +127,7 @@ def relative_extremal(model, K):
 
 def capacity(model, K):
     """Capacity of an invariant set, from the extremal exit slope."""
+    require(model, RADIAL_P2, "capacity")
     T = _resolve_T(model, K)
     if T is None or np.isneginf(T):
         return 0.0
@@ -163,6 +165,7 @@ def capacity_curve(model, phi, thresholds):
         sublevel-decay constant C_phi and, for bounded phi, the
         capacity-energy sandwich values at p = 1.
     """
+    require(model, RADIAL_P2, "capacity_curve")
     if not -1.0 - 1e-9 <= phi.sup_value <= 1e-9:
         raise PreconditionViolated("capacity curves need sup(phi) in [-1, 0]")
     ts = np.asarray(thresholds, dtype=float)
@@ -203,6 +206,7 @@ def capacity_energy_sandwich(model, phi, p=1.0, n_quad=600):
     comparison-principle derivation actually dominates; the upper bound
     uses the full combination 2^{p+2} e_p.
     """
+    require(model, RADIAL_P2, "capacity_energy_sandwich")
     off = _monotone_offset(phi)
     depth = float(-off.min())
     # past the grid depth the discrete sublevels degenerate to the fixed
@@ -228,8 +232,6 @@ def scaling_competitor_bound(model, phi, t, s):
     For s > t >= 1: s^{-2} * mass of omega_{max(phi,-s)}^2 on
     {phi < -t} never exceeds Cap(phi < -t).
     """
-    from .profiles import truncate
-
     if not s > t:
         raise InvalidInput("need s > t")
     cut = truncate(phi, s)

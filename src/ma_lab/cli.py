@@ -29,8 +29,8 @@ import ma_lab.capacity as cap_mod
 
 from . import energy, ma, solver, verify
 from .errors import MaLabError
-from .models import (RADIAL_P2, TORIC_P1P1, model_from_descriptor,
-                     product_p1p1, radial_p2)
+from .models import (RADIAL_P2, backend, entry, model_from_descriptor, product_p1p1,
+                     radial_p2, require)
 from .profiles import RelativeProfile, compose_weight, zero_offset
 
 # config key -> the JSON value types it accepts
@@ -76,12 +76,6 @@ def _write_csv(path, header, rows):
                               else str(v) for v in row) + "\n")
 
 
-def _seed_profile(seed):
-    """Deterministic demo potential: first bounded corpus member."""
-    corpus = verify.generate_corpus(seed, 12)
-    return corpus.with_tag("bounded")[0].phi
-
-
 def _singular_profile():
     """Full-slope potential, singular at the fixed point, Lelong mass 1."""
     base = radial_p2().reference_potential
@@ -89,59 +83,25 @@ def _singular_profile():
 
 
 def _load_target(model, path):
-    """Read a target measure from JSON; schema depends on the backend."""
+    """Read a target measure from JSON in the schema of the model's solver."""
     with open(path) as fh:
         d = json.load(fh)
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValueError("target JSON must be an object with a 'kind' key")
-    for kind, key, model_kind in (("OneD", "node_mass", RADIAL_P2),
-                                  ("TwoD", "density", TORIC_P1P1)):
-        if d["kind"] == kind and key not in d:
-            raise ValueError(f"a {kind} target needs a {key!r} key")
-        if d["kind"] == kind and model.kind != model_kind:
-            raise ValueError(f"a {kind} target needs the {model_kind} model")
-    if d["kind"] == "OneD":
-        return solver.radial_target(
-            model, np.asarray(d["node_mass"], dtype=float),
-            atom_a=float(d.get("atom_fixed_point", 0.0)),
-            atom_div=float(d.get("atom_divisor", 0.0)))
-    if d["kind"] == "TwoD":
-        t1, t2, _ = model.reference_potential
-        dens = np.asarray(d["density"], dtype=float)
-        if dens.shape != (len(t1), len(t2)):
-            raise ValueError("density shape must match the model grid")
-        return ma.MaMeasure("TwoD", (t1, t2), dens, (), float(dens.sum()))
-    raise ValueError(f"unknown target kind {d['kind']!r}")
+    kind, key, read = backend(model).target
+    if not isinstance(d, dict) or d.get("kind") != kind:
+        raise ValueError(f"the {model.kind} model takes a JSON object of kind {kind!r}")
+    if key not in d:
+        raise ValueError(f"a {kind} target needs a {key!r} key")
+    return read(model, d)
 
 
 def cmd_solve(opts, outdir):
     model = model_from_descriptor(opts["model"])
-    if model.kind == "RadialP2":
-        if opts["target"]:
-            target = _load_target(model, opts["target"])
-        else:
-            phi = _seed_profile(opts["seed"])
-            target = ma.ma_measure(model, phi)
-        res = solver.solve_radial(model, target, p=opts["p"])
-        offsets = res.psi.offset
-        grid = res.psi.base.grid
-    elif model.kind == "ToricP1P1":
-        t1, t2, base = model.reference_potential
-        if opts["target"]:
-            target = _load_target(model, opts["target"])
-        else:
-            rng = np.random.default_rng(opts["seed"])
-            c = rng.uniform(0.2, 0.8, size=2)
-            vals = np.logaddexp(0.0, c[0] * t1[:, None] + c[1] * t2[None, :])
-            vals += np.logaddexp(0.0, (1 - c[0]) * t1[:, None] + (1 - c[1]) * t2[None, :])
-            areas, _, _ = ma.toric_cells(t1, t2, vals)
-            target = ma.MaMeasure("TwoD", (t1, t2), areas.reshape(vals.shape) * 2.0,
-                                  (), float(areas.sum() * 2.0))
-        res = solver.solve_newton_toric(model, target, p=opts["p"])
-        offsets = (res.psi.values - base).ravel()
-        grid = np.arange(offsets.size, dtype=float)
-    else:
-        raise MaLabError("solve supports the radial and toric models")
+    b = backend(model)
+    solve = entry(model, "solve", "the solve command")
+    target = (_load_target(model, opts["target"]) if opts["target"]
+              else b.demo_target(model, opts["seed"]))
+    res = solve(model, target, opts["p"])
+    grid, offsets = b.solution(model, res.psi)
     _write_json(os.path.join(outdir, "solve.json"), {
         "model": opts["model"], "seed": opts["seed"], "p": opts["p"],
         "residual": res.residual, "verdict": res.verdict,
@@ -157,9 +117,8 @@ def cmd_solve(opts, outdir):
 
 def cmd_energy(opts, outdir):
     model = model_from_descriptor(opts["model"])
-    if model.kind != "RadialP2":
-        raise MaLabError("energy reports run on the radial model")
-    phi = _seed_profile(opts["seed"])
+    require(model, RADIAL_P2, "the energy command")
+    phi = verify.seed_profile(opts["seed"])
     rows = []
     for p in energy.P_SWEEP:
         rep = energy.energy_report(model, phi, p)
@@ -179,8 +138,7 @@ def cmd_energy(opts, outdir):
 
 def cmd_capacity(opts, outdir):
     model = model_from_descriptor(opts["model"])
-    if model.kind != "RadialP2":
-        raise MaLabError("capacity curves run on the radial model")
+    require(model, RADIAL_P2, "the capacity command")
     phi = _singular_profile()
     thresholds = np.geomspace(1.0, 512.0, 41)
     curve = cap_mod.capacity_curve(model, phi, thresholds)
@@ -238,7 +196,7 @@ def _ex_bounded_in_class(outdir):
     """Bounded potentials have finite gradient energy, with the explicit
     1/2 bound for potentials squeezed into [0, 1/2]."""
     model = radial_p2()
-    phi = _seed_profile(3)
+    phi = verify.seed_profile(3)
     g = energy.gradient_energy_verdict(model, phi)
     lo, hi = phi.offset.min(), phi.offset.max()
     squeezed = RelativeProfile(phi.base, (phi.offset - lo) / (hi - lo) * 0.5)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ma
 from .errors import InvalidInput
-from .models import PRODUCT_P1P1, RADIAL_P2
+from .models import RADIAL_P2, backend, entry, factors, potential, require
 from .profiles import truncate
 
 P_SWEEP = (1.0, 1.5, 2.0, 3.0)
@@ -129,28 +129,19 @@ def ep_integral(model, phi, p, j=2):
     Returns inf when an atom carries an infinite weight limit; use
     :func:`ep_limit` for the truncation-based limit instead.
     """
-    if model.kind == RADIAL_P2:
-        return _radial_ep(model, phi, p, j)
-    if model.kind == PRODUCT_P1P1:
-        return _product_ep(model, phi, p, j)
-    raise InvalidInput("energies implemented on the 1-D backends")
+    return entry(model, "ep", "ep_integral")(model, potential(model, phi), p, j)
 
 
 def _truncations(phi, model):
-    if model.kind == PRODUCT_P1P1:
-        u, v = phi
-        depth = max(-u.offset.min(), -v.offset.min())
+    """Depth of phi and its cutoffs k -> max(phi, -k), factor by factor."""
+    fs = factors(model, phi, "ep_limit")
+    depths = [-f.offset.min() for f in fs]
 
-        def cut(k):
-            return (truncate(u, k) if -u.offset.min() > k else u,
-                    truncate(v, k) if -v.offset.min() > k else v)
-    else:
-        depth = -phi.offset.min()
+    def cut(k):
+        return backend(model).join(tuple(truncate(f, k) if d > k else f
+                                         for f, d in zip(fs, depths)))
 
-        def cut(k):
-            return truncate(phi, k)
-
-    return depth, cut
+    return max(depths), cut
 
 
 def cutoff_ladder(depth, start=1.0, max_doublings=54):
@@ -222,6 +213,12 @@ def ep_limit(model, phi, p, j=2, max_doublings=54):
     return ladder_verdict(ks, [ep_integral(model, cut(k), p, j) for k in ks], depth)
 
 
+def _product_gradient(model, phi):
+    """The product gradient energy: the raw grid sum, finite by construction."""
+    g = ma.gradient_current_mass(model, phi)
+    return DivergenceVerdict(np.isfinite(g), g, 0.0)
+
+
 def gradient_energy_verdict(model, phi, core=40.0):
     """Gradient energy with an octave-ratio divergence verdict."""
     contrib = ma.gradient_cell_contributions(model, phi)
@@ -249,11 +246,9 @@ def gradient_energy_verdict(model, phi, core=40.0):
 
 def sobolev_distance(model, phi, psi):
     """W^{1,2}-type distance of two potentials against the reference form."""
-    if model.kind not in (RADIAL_P2, PRODUCT_P1P1):
-        raise InvalidInput("sobolev distance implemented on the 1-D backends")
-    pairs = ((phi, psi),) if model.kind == RADIAL_P2 else zip(phi, psi)
     total = 0.0
-    for a, b in pairs:
+    for a, b in zip(factors(model, phi, "sobolev_distance"),
+                    factors(model, psi, "sobolev_distance")):
         total += np.sum(ma.gradient_density(
             a.base.grid, a.offset - b.offset, a.base.values, model.slope_cap))
     return float(np.sqrt(total))
@@ -261,14 +256,10 @@ def sobolev_distance(model, phi, psi):
 
 def _nonpositive(model, phi):
     """Shift phi down to sup 0 if needed; returns (phi, shift)."""
-    if model.kind == PRODUCT_P1P1:
-        u, v = phi
-        s = u.sup_value + v.sup_value
-        if s > 0:
-            return (u.shifted(-s), v), s
-        return phi, 0.0
-    if phi.sup_value > 0:
-        return phi.shifted(-phi.sup_value), phi.sup_value
+    fs = factors(model, phi, "energy_report")
+    s = sum(f.sup_value for f in fs)
+    if s > 0:
+        return backend(model).join((fs[0].shifted(-s),) + fs[1:]), s
     return phi, 0.0
 
 
@@ -291,15 +282,8 @@ def energy_report(model, phi, p=1.0):
     phi, shift = _nonpositive(model, phi)
     mixed = [ep_limit(model, phi, p, j) for j in range(3)]
     full = mixed[2]
-    if model.kind == RADIAL_P2:
-        grad = gradient_energy_verdict(model, phi)
-        in_e = grad.finite
-        sob = float(np.sqrt(grad.value)) if grad.finite else float(np.inf)
-        grad_val = grad.value
-    else:
-        grad_val = ma.gradient_current_mass(model, phi)
-        in_e = np.isfinite(grad_val)
-        sob = float(np.sqrt(grad_val))
+    grad = backend(model).gradient_energy(model, phi)
+    sob = float(np.sqrt(grad.value)) if grad.finite else float(np.inf)
     in_ep = full.finite
     in_e1 = ep_limit(model, phi, 1.0, 2).finite if p != 1.0 else in_ep
     ep_val = full.value \
@@ -309,10 +293,10 @@ def energy_report(model, phi, p=1.0):
         p=p,
         E_p_full=full.value,
         E_p_mixed=tuple(v.value for v in mixed),
-        gradient_energy=grad_val,
+        gradient_energy=grad.value,
         e_p=ep_val,
         sobolev_norm=sob,
-        memberships={"in_E": in_e, "in_E1": in_e1, "in_Ep": in_ep},
+        memberships={"in_E": grad.finite, "in_E1": in_e1, "in_Ep": in_ep},
         sup_shift=shift,
         truncation_trace=full.trace,
     )
@@ -327,8 +311,7 @@ def energy_concavity_data(model, phi, psi, p=1.0):
     bound 6*M (p = 1) or (p+1)^{p/(p-1)} * M (p > 1) for the mixed
     cross terms.
     """
-    if model.kind != RADIAL_P2:
-        raise InvalidInput("concavity data implemented on the radial model")
+    require(model, RADIAL_P2, "energy_concavity_data")
     phi, _ = _nonpositive(model, phi)
     psi, _ = _nonpositive(model, psi)
     measures = {

@@ -28,10 +28,11 @@ import scipy.sparse as sp
 from scipy.spatial import ConvexHull
 
 from .errors import InvalidInput, NotOmegaPsh
-from .models import PRODUCT_P1P1, RADIAL_P2, TORIC_P1P1
-from .profiles import zero_offset
+from .models import RADIAL_P2, backend, factors, potential, require
+from .profiles import max_offsets
 
 ATOM_SLOPE_TOL = 1e-12  # slope deficits below this are treated as zero
+CDF_BLOCK = 1 << 21  # entries per row block of a product-measure cdf difference
 
 FIXED_POINT = "fixed_point_a"
 DIVISOR = "divisor_at_infinity"
@@ -80,9 +81,8 @@ class MaMeasure:
         return self.cdf_seq[1:]
 
 
-def _normalized_ext_slopes(full_profile, cap):
-    s = np.clip(full_profile.extended_slopes() / cap, 0.0, 1.0)
-    return s
+def _normalized_ext_slopes(u, cap):
+    return np.clip(u.full_profile().extended_slopes() / cap, 0.0, 1.0)
 
 
 def measure_1d_pair(grid, ns1, ns2):
@@ -118,25 +118,6 @@ def measure_1d_pair(grid, ns1, ns2):
     return MaMeasure("OneD", grid, node_mass, tuple(atoms), 1.0, cdf_seq=c)
 
 
-def _require_radial(model):
-    if model.kind != RADIAL_P2:
-        raise InvalidInput("operation requires the radial model")
-
-
-def _as_offset(model, phi):
-    if phi is None:
-        if model.kind == PRODUCT_P1P1:
-            b1, b2 = model.reference_potential
-            return (zero_offset(b1), zero_offset(b2))
-        if model.kind == TORIC_P1P1:
-            from .models import ToricGrid
-
-            t1, t2, base = model.reference_potential
-            return ToricGrid(t1, t2, base)
-        return zero_offset(model.reference_potential)
-    return phi
-
-
 def ma_measure(model, phi):
     """Full Monge-Ampere measure of a potential.
 
@@ -154,23 +135,41 @@ def ma_measure(model, phi):
         Mass equal to the model volume.  Atoms appear iff the slope
         deficits at the ends exceed the detection threshold.
     """
-    phi = _as_offset(model, phi)
-    if model.kind == RADIAL_P2:
-        ns = _normalized_ext_slopes(phi.full_profile(), model.slope_cap)
-        return measure_1d_pair(phi.base.grid, ns, ns)
-    if model.kind == PRODUCT_P1P1:
-        u, v = phi
-        mu = factor_measure(u)
-        mv = factor_measure(v)
-        return product_measure(((2.0, mu, mv),))
-    if model.kind == TORIC_P1P1:
-        return toric_measure(model, phi)
-    raise InvalidInput(f"unknown model kind {model.kind!r}")
+    return backend(model).measure(model, potential(model, phi))
+
+
+def _slope_measure(model, phi, psi):
+    """Radial measure of phi and psi: the product of their slope maps."""
+    ns1 = _normalized_ext_slopes(phi, model.slope_cap)
+    ns2 = ns1 if psi is phi else _normalized_ext_slopes(psi, model.slope_cap)
+    return measure_1d_pair(phi.base.grid, ns1, ns2)
+
+
+def _product_measure(model, phi):
+    u, v = phi
+    return product_measure(((2.0, factor_measure(u), factor_measure(v)),))
+
+
+def _product_mixed(model, phi, psi):
+    (u1, v1), (u2, v2) = phi, psi
+    return product_measure(((1.0, factor_measure(u1), factor_measure(v2)),
+                            (1.0, factor_measure(u2), factor_measure(v1))))
+
+
+def _toric_mixed(model, phi, psi):
+    mid = toric_measure(model, phi.combine(psi, 0.5))
+    m1 = toric_measure(model, phi)
+    m2 = toric_measure(model, psi)
+    dens = 2.0 * mid.density - 0.5 * m1.density - 0.5 * m2.density
+    if dens.min() < -1e-9:
+        raise NotOmegaPsh("polarization produced negative mass")
+    dens = np.maximum(dens, 0.0)
+    return MaMeasure("TwoD", mid.grid, dens, (), float(dens.sum()))
 
 
 def factor_measure(u):
     """Measure of one line factor (normalized slope is the sublevel mass)."""
-    ns = _normalized_ext_slopes(u.full_profile(), u.base.slope_cap)
+    ns = _normalized_ext_slopes(u, u.base.slope_cap)
     ones = np.ones_like(ns)
     return measure_1d_pair(u.base.grid, ns, ones)
 
@@ -197,28 +196,7 @@ def mixed_measure(model, phi, psi):
     slope maps, which is used directly (it is the same algebraic
     identity, evaluated without cancellation).
     """
-    phi = _as_offset(model, phi)
-    psi = _as_offset(model, psi)
-    if model.kind == RADIAL_P2:
-        ns1 = _normalized_ext_slopes(phi.full_profile(), model.slope_cap)
-        ns2 = _normalized_ext_slopes(psi.full_profile(), model.slope_cap)
-        return measure_1d_pair(phi.base.grid, ns1, ns2)
-    if model.kind == PRODUCT_P1P1:
-        u1, v1 = phi
-        u2, v2 = psi
-        return product_measure(
-            ((1.0, factor_measure(u1), factor_measure(v2)),
-             (1.0, factor_measure(u2), factor_measure(v1))))
-    if model.kind == TORIC_P1P1:
-        mid = toric_measure(model, phi.combine(psi, 0.5))
-        m1 = toric_measure(model, phi)
-        m2 = toric_measure(model, psi)
-        dens = 2.0 * mid.density - 0.5 * m1.density - 0.5 * m2.density
-        if dens.min() < -1e-9:
-            raise NotOmegaPsh("polarization produced negative mass")
-        dens = np.maximum(dens, 0.0)
-        return MaMeasure("TwoD", mid.grid, dens, (), float(dens.sum()))
-    raise InvalidInput(f"unknown model kind {model.kind!r}")
+    return backend(model).mixed(model, potential(model, phi), potential(model, psi))
 
 
 def reference_wedge(model, phi):
@@ -256,15 +234,11 @@ def gradient_current_mass(model, phi, psi=None, weight=None):
         Divergence verdicts for the underlying improper integral are
         the energy module's octave analysis.
     """
-    if model.kind not in (RADIAL_P2, PRODUCT_P1P1):
-        raise InvalidInput("gradient pairing implemented on the 1-D backends")
-    phi = _as_offset(model, phi)
-    psi = _as_offset(model, psi)
     # product model: one term per line factor, since the complementary
     # factor of omega_psi integrates to 1
-    pairs = ((phi, psi),) if model.kind == RADIAL_P2 else zip(phi, psi)
     total = 0.0
-    for u, bg in pairs:
+    for u, bg in zip(factors(model, phi, "gradient_current_mass"),
+                     factors(model, psi, "gradient_current_mass")):
         contrib = gradient_density(u.base.grid, u.offset, bg.full_values(),
                                    model.slope_cap)
         if weight is not None:
@@ -275,9 +249,9 @@ def gradient_current_mass(model, phi, psi=None, weight=None):
 
 def gradient_cell_contributions(model, phi, psi=None):
     """Per-cell contributions of the gradient pairing (radial model)."""
-    _require_radial(model)
-    phi = _as_offset(model, phi)
-    psi = _as_offset(model, psi)
+    require(model, RADIAL_P2, "gradient_cell_contributions")
+    phi = potential(model, phi)
+    psi = potential(model, psi)
     return gradient_density(phi.base.grid, phi.offset, psi.full_values(),
                             model.slope_cap)
 
@@ -311,12 +285,14 @@ def cdf_sup_distance(m1, m2):
     if m1.kind == "OneD" and m2.kind == "OneD":
         return float(np.abs(m1.cdf_seq - m2.cdf_seq).max())
     if m1.factors is not None and m2.factors is not None:
-        # separable measures: compare per-factor sublevel masses
-        d = 0.0
-        for (c1, a1, b1), (c2, a2, b2) in zip(m1.factors, m2.factors):
-            d = max(d, float(np.abs(c1 * a1.cdf_seq - c2 * a2.cdf_seq).max()),
-                    float(np.abs(c1 * b1.cdf_seq - c2 * b2.cdf_seq).max()))
-        return d
+        # product measures: mass{t1 <= s, t2 <= t} = sum c F(s) G(t), so the
+        # difference is the low-rank product A @ B.T, taken in row blocks
+        A = np.column_stack([c * f.cdf_seq for c, f, _ in m1.factors]
+                            + [-c * f.cdf_seq for c, f, _ in m2.factors])
+        B = np.column_stack([g.cdf_seq for _, _, g in m1.factors + m2.factors])
+        step = max(1, CDF_BLOCK // len(B))
+        return max(float(np.abs(A[i:i + step] @ B.T).max())
+                   for i in range(0, len(A), step))
     if m1.density is not None and m2.density is not None:
         diff = m1.density - m2.density
         cum = np.cumsum(np.cumsum(diff, axis=0), axis=1)
@@ -345,7 +321,7 @@ def comparison_masses(model, phi, psi):
         the first never exceeds the second for admissible bounded
         potentials.
     """
-    _require_radial(model)
+    require(model, RADIAL_P2, "comparison_masses")
     mask = phi.offset < psi.offset
     inc_l = bool(mask[0])
     inc_r = bool(mask[-1])
@@ -363,9 +339,7 @@ def demailly_margin(model, phi, psi, c=0.0):
     (mass_max - mass_phi) over the winning nodes (>= 0 when the
     inequality holds).
     """
-    _require_radial(model)
-    from .profiles import max_offsets
-
+    require(model, RADIAL_P2, "demailly_margin")
     top = max_offsets(phi, psi.shifted(-c))
     m_top = ma_measure(model, top)
     m_phi = ma_measure(model, phi)

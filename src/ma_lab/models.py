@@ -5,6 +5,14 @@ reduces everything to one profile with slope cap 1/2; the product of
 two lines keeps one profile per factor with slope cap 1; the toric
 model is a genuine 2-D discrete potential on a box in log-coordinates,
 with the measure realized as an Aleksandrov subgradient measure.
+
+Each kind has one :class:`Backend` record, looked up by :func:`backend`
+and nowhere else, through which every kind-dependent operation goes:
+potential type, zero potential, factor view ((phi,) radial, (u, v)
+product, none toric), measures, E_p integral, gradient energy, and the
+solver with the solve command's target schema.  An operation the kind
+lacks, or one written for another kind, raises InvalidInput naming the
+operation and the model.
 """
 
 from dataclasses import dataclass
@@ -13,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInput, MaLabError
-from .profiles import Profile, default_grid
+from .profiles import Profile, RelativeProfile, default_grid, zero_offset
 
 RADIAL_P2 = "RadialP2"
 PRODUCT_P1P1 = "ProductP1P1"
@@ -97,8 +105,6 @@ def _radial_self_test(model):
     full = ma.ma_measure(model, None)  # reference measure
     if not abs(full.total_mass - 1.0) < 1e-10:
         raise MaLabError("radial reference measure does not have mass 1")
-    from .profiles import RelativeProfile
-
     base = model.reference_potential
     dirac = RelativeProfile(base, base.grid / 2 - base.values)
     m = ma.ma_measure(model, dirac)
@@ -148,14 +154,15 @@ def toric_p1p1(resolution=64, box=8.0):
 
 @dataclass(frozen=True)
 class ToricGrid:
-    """A 2-D potential on the toric model's log-coordinate grid."""
+    """A 2-D potential on the toric grid; values is a read-only copy."""
 
     t1: np.ndarray
     t2: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # a copy the caller cannot reach
+        v.setflags(write=False)
         object.__setattr__(self, "values", v)
         if v.shape != (len(self.t1), len(self.t2)):
             raise InvalidInput("toric values shape must match the axis grids")
@@ -165,9 +172,6 @@ class ToricGrid:
     def combine(self, other, w):
         """Convex combination (1-w)*self + w*other."""
         return ToricGrid(self.t1, self.t2, (1 - w) * self.values + w * other.values)
-
-    def offset_vs(self, model):
-        return self.values - model.reference_potential[2]
 
 
 def model_from_descriptor(desc):
@@ -189,3 +193,94 @@ def model_from_descriptor(desc):
     if kind in (TORIC_P1P1, "toric-p1p1"):
         return toric_p1p1(int(desc.get("resolution", 64)))
     raise InvalidInput(f"unknown model kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class Backend:
+    """The operations of one model kind; None marks one the kind lacks."""
+
+    potential_type: type  # RelativeProfile, a (u, v) tuple of them, or ToricGrid
+    zero: object  # model -> the zero potential
+    factors: object = None  # potential -> tuple of its 1-D factor profiles
+    join: object = None  # tuple of factor profiles -> potential
+    measure: object = None  # (model, phi) -> MaMeasure
+    mixed: object = None  # (model, phi, psi) -> MaMeasure
+    ep: object = None  # (model, phi, p, j) -> raw E_p integral
+    gradient_energy: object = None  # (model, phi) -> DivergenceVerdict
+    solve: object = None  # (model, target, p) -> SolveResult
+    target: tuple = None  # --target schema: measure kind, JSON key, reader(model, obj)
+    demo_target: object = None  # (model, seed) -> the target without --target
+    solution: object = None  # (model, psi) -> coordinate and offset columns
+
+
+@lru_cache(maxsize=None)
+def _backends():
+    # built on first use, as the operation modules import this one; entries
+    # a tracer may rebind (toric_measure, the solvers, gradient_energy_verdict)
+    # are looked up on their module at call time
+    from . import energy, ma, solver, verify
+
+    return {
+        RADIAL_P2: Backend(
+            RelativeProfile, lambda m: zero_offset(m.reference_potential),
+            factors=lambda phi: (phi,), join=lambda fs: fs[0],
+            measure=lambda m, phi: ma._slope_measure(m, phi, phi), mixed=ma._slope_measure,
+            ep=energy._radial_ep,
+            gradient_energy=lambda m, phi: energy.gradient_energy_verdict(m, phi),
+            solve=lambda m, target, p: solver.solve_radial(m, target, p),
+            target=("OneD", "node_mass", lambda m, d: solver.radial_target(
+                m, np.asarray(d["node_mass"], float), float(d.get("atom_fixed_point", 0.0)),
+                float(d.get("atom_divisor", 0.0)))),
+            demo_target=lambda m, seed: ma.ma_measure(m, verify.seed_profile(seed)),
+            solution=lambda m, psi: (psi.base.grid, psi.offset)),
+        PRODUCT_P1P1: Backend(
+            tuple, lambda m: tuple(map(zero_offset, m.reference_potential)),
+            factors=tuple, join=tuple, measure=ma._product_measure, mixed=ma._product_mixed,
+            ep=energy._product_ep, gradient_energy=energy._product_gradient),
+        TORIC_P1P1: Backend(
+            ToricGrid, lambda m: ToricGrid(*m.reference_potential),
+            measure=lambda m, phi: ma.toric_measure(m, phi), mixed=ma._toric_mixed,
+            solve=lambda m, target, p: solver.solve_newton_toric(m, target, p),
+            target=("TwoD", "density", solver._toric_json_target),
+            demo_target=solver._toric_demo_target,
+            solution=lambda m, psi: (np.arange(psi.values.size, dtype=float),
+                                     (psi.values - m.reference_potential[2]).ravel())),
+    }
+
+
+def backend(model):
+    """The Backend of the model's kind."""
+    return _backends()[model.kind]
+
+
+def potential(model, phi):
+    """phi, checked against the model's potential type; None is zero."""
+    b = backend(model)
+    if phi is None:
+        return b.zero(model)
+    if not isinstance(phi, b.potential_type):
+        raise InvalidInput(f"a {type(phi).__name__} is no {model.kind} potential")
+    return phi
+
+
+def _lacks(operation, model):
+    return InvalidInput(f"{operation} is not implemented on the {model.kind} model")
+
+
+def entry(model, name, operation):
+    """The backend entry name, or InvalidInput if the kind lacks it."""
+    fn = getattr(backend(model), name)
+    if fn is None:
+        raise _lacks(operation, model)
+    return fn
+
+
+def require(model, kind, operation):
+    """Raise InvalidInput unless the model is of the kind operation needs."""
+    if model.kind != kind:
+        raise _lacks(operation, model)
+
+
+def factors(model, phi, operation):
+    """The 1-D factor profiles of a potential, for operation."""
+    return entry(model, "factors", operation)(potential(model, phi))

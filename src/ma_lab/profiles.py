@@ -146,7 +146,8 @@ class RelativeProfile:
 
     The stored offset satisfies full = base + offset; the offset is
     bounded above because its tail slopes are differences of admissible
-    slopes.  sup_value is the supremum of the offset over the line.
+    slopes.  sup_value is the supremum of the offset over the line.  The
+    offset is a read-only copy of the array passed in.
     """
 
     base: Profile
@@ -154,7 +155,8 @@ class RelativeProfile:
     sup_value: float = field(default=None)
 
     def __post_init__(self):
-        off = np.asarray(self.offset, dtype=float)
+        off = np.array(self.offset, dtype=float)  # a copy the caller cannot reach
+        off.setflags(write=False)
         object.__setattr__(self, "offset", off)
         if off.shape != self.base.grid.shape:
             raise InvalidInput("offset shape must match base grid")
@@ -243,17 +245,10 @@ def convex_envelope(samples_t, samples_y, slope_cap=0.5):
         raise InvalidInput("need >= 2 samples")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise InvalidInput("non-finite sample")
-    order = np.argsort(t, kind="stable")
-    t, y = t[order], y[order]
-    keep_t, keep_y = [t[0]], [y[0]]
-    for ti, yi in zip(t[1:], y[1:]):
-        if ti == keep_t[-1]:
-            keep_y[-1] = min(keep_y[-1], yi)
-        else:
-            keep_t.append(ti)
-            keep_y.append(yi)
-    t = np.array(keep_t)
-    y = np.array(keep_y)
+    t, at = np.unique(t, return_inverse=True)
+    y_min = np.full(t.size, np.inf)
+    np.minimum.at(y_min, at, y)
+    y = y_min
     if t.size < 2:
         raise InvalidInput("need >= 2 distinct abscissae")
 
@@ -358,22 +353,6 @@ def compose_weight(p, chi):
     return out
 
 
-def max_profiles(p, q):
-    """Pointwise maximum of two profiles on a shared grid."""
-    if p.grid.shape != q.grid.shape or not np.array_equal(p.grid, q.grid):
-        raise InvalidInput("profiles must share a grid; resample first")
-    v = np.maximum(p.values, q.values)
-    # the dominant branch at each end dictates the tail slope
-    left = p.slope_minus_inf if p.values[0] >= q.values[0] else q.slope_minus_inf
-    if p.values[0] == q.values[0]:
-        left = min(p.slope_minus_inf, q.slope_minus_inf)
-    right = p.slope_plus_inf if p.values[-1] >= q.values[-1] else q.slope_plus_inf
-    if p.values[-1] == q.values[-1]:
-        right = max(p.slope_plus_inf, q.slope_plus_inf)
-    cap = p.slope_cap if p.slope_cap is not None else q.slope_cap
-    return Profile(p.grid, v, left, right, cap)
-
-
 def max_offsets(p, q):
     """Pointwise maximum of two relative potentials over the same base."""
     if p.base is not q.base and not np.array_equal(p.base.values, q.base.values):
@@ -393,9 +372,3 @@ def truncate(p, k):
     if not k > 0:
         raise InvalidInput("truncation level must be positive")
     return RelativeProfile(p.base, np.maximum(p.offset, -float(k)))
-
-
-def resample(p, new_grid):
-    """Piecewise-linear resampling of a profile (linear in psi)."""
-    new_grid = np.asarray(new_grid, dtype=float)
-    return Profile(new_grid, p(new_grid), p.slope_minus_inf, p.slope_plus_inf, p.slope_cap)

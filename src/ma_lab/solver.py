@@ -23,7 +23,9 @@ import scipy.sparse.linalg as spla
 
 from . import energy, ma
 from .errors import InvalidInput, NotSolvableInModel, PreconditionViolated
-from .models import PRODUCT_P1P1, RADIAL_P2, TORIC_P1P1, ToricGrid
+from .models import (PRODUCT_P1P1, RADIAL_P2, TORIC_P1P1, ToricGrid, backend,
+                     require)
+from .profiles import RelativeProfile
 
 DEFAULT_WIDTHS = tuple(2.0 ** -j for j in range(3, 11))
 
@@ -58,6 +60,24 @@ def radial_target(model, node_mass, atom_a=0.0, atom_div=0.0):
     return ma.MaMeasure("OneD", g, node_mass, tuple(atoms), total, cdf_seq=c)
 
 
+def _toric_json_target(model, d):
+    """A toric target from its JSON object, a density on the model grid."""
+    t1, t2, _ = model.reference_potential
+    dens = np.asarray(d["density"], dtype=float)
+    if dens.shape != (len(t1), len(t2)):
+        raise InvalidInput("density shape must match the model grid")
+    return ma.MaMeasure("TwoD", (t1, t2), dens, (), float(dens.sum()))
+
+
+def _toric_demo_target(model, seed):
+    """The measure of a smooth convex potential drawn from the seed."""
+    t1, t2, _ = model.reference_potential
+    c = np.random.default_rng(seed).uniform(0.2, 0.8, size=2)
+    vals = np.logaddexp(0.0, c[0] * t1[:, None] + c[1] * t2[None, :])
+    vals += np.logaddexp(0.0, (1 - c[0]) * t1[:, None] + (1 - c[1]) * t2[None, :])
+    return ma.toric_measure(model, ToricGrid(t1, t2, vals), check_convex=False)
+
+
 def dirac_target(model):
     """The unit atom at the fixed point."""
     g = model.reference_potential.grid
@@ -75,8 +95,6 @@ def dirac_preimages(model, slope_deficit=1e-8, kink=-100.0):
     class, and there the measure pins the potential down no better than
     this: the solution set of the exact problem has infinite dimension.
     """
-    from .profiles import RelativeProfile
-
     base = model.reference_potential
     g = base.grid
     cap = model.slope_cap
@@ -106,8 +124,7 @@ def solve_radial(model, target, p=1.0):
         The target distribution function exceeds 1, which would demand
         slopes above the cap.
     """
-    if model.kind != RADIAL_P2:
-        raise InvalidInput("solve_radial needs the radial model")
+    require(model, RADIAL_P2, "solve_radial")
     if abs(target.total_mass - 1.0) > 1e-10:
         raise InvalidInput("target mass must be 1")
     F = target.cdf_seq
@@ -120,19 +137,13 @@ def solve_radial(model, target, p=1.0):
     base = model.reference_potential
     g = base.grid
     vals = _integrate_slopes(g, s[1:-1])
-    psi = _as_relative(base, vals).normalized(-1.0)
+    psi = RelativeProfile(base, vals - base.values).normalized(-1.0)
     got = ma.ma_measure(model, psi)
     residual = ma.cdf_sup_distance(got, target)
     rep = energy.energy_report(model, psi, p)
     verdict = "solved" if rep.memberships["in_Ep"] else "not_in_Ep"
     return SolveResult(psi, residual, (rep.E_p_full,), verdict,
                        {"in_Ep": rep.memberships["in_Ep"]})
-
-
-def _as_relative(base, vals):
-    from .profiles import RelativeProfile
-
-    return RelativeProfile(base, vals - base.values)
 
 
 def _integrate_slopes(g, s_cells):
@@ -157,8 +168,7 @@ def solve_separable(model, factor_targets, p=1.0):
     factor_targets is a pair of 1-D measures of mass 1, one per line
     factor, describing the target 2 * m1 (x) m2.
     """
-    if model.kind != PRODUCT_P1P1:
-        raise InvalidInput("solve_separable needs the product model")
+    require(model, PRODUCT_P1P1, "solve_separable")
     sols = []
     for base, m in zip(model.reference_potential, factor_targets):
         if abs(m.total_mass - 1.0) > 1e-10:
@@ -167,7 +177,8 @@ def solve_separable(model, factor_targets, p=1.0):
         if F.max() > 1.0 + 1e-12:
             raise NotSolvableInModel("factor distribution function exceeds 1")
         s = np.clip(F, 0.0, 1.0)
-        sols.append(_as_relative(base, _integrate_slopes(base.grid, s[1:-1])))
+        sols.append(RelativeProfile(base, _integrate_slopes(base.grid, s[1:-1])
+                                    - base.values))
     u, v = sols
     shift = u.sup_value + v.sup_value + 1.0
     u = u.shifted(-shift)
@@ -314,8 +325,7 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
     holds the last level's Newton info under "newton" and every level's
     stop reason ("tol", "line_search" or "itmax") under "stop_reasons".
     """
-    if model.kind != TORIC_P1P1:
-        raise InvalidInput("solve_newton_toric needs the toric model")
+    require(model, TORIC_P1P1, "solve_newton_toric")
     if target.atoms:
         raise InvalidInput("atoms interior to the moment square are not solvable "
                            "on the Newton path")
@@ -385,18 +395,16 @@ def uniqueness_check(model, psi1, psi2, measure_tol=1e-7, deviation_tol=1e-5):
     dist = ma.cdf_sup_distance(m1, m2)
     if dist > measure_tol:
         raise PreconditionViolated("candidate measures disagree")
-    if model.kind == TORIC_P1P1:
+    view = backend(model).factors
+    if view is None:  # a 2-D potential: compare every node
         d = (psi1.values - psi2.values).ravel()
-    elif model.kind == PRODUCT_P1P1:
-        d = (psi1[0].offset + psi1[1].offset) - (psi2[0].offset + psi2[1].offset)
-        g = psi1[0].base.grid
-        d = d[np.abs(g) <= 1e4]
     else:
-        d = psi1.offset - psi2.offset
+        f1, f2 = view(psi1), view(psi2)
+        d = sum(f.offset for f in f1) - sum(f.offset for f in f2)
         # beyond |t| ~ 1e4 the potentials are affine continuations whose
         # value ULP exceeds any sensible tolerance; the measure cannot
         # pin the potential below representation error there
-        d = d[np.abs(psi1.base.grid) <= 1e4]
+        d = d[np.abs(f1[0].base.grid) <= 1e4]
     dev = float(np.abs(d - d.mean()).max())
     return {"measure_distance": dist, "deviation": dev,
             "passed": dev <= deviation_tol}

@@ -20,7 +20,7 @@ import ma_lab.capacity as cap_mod
 
 from . import energy, ma, solver
 from .errors import InvalidInput
-from .models import psi_fs, radial_p2
+from .models import RADIAL_P2, psi_fs, radial_p2, require
 from .profiles import (RelativeProfile, compose_weight, max_offsets, scale,
                        truncate)
 
@@ -158,6 +158,11 @@ def generate_corpus(seed, size):
                     link, {"decreasing_chain": (chain_id, idx)}))
             chain_id += 1
     return Corpus(int(seed), tuple(entries[:size]))
+
+
+def seed_profile(seed):
+    """Deterministic demo potential: first bounded corpus member."""
+    return generate_corpus(seed, 12).with_tag("bounded")[0].phi
 
 
 def corpus_chains(corpus):
@@ -693,6 +698,7 @@ for _cid, (_cit, _) in CHECKS.items():
 
 def run_checks(corpus, model, checks=None):
     """Run the registered checks; deterministic per (seed, model, list)."""
+    require(model, RADIAL_P2, "the verify checks")
     if checks is None:
         checks = list(CHECKS)
     reports = []

@@ -71,6 +71,18 @@ def test_solve_bad_target_schema(tmp_path):
                 "--target", str(tpath)]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--model", "product-p1p1", "--size", "4"],
+    ["verify", "--model", "toric-p1p1:16", "--size", "4"],
+    ["energy", "--model", "toric-p1p1:16"],
+    ["capacity", "--model", "product-p1p1"],
+    ["solve", "--model", "product-p1p1"],
+])
+def test_command_on_unsupported_model_exits_2(tmp_path, capsys, args):
+    assert run(args + ["--out", str(tmp_path)]) == 2
+    assert "is not implemented on the" in capsys.readouterr().err
+
+
 def test_capacity_artifacts(tmp_path):
     out = tmp_path / "c"
     assert run(["capacity", "--out", str(out)]) == 0

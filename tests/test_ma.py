@@ -184,3 +184,42 @@ def test_toric_mixed_polarization(toric32):
     mix = ma.mixed_measure(toric32, a, b)
     assert mix.total_mass == pytest.approx(2.0, abs=1e-6)
     assert mix.density.min() >= 0.0
+
+
+def test_cdf_sup_distance_product_measures(product):
+    # omega_phi^2 as one tensor term (coefficient 2) and as the mixed
+    # measure of phi with itself (two terms, coefficient 1) are one measure
+    b1, b2 = product.reference_potential
+    g = b1.grid
+    u = RelativeProfile(b1, 0.5 * models.psi_line(g - 2.0) + 0.5 * models.psi_line(g + 1.0)
+                        - b1.values)
+    v = RelativeProfile(b2, models.psi_line(g - 3.0) - b2.values)
+    full = ma.ma_measure(product, (u, v))
+    assert len(full.factors) == 1
+    mixed = ma.mixed_measure(product, (u, v), (u, v))
+    assert len(mixed.factors) == 2
+    assert ma.cdf_sup_distance(full, mixed) < 1e-14
+    ref = ma.ma_measure(product, None)
+    d = ma.cdf_sup_distance(full, ref)
+    assert d == ma.cdf_sup_distance(ref, full) and d > 0.1
+
+
+def test_cdf_sup_distance_product_matches_dense(monkeypatch):
+    rng = np.random.default_rng(5)
+    g = np.linspace(-3.0, 3.0, 40)
+
+    def line_measure():
+        ns = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, g.size - 1)), [1.0]])
+        return ma.measure_1d_pair(g, ns, np.ones_like(ns))
+
+    a = ma.product_measure(((2.0, line_measure(), line_measure()),))
+    b = ma.product_measure(((1.0, line_measure(), line_measure()),
+                            (1.0, line_measure(), line_measure())))
+
+    def dense(m):
+        return sum(c * np.outer(f.cdf_seq, h.cdf_seq) for c, f, h in m.factors)
+
+    want = np.abs(dense(a) - dense(b)).max()
+    assert ma.cdf_sup_distance(a, b) == pytest.approx(want, abs=1e-15)
+    monkeypatch.setattr(ma, "CDF_BLOCK", 100)  # many row blocks
+    assert ma.cdf_sup_distance(a, b) == pytest.approx(want, abs=1e-15)

@@ -83,6 +83,16 @@ def test_toric_grid_combine():
     assert np.allclose(a.combine(b, 0.25).values, base + 0.25)
 
 
+def test_toric_grid_owns_frozen_values():
+    t1, t2, base = toric_p1p1(16).reference_potential
+    vals = np.array(base)
+    grid = ToricGrid(t1, t2, vals)
+    vals[:] = 0.0
+    assert np.array_equal(grid.values, base)
+    with pytest.raises(ValueError):
+        grid.values[0, 0] = 1.0
+
+
 def test_descriptor_strings():
     assert model_from_descriptor("radial-p2") is radial_p2()
     assert model_from_descriptor("product-p1p1") is product_p1p1()

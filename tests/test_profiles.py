@@ -207,3 +207,28 @@ def test_default_grid_symmetric():
     assert np.allclose(g, -g[::-1])
     assert np.all(np.diff(g) > 0)
     assert g[-1] > 1e15
+
+
+def test_relative_profile_owns_a_frozen_offset(radial):
+    base = radial.reference_potential
+    off = np.full(base.grid.size, -1.0)
+    phi = RelativeProfile(base, off)
+    off[:] = -3.0
+    assert phi.offset[0] == -1.0 and phi.sup_value == -1.0
+    with pytest.raises(ValueError):
+        phi.offset[0] = 0.0
+
+
+def test_convex_envelope_unsorted_duplicates():
+    # duplicate abscissae keep their lowest sample
+    rng = np.random.default_rng(11)
+    t = np.round(rng.uniform(-4.0, 4.0, size=40), 1)
+    y = rng.uniform(-2.0, 2.0, size=40)
+    u = np.unique(t)
+    assert u.size < t.size
+    lowest = np.array([y[t == x].min() for x in u])
+    env = convex_envelope(t, y, slope_cap=0.5)
+    assert np.array_equal(env.grid, u)
+    assert np.abs(env.values - envelope_oracle(u, lowest, 0.5, u)).max() < 1e-9
+    with pytest.raises(InvalidInput):
+        convex_envelope([1.0, 1.0], [0.0, 1.0])
