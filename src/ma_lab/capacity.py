@@ -137,6 +137,8 @@ def capacity(model, K):
 
 def sublevel_masses(measure, phi, thresholds):
     """Mass of {phi < -t} under a 1-D measure, vectorized in t."""
+    if not isinstance(phi, RelativeProfile) or measure.kind != "OneD":
+        raise InvalidInput("sublevel_masses needs a 1-D measure and a RelativeProfile")
     off = _monotone_offset(phi)
     cum = np.cumsum(measure.density)
     cum += measure.atom_mass(ma.FIXED_POINT)
@@ -190,6 +192,7 @@ def decay_constant(model, phi):
     the constant produced by the comparison-principle proof of the
     decay Cap(phi < -t) <= C_phi / t^2.
     """
+    require(model, RADIAL_P2, "decay_constant")
     sq = energy.ep_limit(model, phi, 2.0, 0).value
     lin = energy.ep_limit(model, phi, 1.0, 1).value
     return sq + 4.0 * lin + 2.0
@@ -232,6 +235,7 @@ def scaling_competitor_bound(model, phi, t, s):
     For s > t >= 1: s^{-2} * mass of omega_{max(phi,-s)}^2 on
     {phi < -t} never exceeds Cap(phi < -t).
     """
+    require(model, RADIAL_P2, "scaling_competitor_bound")
     if not s > t:
         raise InvalidInput("need s > t")
     cut = truncate(phi, s)

@@ -40,6 +40,8 @@ CONFIG_KEYS = {"model": (str, dict), "seed": int, "out": (str, _NULL),
                "target": (str, _NULL), "id": (str, _NULL)}
 DEFAULTS = {"model": "radial-p2", "seed": 0, "out": None, "p": 1.0,
             "size": 60, "checks": None, "target": None, "id": None}
+# sublevel thresholds t of the capacity curves written by capacity and examples
+CAPACITY_THRESHOLDS = np.geomspace(1.0, 512.0, 41)
 
 
 def _fmt(x):
@@ -76,10 +78,25 @@ def _write_csv(path, header, rows):
                               else str(v) for v in row) + "\n")
 
 
+def _write_capacity_curve(path, model, phi):
+    """Write the capacity curve of phi at CAPACITY_THRESHOLDS; return it."""
+    curve = cap_mod.capacity_curve(model, phi, CAPACITY_THRESHOLDS)
+    _write_csv(path, ["threshold", "capacity"],
+               list(zip(curve.thresholds.tolist(), curve.values.tolist())))
+    return curve
+
+
 def _singular_profile():
     """Full-slope potential, singular at the fixed point, Lelong mass 1."""
     base = radial_p2().reference_potential
     return RelativeProfile(base, base.grid / 2 - base.values - 1.0)
+
+
+def _numeric(x):
+    """A JSON number or a (nested) list of them; true/false are no numbers."""
+    if isinstance(x, list):
+        return all(map(_numeric, x))
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _load_target(model, path):
@@ -91,6 +108,11 @@ def _load_target(model, path):
         raise ValueError(f"the {model.kind} model takes a JSON object of kind {kind!r}")
     if key not in d:
         raise ValueError(f"a {kind} target needs a {key!r} key")
+    bad = sorted(k for k, v in d.items()
+                 if k != "kind" and not (_numeric(v) and isinstance(v, list) == (k == key)))
+    if bad:
+        raise ValueError(f"malformed {kind} target keys {bad}: {key!r} holds a list "
+                         "of numbers, the others a number each")
     return read(model, d)
 
 
@@ -139,16 +161,13 @@ def cmd_energy(opts, outdir):
 def cmd_capacity(opts, outdir):
     model = model_from_descriptor(opts["model"])
     require(model, RADIAL_P2, "the capacity command")
-    phi = _singular_profile()
-    thresholds = np.geomspace(1.0, 512.0, 41)
-    curve = cap_mod.capacity_curve(model, phi, thresholds)
+    curve = _write_capacity_curve(os.path.join(outdir, "capacity.csv"), model,
+                                  _singular_profile())
     _write_json(os.path.join(outdir, "capacity.json"), {
         "model": opts["model"], "seed": opts["seed"],
         "fitted_exponent": curve.fitted_exponent,
         "bound_constants": curve.bound_constants,
     })
-    _write_csv(os.path.join(outdir, "capacity.csv"), ["threshold", "capacity"],
-               list(zip(curve.thresholds.tolist(), curve.values.tolist())))
     return 0
 
 
@@ -175,17 +194,13 @@ def cmd_verify(opts, outdir):
     model = model_from_descriptor(opts["model"])
     corpus = verify.generate_corpus(opts["seed"], opts["size"])
     reports = verify.run_checks(corpus, model, opts["checks"])
-    rows = [(r.check_id, r.citation, r.instances, r.failures, r.worst_margin)
-            for r in reports]
-    _write_csv(os.path.join(outdir, "verify.csv"),
-               ["check_id", "citation", "instances", "failures", "worst_margin"],
-               rows)
+    fields = ["check_id", "citation", "instances", "failures", "worst_margin"]
+    rows = [[getattr(r, f) for f in fields] for r in reports]
+    _write_csv(os.path.join(outdir, "verify.csv"), fields, rows)
     _write_json(os.path.join(outdir, "verify.json"), {
         "model": opts["model"], "seed": opts["seed"], "size": opts["size"],
         "corpus_digest": corpus.digest(),
-        "checks": [{"check_id": r.check_id, "citation": r.citation,
-                    "instances": r.instances, "failures": r.failures,
-                    "worst_margin": r.worst_margin} for r in reports],
+        "checks": [dict(zip(fields, row)) for row in rows],
         "total_failures": sum(r.failures for r in reports),
     })
     _write_junit(os.path.join(outdir, "verify.xml"), reports)
@@ -267,10 +282,7 @@ def _ex_capacity_law(outdir):
     the p-dependent membership flip of its power family."""
     model = radial_p2()
     phi = _singular_profile()
-    curve = cap_mod.capacity_curve(model, phi, np.geomspace(1.0, 512.0, 41))
-    path = os.path.join(outdir, "capacity_curve.csv")
-    _write_csv(path, ["threshold", "capacity"],
-               list(zip(curve.thresholds.tolist(), curve.values.tolist())))
+    curve = _write_capacity_curve(os.path.join(outdir, "capacity_curve.csv"), model, phi)
     payload = {"fitted_exponent": curve.fitted_exponent,
                "within_tolerance": bool(abs(curve.fitted_exponent + 2.0) <= 0.1)}
     ok = payload["within_tolerance"]
@@ -313,12 +325,8 @@ def _ex_separable_integrability(outdir):
         # factor-side verdict on the same cutoff ladder and classifier
         depth, cut = energy._truncations((u, v), model)
         ks = energy.cutoff_ladder(depth)
-        es = []
-        for k in ks:
-            vk = cut(k)[1]
-            w = np.power(np.maximum(-vk.offset, 0.0), p)
-            es.append(ma.weighted_mass(ma.factor_measure(vk), w, 0.0,
-                                       abs(vk.offset[-1]) ** p))
+        es = [energy._moment(ma.factor_measure(vk), vk, p)
+              for vk in (cut(k)[1] for k in ks)]
         factor = energy.ladder_verdict(ks, es, depth)
         payload[f"p={p}"] = {"joint_finite": joint.finite,
                              "factor_finite": factor.finite,
@@ -340,6 +348,8 @@ EXAMPLES = {
 
 
 def cmd_examples(opts, outdir):
+    # every example builds its own fixed model; --seed is accepted and unused
+    require(model_from_descriptor(opts["model"]), RADIAL_P2, "the examples command")
     ids = [opts["id"]] if opts["id"] else sorted(EXAMPLES)
     unknown = [i for i in ids if i not in EXAMPLES]
     if unknown:
@@ -376,6 +386,8 @@ def _load_config(path):
         # JSON true/false must not pass as the integers 1/0
         if isinstance(value, bool) or not isinstance(value, CONFIG_KEYS[key]):
             raise ValueError(f"config key {key!r} has the wrong type")
+    if not all(isinstance(c, str) for c in cfg.get("checks") or ()):
+        raise ValueError("config key 'checks' must list check ids (strings)")
     return cfg
 
 
@@ -413,7 +425,8 @@ def main(argv=None):
         os.makedirs(outdir, exist_ok=True)
         model_from_descriptor(opts["model"])  # validate the name up front
         return COMMANDS[args.command](opts, outdir)
-    except (MaLabError, ValueError, OSError, json.JSONDecodeError) as exc:
+    # OverflowError: an input past the float range, e.g. a huge JSON integer or p = 1e308
+    except (MaLabError, ValueError, OverflowError, OSError) as exc:
         print(f"ma-lab: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ Default exponent sweep: p in {1, 1.5, 2, 3}.
 """
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -74,52 +75,35 @@ def _measure_for(model, phi, j):
     raise InvalidInput("wedge index j must be 0, 1 or 2")
 
 
-def _radial_weights(phi, p):
-    """Node weights (-phi)^p and their limits at both ends."""
-    w = np.power(np.maximum(-phi.offset, 0.0), p)
-    ll, lr = phi.limit_values()
-    wl = np.inf if np.isinf(ll) else abs(ll) ** p
-    wr = np.inf if np.isinf(lr) else abs(lr) ** p
-    return w, wl, wr
+def _moment(m, f, k):
+    """M_k(m, f) = integral of max(-f, 0)^k against the 1-D measure m, its
+    atoms weighted by the limits of f: inf**k is inf, inf**0 is 1."""
+    ll, lr = f.limit_values()
+    return ma.weighted_mass(m, np.power(np.maximum(-f.offset, 0.0), k),
+                            abs(ll) ** k, abs(lr) ** k)
 
 
 def _radial_ep(model, phi, p, j):
-    return ma.weighted_mass(_measure_for(model, phi, j), *_radial_weights(phi, p))
+    return _moment(_measure_for(model, phi, j), phi, p)
 
 
 def _product_ep(model, phi, p, j):
+    """Fubini over the tensor terms c * m1 (x) m2 of the measure: for an
+    integer p and u + v <= 0, c * sum_k C(p, k) M_k(m1, u) M_{p-k}(m2, v)."""
     u, v = phi
-    meas = _measure_for(model, phi, j)
+    top = u.offset.max()
+    if not (p >= 1 and float(p).is_integer()) or top + v.offset.max() > 0:
+        raise InvalidInput("product-model E_p needs an integer p >= 1 and u + v <= 0")
+    if top:  # move the constant to v: both factors <= 0, so no weight clips
+        u, v = u.shifted(-top), v.shifted(top)
+    n = int(p)
     total = 0.0
-    for c, m1, m2 in meas.factors:
-        total += c * _tensor_weighted(m1, m2, u, v, p)
-    return total
-
-
-def _tensor_weighted(m1, m2, u, v, p):
-    """sum over (i, j) of m1_i m2_j (-u_i - v_j)^p, atoms included."""
-
-    def pieces(m, off):
-        ll, lr = off.limit_values()
-        out = [(m.density, -off.offset)]
-        for tag, mass in m.atoms:
-            lim = ll if tag == ma.FIXED_POINT else lr
-            out.append((np.array([mass]), np.array([-lim])))
-        return out
-
-    total = 0.0
-    for mass1, w1 in pieces(m1, u):
-        for mass2, w2 in pieces(m2, v):
-            if np.isinf(w1).any() or np.isinf(w2).any():
-                rel = (np.isinf(w1) & (mass1 > 0)).any() or \
-                      (np.isinf(w2) & (mass2 > 0)).any()
-                if rel:
-                    return float(np.inf)
-            chunk = max(1, 5_000_000 // max(1, w2.size))
-            for a in range(0, w1.size, chunk):
-                b = min(w1.size, a + chunk)
-                w = np.maximum(w1[a:b, None] + w2[None, :], 0.0) ** p
-                total += float(mass1[a:b] @ w @ mass2)
+    for c, m1, m2 in _measure_for(model, phi, j).factors:
+        mu = [_moment(m1, u, k) for k in range(n + 1)]
+        mv = [_moment(m2, v, n - k) for k in range(n + 1)]
+        if np.isinf(mu + mv).any():  # an atom at an infinite limit; before inf * 0
+            return float(np.inf)
+        total += c * sum(comb(n, k) * a * b for k, (a, b) in enumerate(zip(mu, mv)))
     return total
 
 
@@ -271,14 +255,14 @@ def energy_report(model, phi, p=1.0):
     model : KahlerModel
     phi : RelativeProfile or factor pair
     p : float
-        Real exponent >= 1.
+        Finite real exponent >= 1.
 
     Returns
     -------
     EnergyReport
     """
-    if p < 1.0:
-        raise InvalidInput("exponent p must be >= 1")
+    if not 1.0 <= p < np.inf:  # nan fails too
+        raise InvalidInput("exponent p must be a finite number >= 1")
     phi, shift = _nonpositive(model, phi)
     mixed = [ep_limit(model, phi, p, j) for j in range(3)]
     full = mixed[2]
@@ -319,11 +303,8 @@ def energy_concavity_data(model, phi, psi, p=1.0):
         "mix": ma.mixed_measure(model, phi, psi),
         "psi2": ma.ma_measure(model, psi),
     }
-    out = {}
-    for uname, u in (("phi", phi), ("psi", psi)):
-        weights = _radial_weights(u, p)
-        for mname, m in measures.items():
-            out[f"{uname}_{mname}"] = ma.weighted_mass(m, *weights)
+    out = {f"{uname}_{mname}": _moment(m, u, p)
+           for uname, u in (("phi", phi), ("psi", psi)) for mname, m in measures.items()}
     M = max(out["phi_phi2"], out["psi_psi2"])
     bound = 6.0 * M if p == 1.0 else (p + 1.0) ** (p / (p - 1.0)) * M
     out["M"] = M

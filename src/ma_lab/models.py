@@ -191,7 +191,10 @@ def model_from_descriptor(desc):
     if kind in (PRODUCT_P1P1, "product-p1p1"):
         return product_p1p1()
     if kind in (TORIC_P1P1, "toric-p1p1"):
-        return toric_p1p1(int(desc.get("resolution", 64)))
+        res = desc.get("resolution", 64)
+        if isinstance(res, bool) or not isinstance(res, (int, float, str)):
+            raise InvalidInput("toric resolution must be an integer")
+        return toric_p1p1(int(res))
     raise InvalidInput(f"unknown model kind {kind!r}")
 
 

@@ -361,9 +361,7 @@ def check_triple_continuity(corpus, model):
         vals = []
         for phi in chain[-3:]:
             m = ma.mixed_measure(model, phi, tail)
-            vals.append(ma.weighted_mass(m, np.maximum(-u.offset, 0.0),
-                                         abs(u.limit_values()[0]),
-                                         abs(u.limit_values()[1])))
+            vals.append(energy._moment(m, u, 1.0))
         margins.append(1e-3 * max(1.0, a) - abs(vals[-1] - vals[-2]))
     return _report("triple-decreasing-continuity", margins)
 

@@ -75,6 +75,11 @@ WRONG = {
     "exit_slope-toric": lambda d: capacity.exit_slope(d["toric"], 0.0),
     "capacity_curve-product": lambda d: capacity.capacity_curve(
         d["product"], d["uv"], [2.0, 4.0]),
+    "decay_constant-product": lambda d: capacity.decay_constant(d["product"], d["uv"]),
+    "scaling_competitor_bound-product": lambda d: capacity.scaling_competitor_bound(
+        d["product"], d["uv"], 2.0, 4.0),
+    "sublevel_masses-product": lambda d: capacity.sublevel_masses(
+        ma.ma_measure(d["product"], d["uv"]), d["uv"], [2.0]),
     "ep_limit-toric": lambda d: energy.ep_limit(d["toric"], d["grid"], 1.0),
     "energy_report-toric": lambda d: energy.energy_report(d["toric"], d["grid"]),
     "ep_integral-toric": lambda d: energy.ep_integral(d["toric"], d["grid"], 1.0),

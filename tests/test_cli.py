@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ma_lab import cli
 
@@ -77,6 +78,8 @@ def test_solve_bad_target_schema(tmp_path):
     ["energy", "--model", "toric-p1p1:16"],
     ["capacity", "--model", "product-p1p1"],
     ["solve", "--model", "product-p1p1"],
+    ["examples", "--id", "2.5", "--model", "toric-p1p1:16", "--seed", "9"],
+    ["examples", "--model", "product-p1p1"],
 ])
 def test_command_on_unsupported_model_exits_2(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path)]) == 2
@@ -153,3 +156,65 @@ def test_out_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("MA_LAB_OUT", str(out))
     assert run(["energy"]) == 0
     assert (out / "energy.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_malformed_target_and_config_exit_2(tmp_path, capsys):
+    target, cfg = tmp_path / "target.json", tmp_path / "cfg.json"
+    for bad in ({"kind": "OneD", "node_mass": [1.0], "atom_fixed_point": None},
+                {"kind": "OneD", "node_mass": {"a": 1}},
+                {"kind": "OneD", "node_mass": [True]},
+                {"kind": "OneD", "node_mass": [], "atom_divisor": []},
+                {"kind": "OneD", "node_mass": 1.0}):
+        target.write_text(json.dumps(bad))
+        assert run(["solve", "--out", str(tmp_path), "--target", str(target)]) == 2, bad
+    for command, bad in (("verify", {"checks": [["a"]]}), ("energy", {"p": 1e308}),
+                         ("energy", {"model": {"kind": "toric-p1p1", "resolution": None}})):
+        cfg.write_text(json.dumps(bad))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2, bad
+    assert capsys.readouterr().err.count("ma-lab: ") == 8
+
+
+# any JSON value, NaN, infinities and big integers included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_NUMBERS = st.lists(st.floats() | st.integers(), max_size=3)
+# config values: garbage, or values of the right type that keep each run cheap;
+# size and id are always given, as their defaults run the full verify corpus
+# and every example
+_CHEAP = {
+    "size": st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+                      st.integers(-2, 2)),
+    "id": _JSON | st.sampled_from(["2.5", "9.9"]),
+}
+_CONFIG_VALUES = {
+    "model": _JSON | st.sampled_from(["radial-p2", "product-p1p1", "toric-p1p1:16",
+                                      "toric-p1p1:8", "mystery"]),
+    "seed": _JSON | st.integers(-2, 40),
+    "p": _JSON | st.floats(-2.0, 40.0) | st.sampled_from([1, 3, 1e308, float("nan")]),
+    "checks": _JSON | st.lists(st.sampled_from(["mixed-mass-probability", "bogus"]),
+                               max_size=2),
+    "bogus": _JSON,
+}
+_TARGETS = _JSON | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["OneD", "TwoD"]) | _JSON},
+    optional={"node_mass": _NUMBERS | _JSON, "density": st.lists(_NUMBERS, max_size=2) | _JSON,
+              "atom_fixed_point": _JSON, "atom_divisor": _JSON})
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["energy", "solve", "capacity", "verify", "examples"]),
+       config=st.fixed_dictionaries(_CHEAP, optional=_CONFIG_VALUES) | _JSON,
+       target=_TARGETS, model=st.sampled_from(["radial-p2", "toric-p1p1:16"]))
+def test_random_json_never_raises(tmp_path_factory, command, config, target, model):
+    # ill-formed input exits 2; well-formed input runs (0) or fails a check (1)
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "cfg.json").write_text(json.dumps(config))
+    (d / "target.json").write_text(json.dumps(target))
+    for args in ([command, "--config", str(d / "cfg.json")],
+                 ["solve", "--model", model, "--target", str(d / "target.json")]):
+        assert run(args + ["--out", str(d / "out")]) in (0, 1, 2)

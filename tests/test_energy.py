@@ -7,7 +7,7 @@ two power families; bounded cases against exact constants.
 import numpy as np
 import pytest
 
-from ma_lab import energy, ma, models
+from ma_lab import energy, ma, models, profiles, solver
 from ma_lab.errors import InvalidInput
 from ma_lab.profiles import (RelativeProfile, compose_weight, truncate,
                              zero_offset)
@@ -241,3 +241,83 @@ def test_ladder_classifier_is_shared(radial, corpus36, monkeypatch, tmp_path):
         assert ks[0] == 1.0 and len(ks) == 22
         assert payload[p]["factor_rho"] == v.rho
         assert payload[p]["factor_finite"] == v.finite
+
+
+def _oracle_inputs(model):
+    """Factor pairs covering every branch of the product E_p integral."""
+    b1, b2 = model.reference_potential
+    zero_u, zero_v = zero_offset(b1), zero_offset(b2)
+    # Example 6.3.3: u = 0 and a power-singular v, at shallow and deep cutoffs
+    v = compose_weight(RelativeProfile(b2, -b2.values - 1.0), ("power", 0.4))
+    cases = {f"6.3.3-k={k}": (zero_u, truncate(v, k)) for k in (4.0, 2.0 ** 20)}
+    # shifted constants; in the second u > 0, while u + v < 0
+    cases["constants"] = (zero_u.shifted(-1.5), zero_v.shifted(-2.5))
+    cases["positive-u"] = (zero_u.shifted(0.75), zero_v.shifted(-2.0))
+    # the separable solver's round-trip potential
+    g = b1.grid
+    rng = np.random.default_rng(5)
+    targets = []
+    for _ in range(2):
+        w = np.where(np.abs(g) <= 200.0, rng.random(g.size), 0.0)
+        w[0] = w[-1] = 0.0
+        w /= w.sum()
+        targets.append(ma.MaMeasure("OneD", g, w, (), 1.0,
+                                    cdf_seq=np.concatenate([[0.0], np.cumsum(w)])))
+    cases["round-trip"] = solver.solve_separable(model, tuple(targets)).psi
+    # slope 1/4 at -inf: a fixed-point atom of mass 1/4 at the limit -inf; with
+    # u = 0 the moments M_k(u), k >= 1, are 0, so inf * 0 terms arise
+    cases["infinite-atom"] = (zero_u, RelativeProfile(b2, 0.25 * g - 0.25 * b2.values - 1.0))
+    return cases
+
+
+def _assert_matches_oracle(model, phi, p, j, label):
+    from product_reference import reference_product_ep
+
+    got = energy.ep_integral(model, phi, float(p), j)
+    want = reference_product_ep(model, phi, float(p), j)
+    if np.isinf(want):
+        assert got == want, label
+    else:
+        assert abs(got - want) <= 1e-12 * abs(want), (label, got, want)
+
+
+@pytest.fixture(scope="module")
+def coarse_product():
+    """The product model on a coarse grid of the same reach, so the dense
+    oracle runs in milliseconds."""
+    g = profiles.default_grid(core_half_width=8.0, core_step=0.25, octaves=45, per_octave=2)
+    f = profiles.Profile(g, models.psi_line(g), 0.0, 1.0, 1.0)
+    return models.KahlerModel(models.PRODUCT_P1P1, (f, f), 2.0, 1.0, 1)
+
+
+def test_product_ep_matches_dense_oracle(coarse_product):
+    cases = _oracle_inputs(coarse_product)
+    assert cases["positive-u"][0].sup_value > 0
+    for name, phi in cases.items():
+        for p in (1, 2, 3):
+            for j in (0, 1, 2):
+                _assert_matches_oracle(coarse_product, phi, p, j, (name, p, j))
+    atom = cases["infinite-atom"]
+    assert ma.ma_measure(coarse_product, atom).factors[0][2].atoms
+    assert np.isinf(energy.ep_integral(coarse_product, atom, 1.0, 2))
+    assert np.isinf(energy.ep_integral(coarse_product, atom, 1.0, 1))
+    assert np.isfinite(energy.ep_integral(coarse_product, atom, 1.0, 0))
+
+
+def test_product_ep_matches_dense_oracle_on_model_grid(product):
+    cases = _oracle_inputs(product)
+    for name in ("6.3.3-k=1048576.0", "round-trip"):
+        for p in (1, 3):
+            _assert_matches_oracle(product, cases[name], p, 2, (name, p))
+
+
+def test_product_ep_needs_integer_p_and_nonpositive_sum(product):
+    b1, b2 = product.reference_potential
+    u, v = zero_offset(b1).shifted(-1.0), zero_offset(b2).shifted(-1.0)
+    for p in (1.5, 0.0, np.inf, np.nan):
+        with pytest.raises(InvalidInput, match="integer p >= 1"):
+            energy.ep_integral(product, (u, v), p)
+    with pytest.raises(InvalidInput, match="and u \\+ v <= 0"):
+        energy.ep_integral(product, (u.shifted(2.5), v), 1.0)
+    # u + v = 0 at its top is still fine
+    assert energy.ep_integral(product, (u.shifted(1.0), v.shifted(1.0)), 2.0) == 0.0
