@@ -21,8 +21,7 @@ from .ma import (MaMeasure, gradient_current_mass, ma_measure, mixed_measure,
 from .energy import (DivergenceVerdict, EnergyReport, energy_report,
                      ep_limit, gradient_energy_verdict, sobolev_distance)
 from .capacity import (CapacityCurve, capacity_curve, capacity_energy_sandwich,
-                       phi_sublevel, relative_extremal, sublevel_set,
-                       whole_space)
+                       relative_extremal, sublevel_abscissae)
 from .capacity import capacity as set_capacity
 from .solver import (SolveResult, dirac_target, radial_target, solve_newton_toric,
                      solve_radial, solve_separable, uniqueness_check)
@@ -39,10 +38,10 @@ __all__ = [
     "convex_envelope", "default_grid", "dirac_target", "energy_report",
     "ep_limit", "generate_corpus", "gradient_current_mass",
     "gradient_energy_verdict", "legendre", "ma_measure", "max_offsets",
-    "mixed_measure", "model_from_descriptor", "phi_sublevel", "product_p1p1",
+    "mixed_measure", "model_from_descriptor", "product_p1p1",
     "radial_p2", "radial_target", "reference_wedge", "relative_extremal",
     "run_checks", "scale", "sobolev_distance", "solve_newton_toric",
-    "solve_radial", "solve_separable", "sublevel_set", "toric_measure",
-    "toric_p1p1", "truncate", "uniqueness_check", "whole_space",
+    "solve_radial", "solve_separable", "sublevel_abscissae", "toric_measure",
+    "toric_p1p1", "truncate", "uniqueness_check",
     "zero_offset",
 ]

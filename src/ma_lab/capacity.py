@@ -1,13 +1,21 @@
 """Capacity of invariant sublevel sets via relative extremal profiles.
 
 On the radial model every invariant compact is a sublevel set
-{t <= T}.  The relative extremal potential of such a set is explicit:
-the reference potential dropped by 1 on the set, continued by its
-tangent of smallest admissible slope until it rejoins the reference.
-The capacity is the measure the extremal potential places on the set,
-which is (s*/cap)^2 with s* the exit slope; this closed form is the
-maximizer over all admissible competitors because any competitor's
-slope at T is dominated by the tangent slope.
+{t <= T}, so a set is its abscissa T: T = -inf is the empty set (or
+the fixed point alone) and T = +inf the whole space.  For a monotone
+potential phi, {phi < -t} = {t <= T} with T from
+:func:`sublevel_abscissae`, which gives -inf where the sublevel is
+empty on the grid and +inf where it covers the grid.
+
+The relative extremal potential of {t <= T} is explicit: the reference
+potential dropped by 1 on the set, continued by its tangent of
+smallest admissible slope until it rejoins the reference.  The
+capacity is the measure the extremal potential places on the set,
+which is (s*/cap)^2 with s* the exit slope (0 at T = -inf, cap at
+T = +inf); this closed form is the maximizer over all admissible
+competitors because any competitor's slope at T is dominated by the
+tangent slope.  :func:`exit_slope` and :func:`capacity` take a scalar
+T or an array of them.
 """
 
 from dataclasses import dataclass
@@ -32,87 +40,62 @@ class CapacityCurve:
     bound_constants: dict
 
 
-def sublevel_set(T):
-    return {"kind": "sublevel_t", "T": float(T)}
-
-
-def whole_space():
-    return {"kind": "all"}
-
-
-def phi_sublevel(phi, s):
-    return {"kind": "sublevel_phi", "phi": phi, "s": float(s)}
+def is_monotone(phi):
+    """Whether phi's offset is nondecreasing up to 1e-12, so that every
+    sublevel {phi < -t} is a set {t <= T}."""
+    return not np.any(np.diff(phi.offset) < -1e-12)
 
 
 def _monotone_offset(phi):
-    off = phi.offset
-    if np.any(np.diff(off) < -1e-12):
+    if not is_monotone(phi):
         raise PreconditionViolated("sublevel computations need a monotone offset")
-    return off
+    return phi.offset
 
 
-def _crossing(phi, s):
-    """Abscissa where the (monotone) offset crosses -s; None if empty."""
+def sublevel_abscissae(phi, ts):
+    """Abscissae T with {phi < -t} = {t <= T}, one per threshold t.
+
+    T is -inf where phi >= -t at the first grid node (the sublevel is
+    empty on the grid), +inf where phi < -t at the last one, and the
+    interpolated crossing of the monotone offset with -t otherwise.
+    """
     off = _monotone_offset(phi)
-    if off[0] >= -s:
-        return None  # sublevel below the grid or empty
-    if off[-1] < -s:
-        return np.inf
-    # interpolate the exact crossing on the increasing offset
-    return float(np.interp(-s, off, phi.base.grid))
-
-
-def _resolve_T(model, K):
-    if K["kind"] == "all":
-        return np.inf
-    if K["kind"] == "sublevel_t":
-        return K["T"]
-    if K["kind"] == "sublevel_phi":
-        T = _crossing(K["phi"], K["s"])
-        if T is None:
-            lo, _ = K["phi"].limit_values()
-            # the set may still reach the fixed point at t -> -inf
-            return -np.inf if np.isinf(lo) or K["phi"].offset[0] < -K["s"] else None
-        return T
-    raise InvalidInput(f"unknown set descriptor {K['kind']!r}")
+    level = -np.asarray(ts, dtype=float)
+    T = np.interp(level, off, phi.base.grid)
+    return np.where(off[0] >= level, -np.inf, np.where(off[-1] < level, np.inf, T))
 
 
 def exit_slope(model, T):
-    """Tangent slope of the extremal potential leaving {t <= T}."""
+    """Tangent slope of the extremal potential leaving {t <= T}, per T."""
     require(model, RADIAL_P2, "exit_slope")
     base = model.reference_potential
     cap = model.slope_cap
-    if np.isposinf(T):
-        return cap
-    if np.isneginf(T):
-        return 0.0
     g = base.grid
-    sel = g > T
-    if not sel.any():
-        return cap
-    ratios = (base.values[sel] - base(T) + 1.0) / (g[sel] - T)
-    return float(min(cap, ratios.min()))
+    T = np.asarray(T, dtype=float)
+    s = np.where(np.isneginf(T), 0.0, cap)  # cap for +inf and T past the grid
+    for i in np.flatnonzero(np.isfinite(T) & (T < g[-1])):
+        t = T.flat[i]
+        i0 = np.searchsorted(g, t, side="right")
+        ratios = (base.values[i0:] - base(t) + 1.0) / (g[i0:] - t)
+        s.flat[i] = min(cap, ratios.min())
+    return s if s.ndim else float(s)
 
 
-def relative_extremal(model, K):
-    """Upper envelope of admissible potentials <= 0 on X and <= -1 on K.
+def relative_extremal(model, T):
+    """Upper envelope of admissible potentials <= 0 on X and <= -1 on {t <= T}.
 
     Parameters
     ----------
     model : KahlerModel (radial)
-    K : dict
-        Set descriptor from :func:`sublevel_set`, :func:`whole_space`
-        or :func:`phi_sublevel`.
+    T : float
+        Abscissa of the set; -inf is the empty set, +inf the whole space.
 
     Returns
     -------
     RelativeProfile
-        Equals -1 on K, lies in [-1, 0], and is admissible.
+        Equals -1 on the set, lies in [-1, 0], and is admissible.
     """
     require(model, RADIAL_P2, "relative_extremal")
-    T = _resolve_T(model, K)
-    if T is None:
-        raise InvalidInput("empty set")
     base = model.reference_potential
     g = base.grid
     if np.isposinf(T):
@@ -125,14 +108,12 @@ def relative_extremal(model, K):
     return RelativeProfile(base, U - base.values)
 
 
-def capacity(model, K):
-    """Capacity of an invariant set, from the extremal exit slope."""
+def capacity(model, T):
+    """Capacity of {t <= T} per T, from the extremal exit slope."""
     require(model, RADIAL_P2, "capacity")
-    T = _resolve_T(model, K)
-    if T is None or np.isneginf(T):
-        return 0.0
-    s = exit_slope(model, T)
-    return (s / model.slope_cap) ** model.cdf_power
+    # one array power for scalars too, so a 0-d call matches its array entry
+    c = (np.atleast_1d(exit_slope(model, T)) / model.slope_cap) ** model.cdf_power
+    return c if np.ndim(T) else float(c[0])
 
 
 def sublevel_masses(measure, phi, thresholds):
@@ -173,7 +154,7 @@ def capacity_curve(model, phi, thresholds):
     ts = np.asarray(thresholds, dtype=float)
     if np.any(ts < 1.0):
         raise InvalidInput("thresholds must be >= 1")
-    vals = np.array([capacity(model, phi_sublevel(phi, t)) for t in ts])
+    vals = capacity(model, sublevel_abscissae(phi, ts))
     sel = (ts >= ts.max() / 2.0) & (ts <= (1.0 - FIT_EXCLUDE_TOP) * ts.max()) & (vals > 0)
     if sel.sum() >= 2:
         exponent = float(np.polyfit(np.log(ts[sel]), np.log(vals[sel]), 1)[0])
@@ -210,13 +191,12 @@ def capacity_energy_sandwich(model, phi, p=1.0, n_quad=600):
     uses the full combination 2^{p+2} e_p.
     """
     require(model, RADIAL_P2, "capacity_energy_sandwich")
-    off = _monotone_offset(phi)
-    depth = float(-off.min())
+    depth = float(-phi.offset.min())
     # past the grid depth the discrete sublevels degenerate to the fixed
     # point and the mass/capacity pair is no longer faithful; stop there
     hi = max(4.0, min(depth * 0.99, 1e16))
     t = np.geomspace(1.0, hi, n_quad)
-    caps = np.array([capacity(model, phi_sublevel(phi, s)) for s in t])
+    caps = capacity(model, sublevel_abscissae(phi, t))
     m2 = ma.ma_measure(model, phi)
     masses = sublevel_masses(m2, phi, t)
     mid = (p + 2.0) * np.trapezoid(t ** (p + 1) * caps, t)

@@ -247,6 +247,12 @@ def _nonpositive(model, phi):
     return phi, 0.0
 
 
+def check_exponent(p):
+    """Raise InvalidInput unless the energy exponent p is a finite number >= 1."""
+    if not 1.0 <= p < np.inf:  # nan fails too
+        raise InvalidInput("exponent p must be a finite number >= 1")
+
+
 def energy_report(model, phi, p=1.0):
     """Full energy bookkeeping for one potential and exponent.
 
@@ -261,8 +267,7 @@ def energy_report(model, phi, p=1.0):
     -------
     EnergyReport
     """
-    if not 1.0 <= p < np.inf:  # nan fails too
-        raise InvalidInput("exponent p must be a finite number >= 1")
+    check_exponent(p)
     phi, shift = _nonpositive(model, phi)
     mixed = [ep_limit(model, phi, p, j) for j in range(3)]
     full = mixed[2]

@@ -100,21 +100,23 @@ def measure_1d_pair(grid, ns1, ns2):
     MaMeasure
         Total mass exactly 1.
     """
-    c = ns1 * ns2
+    return _measure_1d(grid, ns1 * ns2, min(ns1[0], ns2[0]) > ATOM_SLOPE_TOL,
+                       min(1.0 - ns1[-1], 1.0 - ns2[-1]) > ATOM_SLOPE_TOL)
+
+
+def _measure_1d(grid, c, fixed_point_atom, divisor_atom):
+    """Measure with sublevel masses c; each end's mass is an atom or is
+    lumped onto the end node."""
     node_mass = np.diff(c)
     atoms = []
-    a0 = c[0]
-    if min(ns1[0], ns2[0]) > ATOM_SLOPE_TOL:
-        atoms.append((FIXED_POINT, float(a0)))
+    if fixed_point_atom:
+        atoms.append((FIXED_POINT, float(c[0])))
     else:
-        node_mass = node_mass.copy()
-        node_mass[0] += a0
-    a1 = 1.0 - c[-1]
-    if min(1.0 - ns1[-1], 1.0 - ns2[-1]) > ATOM_SLOPE_TOL:
-        atoms.append((DIVISOR, float(a1)))
+        node_mass[0] += c[0]
+    if divisor_atom:
+        atoms.append((DIVISOR, float(1.0 - c[-1])))
     else:
-        node_mass = np.array(node_mass)
-        node_mass[-1] += a1
+        node_mass[-1] += 1.0 - c[-1]
     return MaMeasure("OneD", grid, node_mass, tuple(atoms), 1.0, cdf_seq=c)
 
 
@@ -168,10 +170,11 @@ def _toric_mixed(model, phi, psi):
 
 
 def factor_measure(u):
-    """Measure of one line factor (normalized slope is the sublevel mass)."""
+    """Measure of one line factor (normalized slope is the sublevel mass);
+    its end atoms follow its own slope deficits."""
     ns = _normalized_ext_slopes(u, u.base.slope_cap)
-    ones = np.ones_like(ns)
-    return measure_1d_pair(u.base.grid, ns, ones)
+    return _measure_1d(u.base.grid, ns, ns[0] > ATOM_SLOPE_TOL,
+                       1.0 - ns[-1] > ATOM_SLOPE_TOL)
 
 
 def product_measure(factor_pairs):

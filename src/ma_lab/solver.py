@@ -326,6 +326,7 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
     stop reason ("tol", "line_search" or "itmax") under "stop_reasons".
     """
     require(model, TORIC_P1P1, "solve_newton_toric")
+    energy.check_exponent(p)
     if target.atoms:
         raise InvalidInput("atoms interior to the moment square are not solvable "
                            "on the Newton path")

@@ -252,14 +252,13 @@ def check_capacity_decay(corpus, model):
     ts = np.geomspace(1.0, 64.0, 25)
     for e in corpus.profiles:
         phi = e.phi
-        if np.any(np.diff(phi.offset) < -1e-12):
+        if not cap_mod.is_monotone(phi):
             continue
         C = cap_mod.decay_constant(model, phi)
         if not np.isfinite(C):
             continue
-        for t in ts:
-            c = cap_mod.capacity(model, cap_mod.phi_sublevel(phi, t))
-            margins.append(C / t ** 2 - c)
+        caps = cap_mod.capacity(model, cap_mod.sublevel_abscissae(phi, ts))
+        margins.extend(C / ts ** 2 - caps)
     return _report("sublevel-capacity-decay", margins)
 
 
@@ -446,9 +445,8 @@ def check_truncation_free(corpus, model):
 def check_convergence_in_capacity(corpus, model):
     margins = []
     for e in corpus.with_tag("divisor_bounded"):
-        phi = e.phi
-        caps = [cap_mod.capacity(model, cap_mod.phi_sublevel(phi, k))
-                for k in (4.0, 16.0, 64.0)]
+        caps = cap_mod.capacity(
+            model, cap_mod.sublevel_abscissae(e.phi, [4.0, 16.0, 64.0]))
         margins.extend(-np.diff(caps))
         margins.append(0.05 - caps[-1])
     return _report("truncation-capacity-convergence", margins)
@@ -550,8 +548,7 @@ def check_comparison(corpus, model):
 
 def check_sandwich(corpus, model, p=1.0):
     margins = []
-    members = [e for e in corpus.profiles
-               if not np.any(np.diff(e.phi.offset) < -1e-12)]
+    members = [e for e in corpus.profiles if cap_mod.is_monotone(e.phi)]
     for e in members[::max(1, len(members) // 40)]:
         vals = cap_mod.capacity_energy_sandwich(model, e.phi, p)
         if not np.isfinite(vals["sandwich_upper"]):
@@ -566,13 +563,11 @@ def check_eq6(corpus, model):
     ts = np.geomspace(1.0, 64.0, 15)
     for e in corpus.profiles:
         phi = e.phi
-        if np.any(np.diff(phi.offset) < -1e-12):
+        if not cap_mod.is_monotone(phi):
             continue
-        m = ma.ma_measure(model, phi)
-        masses = cap_mod.sublevel_masses(m, phi, ts)
-        for t, mass in zip(ts, masses):
-            c = cap_mod.capacity(model, cap_mod.phi_sublevel(phi, t))
-            margins.append(t ** 2 * c - mass)
+        masses = cap_mod.sublevel_masses(ma.ma_measure(model, phi), phi, ts)
+        caps = cap_mod.capacity(model, cap_mod.sublevel_abscissae(phi, ts))
+        margins.extend(ts ** 2 * caps - masses)
     return _report("sublevel-mass-vs-capacity", margins, 100.0)
 
 
@@ -581,17 +576,16 @@ def check_eq7(corpus, model):
     ts = np.geomspace(1.0, 32.0, 10)
     for e in corpus.profiles:
         phi = e.phi
-        if np.any(np.diff(phi.offset) < -1e-12):
+        if not cap_mod.is_monotone(phi):
             continue
         m0 = ma.ma_measure(model, None)
         m1 = ma.mixed_measure(model, phi, None)
         m2 = ma.ma_measure(model, phi)
-        for t in ts:
-            rhs = cap_mod.sublevel_masses(m0, phi, [t])[0] \
-                + 2.0 / t * cap_mod.sublevel_masses(m1, phi, [t])[0] \
-                + 1.0 / t ** 2 * cap_mod.sublevel_masses(m2, phi, [t])[0]
-            lhs = cap_mod.capacity(model, cap_mod.phi_sublevel(phi, 2.0 * t))
-            margins.append(rhs - lhs)
+        rhs = cap_mod.sublevel_masses(m0, phi, ts) \
+            + 2.0 / ts * cap_mod.sublevel_masses(m1, phi, ts) \
+            + 1.0 / ts ** 2 * cap_mod.sublevel_masses(m2, phi, ts)
+        lhs = cap_mod.capacity(model, cap_mod.sublevel_abscissae(phi, 2.0 * ts))
+        margins.extend(rhs - lhs)
     return _report("capacity-split-bound", margins, 10.0)
 
 
@@ -634,9 +628,8 @@ def check_capacity_domination(corpus, model, p=2.0):
     ts = np.geomspace(1.0, 32.0, 8)
     for phi in singular:
         masses = cap_mod.sublevel_masses(mu, phi, ts)
-        for t, mass in zip(ts, masses):
-            c = cap_mod.capacity(model, cap_mod.phi_sublevel(phi, t))
-            data.append((mass, c))
+        caps = cap_mod.capacity(model, cap_mod.sublevel_abscissae(phi, ts))
+        data.extend(zip(masses, caps))
     A, margins = _fit_holdout(data, gamma)
     return _report("measure-capacity-domination", margins, 1.0,
                    {"fitted_constant": A, "alpha": gamma})

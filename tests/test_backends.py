@@ -68,9 +68,9 @@ def pots():
 
 
 WRONG = {
-    "capacity-product": lambda d: capacity.capacity(d["product"], capacity.whole_space()),
+    "capacity-product": lambda d: capacity.capacity(d["product"], np.inf),
     "capacity-toric": lambda d: capacity.capacity(
-        d["toric"], capacity.phi_sublevel(d["phi"], 2.0)),
+        d["toric"], capacity.sublevel_abscissae(d["phi"], 2.0)),
     "exit_slope-product": lambda d: capacity.exit_slope(d["product"], 0.0),
     "exit_slope-toric": lambda d: capacity.exit_slope(d["toric"], 0.0),
     "capacity_curve-product": lambda d: capacity.capacity_curve(

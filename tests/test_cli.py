@@ -151,6 +151,15 @@ def test_config_file(tmp_path, capsys):
     assert "tol" not in cli.DEFAULTS and "tol" not in cli.CONFIG_KEYS
 
 
+def test_toric_solve_checks_exponent(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for p in (float("nan"), 0.5):
+        cfg.write_text(json.dumps({"p": p}))
+        args = ["solve", "--model", "toric-p1p1:16", "--config", str(cfg)]
+        assert run(args + ["--out", str(tmp_path)]) == 2, p
+        assert "exponent p must be a finite number >= 1" in capsys.readouterr().err
+
+
 def test_out_env_var(tmp_path, monkeypatch):
     out = tmp_path / "envout"
     monkeypatch.setenv("MA_LAB_OUT", str(out))

@@ -267,6 +267,8 @@ def _oracle_inputs(model):
     # slope 1/4 at -inf: a fixed-point atom of mass 1/4 at the limit -inf; with
     # u = 0 the moments M_k(u), k >= 1, are 0, so inf * 0 terms arise
     cases["infinite-atom"] = (zero_u, RelativeProfile(b2, 0.25 * g - 0.25 * b2.values - 1.0))
+    # slope 3/4 of the cap at +inf: a divisor atom of mass 1/4 at the limit -inf
+    cases["divisor-atom"] = (zero_u.shifted(-0.5), RelativeProfile(b2, -0.25 * b2.values - 1.0))
     return cases
 
 
@@ -309,6 +311,15 @@ def test_product_ep_matches_dense_oracle_on_model_grid(product):
     for name in ("6.3.3-k=1048576.0", "round-trip"):
         for p in (1, 3):
             _assert_matches_oracle(product, cases[name], p, 2, (name, p))
+
+
+def test_line_factor_slope_deficit_is_a_divisor_atom(product):
+    # each line factor's end atoms follow its own slope deficit
+    b1, b2 = product.reference_potential
+    u, v = zero_offset(b1).shifted(-0.5), RelativeProfile(b2, -0.25 * b2.values - 1.0)
+    assert ma.factor_measure(v).atoms == ((ma.DIVISOR, pytest.approx(0.25)),)
+    assert ma.factor_measure(u).atoms == ()
+    assert energy.ep_integral(product, (u, v), 1.0, 2) == np.inf
 
 
 def test_product_ep_needs_integer_p_and_nonpositive_sum(product):
