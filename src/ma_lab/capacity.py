@@ -73,10 +73,11 @@ def exit_slope(model, T):
     g = base.grid
     T = np.asarray(T, dtype=float)
     s = np.where(np.isneginf(T), 0.0, cap)  # cap for +inf and T past the grid
-    for i in np.flatnonzero(np.isfinite(T) & (T < g[-1])):
-        t = T.flat[i]
+    idx = np.flatnonzero(np.isfinite(T) & (T < g[-1]))
+    ts = T.flat[idx]
+    for i, t, ft in zip(idx, ts, base(ts)):
         i0 = np.searchsorted(g, t, side="right")
-        ratios = (base.values[i0:] - base(t) + 1.0) / (g[i0:] - t)
+        ratios = (base.values[i0:] - ft + 1.0) / (g[i0:] - t)
         s.flat[i] = min(cap, ratios.min())
     return s if s.ndim else float(s)
 

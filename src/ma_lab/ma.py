@@ -29,7 +29,7 @@ from scipy.spatial import ConvexHull
 
 from .errors import InvalidInput, NotOmegaPsh
 from .models import RADIAL_P2, backend, factors, potential, require
-from .profiles import max_offsets
+from .profiles import max_offsets, slopes_of
 
 ATOM_SLOPE_TOL = 1e-12  # slope deficits below this are treated as zero
 CDF_BLOCK = 1 << 21  # entries per row block of a product-measure cdf difference
@@ -71,6 +71,15 @@ class MaMeasure:
     cdf_seq: object = None
     factors: tuple = None
 
+    def frozen(self):
+        """self with every array read-only, factor measures' too (for a cache)."""
+        for a in (self.density, self.cdf_seq):
+            if a is not None:
+                a.setflags(write=False)
+        for _, m1, m2 in self.factors or ():
+            m1.frozen(), m2.frozen()
+        return self
+
     def atom_mass(self, tag):
         return dict(self.atoms).get(tag, 0.0)
 
@@ -82,7 +91,9 @@ class MaMeasure:
 
 
 def _normalized_ext_slopes(u, cap):
-    return np.clip(u.full_profile().extended_slopes() / cap, 0.0, 1.0)
+    """u's full slopes over the cap, clipped to [0, 1]; tails as in Profile.from_values."""
+    s = slopes_of(u.base.grid, u.base.values + u.offset)
+    return np.clip(np.concatenate([s[:1], s, s[-1:]]) / cap, 0.0, 1.0)
 
 
 def measure_1d_pair(grid, ns1, ns2):
@@ -128,8 +139,9 @@ def ma_measure(model, phi):
     model : KahlerModel
     phi : RelativeProfile, (RelativeProfile, RelativeProfile),
           ToricGrid, or None
-        None means the zero potential (reference measure).  The product
-        model accepts separable potentials u (+) v as a pair.
+        None means the zero potential: the reference measure, built once
+        per model and shared (model.reference_measure, read-only).  The
+        product model accepts separable potentials u (+) v as a pair.
 
     Returns
     -------
@@ -137,6 +149,8 @@ def ma_measure(model, phi):
         Mass equal to the model volume.  Atoms appear iff the slope
         deficits at the ends exceed the detection threshold.
     """
+    if phi is None:
+        return model.reference_measure
     return backend(model).measure(model, potential(model, phi))
 
 

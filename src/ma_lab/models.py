@@ -16,7 +16,7 @@ operation and the model.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -72,6 +72,17 @@ class KahlerModel:
     def normalize(self, mass):
         """Convert a raw mass to the unit-volume normalization."""
         return mass / self.volume
+
+    # built on first use, once per model, and shared: every array is read-only
+    @cached_property
+    def zero(self):
+        """The zero potential."""
+        return backend(self).zero(self)
+
+    @cached_property
+    def reference_measure(self):
+        """The measure of the zero potential, ma_measure(model, None)."""
+        return backend(self).measure(self, self.zero).frozen()
 
 
 def _frozen(a):
@@ -203,7 +214,7 @@ class Backend:
     """The operations of one model kind; None marks one the kind lacks."""
 
     potential_type: type  # RelativeProfile, a (u, v) tuple of them, or ToricGrid
-    zero: object  # model -> the zero potential
+    zero: object  # model -> the zero potential (KahlerModel.zero caches it)
     factors: object = None  # potential -> tuple of its 1-D factor profiles
     join: object = None  # tuple of factor profiles -> potential
     measure: object = None  # (model, phi) -> MaMeasure
@@ -258,10 +269,9 @@ def backend(model):
 
 def potential(model, phi):
     """phi, checked against the model's potential type; None is zero."""
-    b = backend(model)
     if phi is None:
-        return b.zero(model)
-    if not isinstance(phi, b.potential_type):
+        return model.zero
+    if not isinstance(phi, backend(model).potential_type):
         raise InvalidInput(f"a {type(phi).__name__} is no {model.kind} potential")
     return phi
 

@@ -147,12 +147,14 @@ class RelativeProfile:
     The stored offset satisfies full = base + offset; the offset is
     bounded above because its tail slopes are differences of admissible
     slopes.  sup_value is the supremum of the offset over the line.  The
-    offset is a read-only copy of the array passed in.
+    offset is a read-only copy of the array passed in.  Construction
+    validates the full profile once and keeps only its two tail slopes.
     """
 
     base: Profile
     offset: np.ndarray
     sup_value: float = field(default=None)
+    _full_tails: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         off = np.array(self.offset, dtype=float)  # a copy the caller cannot reach
@@ -164,10 +166,11 @@ class RelativeProfile:
             raise InvalidInput("non-finite offset")
         if self.sup_value is None:
             object.__setattr__(self, "sup_value", float(off.max()))
+        full = self.full_profile()  # the one validation of the full profile
+        object.__setattr__(self, "_full_tails", (full.slope_minus_inf, full.slope_plus_inf))
         # offset tails must not increase outward, else phi is unbounded above
-        s = self.full_profile().extended_slopes()
-        if s[0] - self.base.slope_minus_inf < -TOL_CONVEX or \
-           s[-1] - self.base.slope_plus_inf > TOL_CONVEX:
+        lo, hi = self.offset_tail_slopes()
+        if lo < -TOL_CONVEX or hi > TOL_CONVEX:
             raise NotOmegaPsh("offset tail slopes escape the admissible cone")
 
     def full_values(self):
@@ -178,9 +181,8 @@ class RelativeProfile:
 
     def offset_tail_slopes(self):
         """Offset slopes beyond the grid ends (full tail minus base tail)."""
-        f = self.full_profile()
-        return (f.slope_minus_inf - self.base.slope_minus_inf,
-                f.slope_plus_inf - self.base.slope_plus_inf)
+        lo, hi = self._full_tails
+        return lo - self.base.slope_minus_inf, hi - self.base.slope_plus_inf
 
     def limit_values(self):
         """Offset limits at t -> -inf and t -> +inf (may be -inf)."""
@@ -348,9 +350,7 @@ def compose_weight(p, chi):
         new = -np.log(-phi)
     else:
         raise InvalidInput(f"unknown weight {chi[0]!r}")
-    out = RelativeProfile(p.base, new)
-    out.full_profile()  # convexity assertion
-    return out
+    return RelativeProfile(p.base, new)  # construction checks convexity
 
 
 def max_offsets(p, q):

@@ -410,10 +410,11 @@ def check_lp_criterion(corpus, model, p=2.0):
 
 def check_weighted_chain(corpus, model, p=2.0):
     margins = []
+    m0 = ma.ma_measure(model, None)
     for phi, psi in ordered_pairs(corpus):
         wphi = np.power(np.maximum(-phi.offset, 0.0), p)
         wpsi = np.power(np.maximum(-psi.offset, 0.0), p)
-        a0 = ma.weighted_mass(ma.ma_measure(model, None), wphi, 0.0, 0.0)
+        a0 = ma.weighted_mass(m0, wphi, 0.0, 0.0)
         a1 = ma.weighted_mass(ma.mixed_measure(model, phi, None), wphi, 0.0, 0.0)
         a2 = ma.weighted_mass(ma.ma_measure(model, phi), wphi, 0.0, 0.0)
         b1 = ma.weighted_mass(ma.mixed_measure(model, psi, None), wpsi, 0.0, 0.0)
@@ -574,11 +575,11 @@ def check_eq6(corpus, model):
 def check_eq7(corpus, model):
     margins = []
     ts = np.geomspace(1.0, 32.0, 10)
+    m0 = ma.ma_measure(model, None)
     for e in corpus.profiles:
         phi = e.phi
         if not cap_mod.is_monotone(phi):
             continue
-        m0 = ma.ma_measure(model, None)
         m1 = ma.mixed_measure(model, phi, None)
         m2 = ma.ma_measure(model, phi)
         rhs = cap_mod.sublevel_masses(m0, phi, ts) \

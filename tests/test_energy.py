@@ -332,3 +332,40 @@ def test_product_ep_needs_integer_p_and_nonpositive_sum(product):
         energy.ep_integral(product, (u.shifted(2.5), v), 1.0)
     # u + v = 0 at its top is still fine
     assert energy.ep_integral(product, (u.shifted(1.0), v.shifted(1.0)), 2.0) == 0.0
+
+
+def test_profile_validated_once_per_cutoff(radial, product, corpus36, monkeypatch):
+    # ep_limit builds one Profile per truncating rung (the RelativeProfile
+    # of the cutoff); measures and integrals of an existing potential and
+    # of the cached zero potential build none
+    phi = corpus36.with_tag("divisor_bounded")[0].phi
+    psi = corpus36.with_tag("bounded")[0].phi
+    u = zero_offset(product.reference_potential[0])
+    v = RelativeProfile(product.reference_potential[1],
+                        -product.reference_potential[1].values - 1.0)
+    for model in (radial, product):
+        ma.ma_measure(model, None)
+    builds = []
+    post_init = profiles.Profile.__post_init__
+
+    def spy(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(profiles.Profile, "__post_init__", spy)
+    depth = -phi.offset.min()
+    rungs = sum(k < depth for k in energy.cutoff_ladder(depth))
+    assert rungs >= 10
+    for j in range(3):
+        builds.clear()
+        energy.ep_limit(radial, phi, 1.0, j)
+        assert len(builds) == rungs
+    builds.clear()
+    for model, a, b in ((radial, phi, psi), (product, (u, v), (v, u))):
+        ma.ma_measure(model, a)
+        ma.ma_measure(model, None)
+        ma.mixed_measure(model, a, b)
+        ma.mixed_measure(model, a, None)
+        for j in range(3):
+            energy.ep_integral(model, a, 2.0, j)
+    assert builds == []

@@ -141,3 +141,29 @@ def test_cached_model_arrays_are_read_only(radial, product):
     for a in arrays:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1.0
+
+
+def test_reference_measure_and_zero_potential_are_shared_and_read_only(radial, product):
+    from ma_lab import ma
+    from ma_lab.models import potential
+
+    def arrays(x):
+        # every ndarray reachable from a potential or a measure
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, (tuple, list)):
+            for y in x:
+                yield from arrays(y)
+        elif hasattr(x, "__dataclass_fields__"):
+            for name in x.__dataclass_fields__:
+                yield from arrays(getattr(x, name))
+
+    for model in (radial, product, toric_p1p1(16)):
+        m, zero = ma.ma_measure(model, None), potential(model, None)
+        assert ma.ma_measure(model, None) is m and m is model.reference_measure
+        assert potential(model, None) is zero and zero is model.zero
+        found = list(arrays(m)) + list(arrays(zero))
+        assert len(found) >= 4
+        for a in found:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0

@@ -134,6 +134,14 @@ def test_relative_profile_rejects_escaping_tails(radial):
         RelativeProfile(base, 0.1 * base.grid)
 
 
+def test_relative_profile_rejects_interior_nonconvexity(radial):
+    # the tails are the base's, but a tent offset bends the full profile
+    # concave at t = +-1: construction alone must reject it
+    base = radial.reference_potential
+    with pytest.raises(NotOmegaPsh):
+        RelativeProfile(base, -np.maximum(0.0, 1.0 - np.abs(base.grid)))
+
+
 def test_compose_weight_requires_deep_sup(radial):
     phi = zero_offset(radial.reference_potential)
     with pytest.raises(PreconditionViolated):
@@ -232,3 +240,26 @@ def test_convex_envelope_unsorted_duplicates():
     assert np.abs(env.values - envelope_oracle(u, lowest, 0.5, u)).max() < 1e-9
     with pytest.raises(InvalidInput):
         convex_envelope([1.0, 1.0], [0.0, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0.5, 1.0]),
+       st.lists(st.floats(0.0, 1.0), min_size=3, max_size=12),
+       st.floats(-5.0, 0.0))
+def test_kept_tails_and_slope_map_match_the_full_profile(cap, slopes, shift):
+    # a random admissible profile relative to a smooth base: the tail
+    # floats kept at construction and the measure's slope map are bitwise
+    # what a rebuilt full Profile gives
+    from ma_lab import ma
+
+    s = cap * np.sort(np.asarray(slopes))
+    g = np.cumsum(np.linspace(0.5, 1.5, s.size + 1)) - 5.0
+    full = shift + np.concatenate([[0.0], np.cumsum(s * np.diff(g))])
+    base = Profile(g, cap * np.logaddexp(0.0, g), 0.0, cap, cap)
+    phi = RelativeProfile(base, full - base.values)
+    f = phi.full_profile()
+    assert phi._full_tails == (f.slope_minus_inf, f.slope_plus_inf)
+    assert phi.offset_tail_slopes() == (f.slope_minus_inf - base.slope_minus_inf,
+                                        f.slope_plus_inf - base.slope_plus_inf)
+    assert np.array_equal(ma._normalized_ext_slopes(phi, cap),
+                          np.clip(f.extended_slopes() / cap, 0.0, 1.0))
