@@ -28,6 +28,7 @@ from .models import RADIAL_P2, require
 from .profiles import RelativeProfile, truncate
 
 FIT_EXCLUDE_TOP = 0.1  # drop the largest thresholds from the fit window
+SANDWICH_NODES = 600  # log-spaced quadrature nodes of the capacity-energy sandwich
 
 
 @dataclass(frozen=True)
@@ -175,12 +176,13 @@ def decay_constant(model, phi):
     decay Cap(phi < -t) <= C_phi / t^2.
     """
     require(model, RADIAL_P2, "decay_constant")
-    sq = energy.ep_limit(model, phi, 2.0, 0).value
-    lin = energy.ep_limit(model, phi, 1.0, 1).value
+    ladder = energy.cutoffs(model, phi)
+    sq = energy.ladder_limit(model, ladder, 2.0, 0).value
+    lin = energy.ladder_limit(model, ladder, 1.0, 1).value
     return sq + 4.0 * lin + 2.0
 
 
-def capacity_energy_sandwich(model, phi, p=1.0, n_quad=600):
+def capacity_energy_sandwich(model, phi, p=1.0):
     """Both sides of the capacity-energy sandwich at exponent p.
 
     The middle quantity int (-phi)^{p+2} dCap is evaluated from its
@@ -196,7 +198,7 @@ def capacity_energy_sandwich(model, phi, p=1.0, n_quad=600):
     # past the grid depth the discrete sublevels degenerate to the fixed
     # point and the mass/capacity pair is no longer faithful; stop there
     hi = max(4.0, min(depth * 0.99, 1e16))
-    t = np.geomspace(1.0, hi, n_quad)
+    t = np.geomspace(1.0, hi, SANDWICH_NODES)
     caps = capacity(model, sublevel_abscissae(phi, t))
     m2 = ma.ma_measure(model, phi)
     masses = sublevel_masses(m2, phi, t)

@@ -320,13 +320,11 @@ def _ex_separable_integrability(outdir):
     v = compose_weight(RelativeProfile(b2, -b2.values - 1.0), ("power", alpha))
     payload = {}
     ok = True
+    # factor-side verdicts on the joint potential's cutoff ladder and classifier
+    ks, cuts, depth = energy.cutoffs(model, (u, v))
     for p in (1.0, 3.0):
         joint = energy.ep_limit(model, (u, v), p, 2)
-        # factor-side verdict on the same cutoff ladder and classifier
-        depth, cut = energy._truncations((u, v), model)
-        ks = energy.cutoff_ladder(depth)
-        es = [energy._moment(ma.factor_measure(vk), vk, p)
-              for vk in (cut(k)[1] for k in ks)]
+        es = [energy._moment(ma.factor_measure(vk), vk, p) for _, vk in cuts]
         factor = energy.ladder_verdict(ks, es, depth)
         payload[f"p={p}"] = {"joint_finite": joint.finite,
                              "factor_finite": factor.finite,

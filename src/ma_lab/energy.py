@@ -7,12 +7,12 @@ increments are asymptotically geometric for the singularity families of
 interest, so the doubling ratio rho of the last increments separates
 convergence (rho < 1) from divergence, and for convergent cases the
 geometric tail rho/(1-rho) turns the last partial sum into a limit
-estimate.  :func:`ladder_verdict` is the one classifier of such cutoff
-ladders: :func:`ep_limit` and every other ladder in the package (other
-cutoff subsequences, factor measures) go through it, with the ladder
-itself from :func:`cutoff_ladder`.  The gradient energy is handled the
-same way with per-octave contributions in t, sharing the ratio and tail
-step.
+estimate.  :func:`cutoffs` builds a potential's ladder once and
+:func:`ladder_limit` reads any (p, j) energy off it; :func:`ladder_verdict`
+is the one classifier of such ladders, which every ladder in the package
+(other cutoff subsequences, factor measures) goes through.  The gradient
+energy is handled the same way with per-octave contributions in t,
+sharing the ratio and tail step.
 
 Default exponent sweep: p in {1, 1.5, 2, 3}.
 """
@@ -34,6 +34,7 @@ P_SWEEP = (1.0, 1.5, 2.0, 3.0)
 # exponent
 RHO_INF_EP = 0.98
 RHO_INF_GRAD = 0.999
+GRADIENT_CORE = 40.0  # |t| past which the gradient energy is summed by octave
 
 
 @dataclass(frozen=True)
@@ -116,18 +117,6 @@ def ep_integral(model, phi, p, j=2):
     return entry(model, "ep", "ep_integral")(model, potential(model, phi), p, j)
 
 
-def _truncations(phi, model):
-    """Depth of phi and its cutoffs k -> max(phi, -k), factor by factor."""
-    fs = factors(model, phi, "ep_limit")
-    depths = [-f.offset.min() for f in fs]
-
-    def cut(k):
-        return backend(model).join(tuple(truncate(f, k) if d > k else f
-                                         for f, d in zip(fs, depths)))
-
-    return max(depths), cut
-
-
 def cutoff_ladder(depth, start=1.0, max_doublings=54):
     """Cutoffs k = start * 2^i, up to the first one at or past depth."""
     ks = []
@@ -183,18 +172,30 @@ def ladder_verdict(ks, es, depth):
     return DivergenceVerdict(True, float(es[-1]) + rest, rho, trace)
 
 
-def ep_limit(model, phi, p, j=2, max_doublings=54):
-    """Limit of the energy along canonical cutoffs, with verdict.
+def cutoffs(model, phi, start=1.0):
+    """phi's cutoff ladder (ks, cuts, depth): the cutoffs ks from
+    :func:`cutoff_ladder`, the cut potentials max(phi, -k) built factor by
+    factor (a factor no deeper than k is its own cut), and phi's depth."""
+    fs = factors(model, phi, "ep_limit")
+    depths = [-f.offset.min() for f in fs]
+    depth = max(depths)
+    ks = cutoff_ladder(depth, start)
+    cuts = [backend(model).join(tuple(truncate(f, k) if d > k else f
+                                      for f, d in zip(fs, depths))) for k in ks]
+    return ks, cuts, depth
 
-    Returns
-    -------
-    DivergenceVerdict
-        finite/infinite flag, the limit estimate (inf when divergent),
-        the observed doubling ratio, and the (k, energy) trace.
-    """
-    depth, cut = _truncations(phi, model)
-    ks = cutoff_ladder(depth, max_doublings=max_doublings)
-    return ladder_verdict(ks, [ep_integral(model, cut(k), p, j) for k in ks], depth)
+
+def ladder_limit(model, ladder, p, j=2):
+    """Verdict of the energies of order (p, j) along a :func:`cutoffs` ladder."""
+    ks, cuts, depth = ladder
+    return ladder_verdict(ks, [ep_integral(model, c, p, j) for c in cuts], depth)
+
+
+def ep_limit(model, phi, p, j=2):
+    """Limit of the (p, j) energy along phi's canonical cutoffs, as a
+    DivergenceVerdict: finite flag, limit estimate (inf when divergent),
+    doubling ratio and (k, energy) trace."""
+    return ladder_limit(model, cutoffs(model, phi), p, j)
 
 
 def _product_gradient(model, phi):
@@ -203,7 +204,7 @@ def _product_gradient(model, phi):
     return DivergenceVerdict(np.isfinite(g), g, 0.0)
 
 
-def gradient_energy_verdict(model, phi, core=40.0):
+def gradient_energy_verdict(model, phi):
     """Gradient energy with an octave-ratio divergence verdict."""
     contrib = ma.gradient_cell_contributions(model, phi)
     g = phi.base.grid
@@ -211,9 +212,9 @@ def gradient_energy_verdict(model, phi, core=40.0):
     raw = float(contrib.sum())
     value = raw
     worst_rho = 0.0
-    for side in (mid > core, mid < -core):
+    for side in (mid > GRADIENT_CORE, mid < -GRADIENT_CORE):
         x = np.abs(mid[side])
-        b = np.floor(np.log2(x / core)).astype(int)
+        b = np.floor(np.log2(x / GRADIENT_CORE)).astype(int)
         sums = np.bincount(b, weights=contrib[side])
         # cancellation noise in the far tail scales like ULP^2/h and can
         # grow with t; only octave sums above the noise floor are signal
@@ -269,15 +270,15 @@ def energy_report(model, phi, p=1.0):
     """
     check_exponent(p)
     phi, shift = _nonpositive(model, phi)
-    mixed = [ep_limit(model, phi, p, j) for j in range(3)]
+    ladder = cutoffs(model, phi)
+    mixed = [ladder_limit(model, ladder, p, j) for j in range(3)]
     full = mixed[2]
     grad = backend(model).gradient_energy(model, phi)
     sob = float(np.sqrt(grad.value)) if grad.finite else float(np.inf)
     in_ep = full.finite
-    in_e1 = ep_limit(model, phi, 1.0, 2).finite if p != 1.0 else in_ep
-    ep_val = full.value \
-        + 2.0 * ep_limit(model, phi, p + 1.0, 1).value \
-        + ep_limit(model, phi, p + 2.0, 0).value
+    in_e1 = ladder_limit(model, ladder, 1.0).finite if p != 1.0 else in_ep
+    ep_val = (full.value + 2.0 * ladder_limit(model, ladder, p + 1.0, 1).value
+              + ladder_limit(model, ladder, p + 2.0, 0).value)
     return EnergyReport(
         p=p,
         E_p_full=full.value,

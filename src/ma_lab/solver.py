@@ -125,6 +125,7 @@ def solve_radial(model, target, p=1.0):
         slopes above the cap.
     """
     require(model, RADIAL_P2, "solve_radial")
+    energy.check_exponent(p)
     if abs(target.total_mass - 1.0) > 1e-10:
         raise InvalidInput("target mass must be 1")
     F = target.cdf_seq
@@ -140,10 +141,9 @@ def solve_radial(model, target, p=1.0):
     psi = RelativeProfile(base, vals - base.values).normalized(-1.0)
     got = ma.ma_measure(model, psi)
     residual = ma.cdf_sup_distance(got, target)
-    rep = energy.energy_report(model, psi, p)
-    verdict = "solved" if rep.memberships["in_Ep"] else "not_in_Ep"
-    return SolveResult(psi, residual, (rep.E_p_full,), verdict,
-                       {"in_Ep": rep.memberships["in_Ep"]})
+    e = energy.ep_limit(model, psi, p)
+    verdict = "solved" if e.finite else "not_in_Ep"
+    return SolveResult(psi, residual, (e.value,), verdict, {"in_Ep": e.finite})
 
 
 def _integrate_slopes(g, s_cells):
@@ -169,6 +169,7 @@ def solve_separable(model, factor_targets, p=1.0):
     factor, describing the target 2 * m1 (x) m2.
     """
     require(model, PRODUCT_P1P1, "solve_separable")
+    energy.check_exponent(p)
     sols = []
     for base, m in zip(model.reference_potential, factor_targets):
         if abs(m.total_mass - 1.0) > 1e-10:
@@ -186,8 +187,7 @@ def solve_separable(model, factor_targets, p=1.0):
     got = ma.ma_measure(model, psi)
     tgt = ma.product_measure(((2.0, factor_targets[0], factor_targets[1]),))
     residual = ma.cdf_sup_distance(got, tgt)
-    rep = energy.energy_report(model, psi, p)
-    return SolveResult(psi, residual, (rep.E_p_full,), "solved", {})
+    return SolveResult(psi, residual, (energy.ep_limit(model, psi, p).value,), "solved", {})
 
 
 def _dual_merit(areas, mom, V, P, tgt):
@@ -238,10 +238,6 @@ def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11):
     res = float(np.abs(areas - tgt).sum())
     supp = tgt > 0
     floor = 0.5 * min(areas[supp].min(), tgt[supp].min()) if supp.any() else 0.0
-    if floor <= 0:
-        # an initializer starving a target cell would deadlock the mass
-        # floor; nudge toward the reference shape handled by caller
-        floor = 0.0
     proj_dists = []
     iters = 0
     stop = None
@@ -333,7 +329,9 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
     t1, t2, base = model.reference_potential
     if abs(target.total_mass - model.volume) > 1e-10:
         raise InvalidInput("target mass must equal the model volume")
-    T = np.asarray(target.density, float) / model.volume  # cell areas, sum 1
+    if (target.density < 0).any():
+        raise InvalidInput("target density must be nonnegative")
+    T = target.density / model.volume  # cell areas, sum 1
     ref_areas, _, _ = ma.toric_cells(t1, t2, base)
     ref = ref_areas.reshape(T.shape)
     h = float(t1[1] - t1[0])
@@ -370,8 +368,7 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
     off = Psi - base
     psi = ToricGrid(t1, t2, Psi - off.max() - 1.0)
     got = ma.toric_measure(model, psi, check_convex=False)
-    diff = got.density - np.asarray(target.density, float)
-    residual = float(np.abs(np.cumsum(np.cumsum(diff, axis=0), axis=1)).max())
+    residual = ma.cdf_sup_distance(got, target)
     verdict = "solved"
     if info.get("stalled"):
         verdict = "diverged"
@@ -380,7 +377,7 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
     return SolveResult(psi, residual, tuple(trace), verdict,
                        {"newton": info, "stop_reasons": tuple(stops),
                         "mollification_consistency": tuple(consistency),
-                        "l1_residual": float(np.abs(diff).sum())})
+                        "l1_residual": float(np.abs(got.density - target.density).sum())})
 
 
 def uniqueness_check(model, psi1, psi2, measure_tol=1e-7, deviation_tol=1e-5):

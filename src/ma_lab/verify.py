@@ -290,14 +290,12 @@ def _test_functions(grid):
     return [np.exp(-((grid - c) ** 2) / 50.0) for c in centers]
 
 
-def weak_continuity_error(model, phi_j, phi, test_fns=None):
+def weak_continuity_error(model, phi_j, phi):
     """Worst weak-pairing error of (-phi_j) MA(phi_j) against (-phi) MA(phi)."""
-    g = phi.base.grid
-    fns = test_fns if test_fns is not None else _test_functions(g)
     mj = ma.ma_measure(model, phi_j)
     m0 = ma.ma_measure(model, phi)
     err = 0.0
-    for u in fns:
+    for u in _test_functions(phi.base.grid):
         a = ma.weighted_mass(mj, u * np.maximum(-phi_j.offset, 0.0), 0.0, 0.0)
         b = ma.weighted_mass(m0, u * np.maximum(-phi.offset, 0.0), 0.0, 0.0)
         err = max(err, abs(a - b))
@@ -391,7 +389,8 @@ def check_l1_criterion(corpus, model):
                    {"fitted_constant": A})
 
 
-def check_lp_criterion(corpus, model, p=2.0):
+def check_lp_criterion(corpus, model):
+    p = 2.0
     singular = corpus.with_tag("divisor_bounded")
     if not singular:
         return _report("lp-criterion-constant", [])
@@ -408,7 +407,8 @@ def check_lp_criterion(corpus, model, p=2.0):
                    {"fitted_constant": A})
 
 
-def check_weighted_chain(corpus, model, p=2.0):
+def check_weighted_chain(corpus, model):
+    p = 2.0
     margins = []
     m0 = ma.ma_measure(model, None)
     for phi, psi in ordered_pairs(corpus):
@@ -435,10 +435,7 @@ def check_truncation_free(corpus, model):
             continue  # inside the classifier's resolution band
 
         # a different cutoff subsequence must give the same verdict
-        depth, cut = energy._truncations(e.phi, model)
-        ks = energy.cutoff_ladder(depth, start=1.5)
-        alt = energy.ladder_verdict(
-            ks, [energy.ep_integral(model, cut(k), 1.0, 2) for k in ks], depth)
+        alt = energy.ladder_limit(model, energy.cutoffs(model, e.phi, start=1.5), 1.0)
         margins.append(1.0 if alt.finite == v2.finite else -1.0)
     return _report("cutoff-sequence-free", margins)
 
@@ -453,18 +450,19 @@ def check_convergence_in_capacity(corpus, model):
     return _report("truncation-capacity-convergence", margins)
 
 
-def check_max_in_ep(corpus, model, p=2.0):
+def check_max_in_ep(corpus, model):
     margins = []
     members = corpus.with_tag("alpha_family")
     bounded = corpus.with_tag("bounded")
     for e, b in zip(members, bounded):
-        if energy.ep_limit(model, e.phi, p, 2).finite:
+        if energy.ep_limit(model, e.phi, 2.0).finite:
             top = max_offsets(e.phi, b.phi)
-            margins.append(1.0 if energy.ep_limit(model, top, p, 2).finite else -1.0)
+            margins.append(1.0 if energy.ep_limit(model, top, 2.0).finite else -1.0)
     return _report("max-stable-in-ep", margins)
 
 
-def check_cross_energy_p(corpus, model, p=2.0):
+def check_cross_energy_p(corpus, model):
+    p = 2.0
     margins = []
     bounded = [e.phi for e in corpus.with_tag("bounded")]
     for i, phi in enumerate(bounded):
@@ -547,11 +545,11 @@ def check_comparison(corpus, model):
     return _report("comparison-principle", margins)
 
 
-def check_sandwich(corpus, model, p=1.0):
+def check_sandwich(corpus, model):
     margins = []
     members = [e for e in corpus.profiles if cap_mod.is_monotone(e.phi)]
     for e in members[::max(1, len(members) // 40)]:
-        vals = cap_mod.capacity_energy_sandwich(model, e.phi, p)
+        vals = cap_mod.capacity_energy_sandwich(model, e.phi)
         if not np.isfinite(vals["sandwich_upper"]):
             continue
         margins.append(vals["sandwich_mid"] - vals["sandwich_lower"])
@@ -590,13 +588,13 @@ def check_eq7(corpus, model):
     return _report("capacity-split-bound", margins, 10.0)
 
 
-def check_divisor_integrability(corpus, model, p=1.0):
+def check_divisor_integrability(corpus, model):
+    # at p = 1: a finite E_1 must give a finite E_2 against the mixed wedge
     margins = []
     for e in corpus.with_tag("divisor_bounded"):
-        v = energy.ep_limit(model, e.phi, p + 1.0, 1)
-        in_ep = energy.ep_limit(model, e.phi, p, 2).finite
-        if in_ep:
-            margins.append(1.0 if v.finite else -1.0)
+        ladder = energy.cutoffs(model, e.phi)
+        if energy.ladder_limit(model, ladder, 1.0).finite:
+            margins.append(1.0 if energy.ladder_limit(model, ladder, 2.0, 1).finite else -1.0)
     return _report("divisor-bounded-integrability", margins)
 
 

@@ -134,7 +134,9 @@ def test_factor_views(pots):
 def test_radial_cutoff_keeps_shallow_potentials(pots):
     # a potential no deeper than k is its own cutoff, as a product factor was
     phi = pots["phi"]
-    depth, cut = energy._truncations(phi, pots["radial"])
+    ks, cuts, depth = energy.cutoffs(pots["radial"], phi)
     assert depth == 1.0
-    assert cut(2.0) is phi
-    assert np.array_equal(cut(0.5).offset, np.full(phi.offset.size, -0.5))
+    assert ks == [1.0] and cuts[0] is phi
+    ks, cuts, _ = energy.cutoffs(pots["radial"], phi, start=0.5)
+    assert ks == [0.5, 1.0] and cuts[1] is phi
+    assert np.array_equal(cuts[0].offset, np.full(phi.offset.size, -0.5))

@@ -58,6 +58,22 @@ def test_solve_toric_writes_level_diagnostics(tmp_path):
     assert len(payload["diagnostics"]["mollification_consistency"]) == levels - 1
 
 
+def test_toric_target_with_negative_mass_exits_2(tmp_path, capsys):
+    # a full-mass density with one negative node is no measure, as on the radial path
+    from ma_lab import models
+
+    model = models.toric_p1p1(16)
+    t1, t2, _ = model.reference_potential
+    d = np.full((len(t1), len(t2)), model.volume / (len(t1) * len(t2)))
+    d[3, 3] -= 0.5
+    d[4, 4] += 0.5
+    tpath = tmp_path / "target.json"
+    tpath.write_text(json.dumps({"kind": "TwoD", "density": d.tolist()}))
+    assert run(["solve", "--model", "toric-p1p1:16", "--out", str(tmp_path),
+                "--target", str(tpath)]) == 2
+    assert "target density must be nonnegative" in capsys.readouterr().err
+
+
 def test_solve_bad_target_schema(tmp_path):
     tpath = tmp_path / "target.json"
     for bad in ({"node_mass": [1.0]}, {"kind": "OneD"}, {"kind": "TwoD"},

@@ -243,6 +243,61 @@ def test_ladder_classifier_is_shared(radial, corpus36, monkeypatch, tmp_path):
         assert payload[p]["factor_finite"] == v.finite
 
 
+def _rungs(phi):
+    """Truncating rungs of phi's default ladder: the cutoffs above its floor."""
+    depth = -phi.offset.min()
+    return sum(k < depth for k in energy.cutoff_ladder(depth))
+
+
+def test_one_ladder_per_potential(radial, corpus36, monkeypatch):
+    # a caller needing several energies of one potential cuts it once per
+    # rung: truncate runs once per truncating rung, not once per (p, j)
+    from ma_lab import capacity, verify
+
+    calls = []
+
+    def spy(f, k):
+        calls.append(k)
+        return truncate(f, k)
+
+    monkeypatch.setattr(energy, "truncate", spy)
+    singular = [e.phi for e in corpus36.with_tag("divisor_bounded")]
+    phi = singular[0]
+    assert _rungs(phi) >= 10
+    for p in (1.0, 2.0):
+        calls.clear()
+        energy.energy_report(radial, phi, p)
+        assert len(calls) == _rungs(phi), p
+    calls.clear()
+    capacity.decay_constant(radial, phi)
+    assert len(calls) == _rungs(phi)
+    calls.clear()
+    verify.check_divisor_integrability(corpus36, radial)
+    assert len(calls) == sum(map(_rungs, singular))
+
+
+def test_energy_report_matches_ep_limit(radial, product, corpus36):
+    # every energy in the report is bitwise the independent ep_limit value
+    b1, b2 = product.reference_potential
+    uv = (zero_offset(b1),
+          compose_weight(RelativeProfile(b2, -b2.values - 1.0), ("power", 0.4)))
+    phi = corpus36.with_tag("divisor_bounded")[0].phi
+    for model, pot, ps in ((radial, phi, (1.0, 1.5, 3.0)), (product, uv, (1.0, 3.0))):
+        for p in ps:
+            rep = energy.energy_report(model, pot, p)
+            lim = {(q, j): energy.ep_limit(model, pot, q, j) for q, j in
+                   ((p, 0), (p, 1), (p, 2), (1.0, 2), (p + 1.0, 1), (p + 2.0, 0))}
+            full = lim[p, 2]
+            assert rep.sup_shift == 0.0
+            assert rep.E_p_full == full.value
+            assert rep.E_p_mixed == tuple(lim[p, j].value for j in range(3))
+            assert rep.e_p == full.value + 2.0 * lim[p + 1.0, 1].value + lim[p + 2.0, 0].value
+            assert rep.memberships["in_Ep"] == full.finite
+            assert rep.memberships["in_E1"] == lim[1.0, 2].finite
+            assert rep.truncation_trace == full.trace
+            assert rep.gradient_energy == models.backend(model).gradient_energy(model, pot).value
+
+
 def _oracle_inputs(model):
     """Factor pairs covering every branch of the product E_p integral."""
     b1, b2 = model.reference_potential
