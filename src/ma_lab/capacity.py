@@ -29,6 +29,7 @@ from .profiles import RelativeProfile, truncate
 
 FIT_EXCLUDE_TOP = 0.1  # drop the largest thresholds from the fit window
 SANDWICH_NODES = 600  # log-spaced quadrature nodes of the capacity-energy sandwich
+TANGENT_WINDOW = 2  # nodes searched on each side of the bisected tangent node
 
 
 @dataclass(frozen=True)
@@ -67,19 +68,39 @@ def sublevel_abscissae(phi, ts):
 
 
 def exit_slope(model, T):
-    """Tangent slope of the extremal potential leaving {t <= T}, per T."""
+    """Tangent slope of the extremal potential leaving {t <= T}, per T.
+
+    The slope is the least chord ratio (f(x) - f(T) + 1) / (x - T) over
+    the grid nodes x > T, capped at the slope cap.  The reference f is
+    convex, so the ratios fall and then rise along the nodes: a bisection
+    on the sign of consecutive differences, run for every T at once,
+    finds the tangent node, and the least ratio within TANGENT_WINDOW
+    nodes of it is the slope.  Far left of the core the ratios are flat
+    to rounding near the tangent, where this can differ from the least
+    ratio over all nodes past T by a few units in the last place.
+    """
     require(model, RADIAL_P2, "exit_slope")
     base = model.reference_potential
     cap = model.slope_cap
-    g = base.grid
+    g, f = base.grid, base.values
     T = np.asarray(T, dtype=float)
     s = np.where(np.isneginf(T), 0.0, cap)  # cap for +inf and T past the grid
     idx = np.flatnonzero(np.isfinite(T) & (T < g[-1]))
-    ts = T.flat[idx]
-    for i, t, ft in zip(idx, ts, base(ts)):
-        i0 = np.searchsorted(g, t, side="right")
-        ratios = (base.values[i0:] - ft + 1.0) / (g[i0:] - t)
-        s.flat[i] = min(cap, ratios.min())
+    t = T.flat[idx][:, None]  # one row per finite T, nodes along columns
+    ft = base(t)
+
+    def ratio(k):
+        return (f[k] - ft + 1.0) / (g[k] - t)
+
+    first = np.searchsorted(g, t, side="right")  # first node past T
+    lo, hi = first, np.full_like(first, g.size - 1)
+    while np.any(lo < hi):  # the tangent node lies in [lo, hi]
+        mid = (lo + hi) // 2
+        # a tie is rounding in the flat bottom: count it as still falling
+        falling = (mid < hi) & (ratio(np.minimum(mid + 1, hi)) <= ratio(mid))
+        lo, hi = np.where(falling, mid + 1, lo), np.where(falling, hi, mid)
+    near = np.clip(lo + np.arange(-TANGENT_WINDOW, TANGENT_WINDOW + 1), first, g.size - 1)
+    s.flat[idx] = np.minimum(cap, ratio(near).min(axis=1))
     return s if s.ndim else float(s)
 
 

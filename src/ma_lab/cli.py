@@ -141,12 +141,11 @@ def cmd_energy(opts, outdir):
     model = model_from_descriptor(opts["model"])
     require(model, RADIAL_P2, "the energy command")
     phi = verify.seed_profile(opts["seed"])
-    rows = []
-    for p in energy.P_SWEEP:
-        rep = energy.energy_report(model, phi, p)
-        rows.append((p, rep.E_p_full, rep.gradient_energy, rep.e_p,
-                     rep.sobolev_norm))
-    rep1 = energy.energy_report(model, phi, opts["p"])
+    sweep = {p: energy.energy_report(model, phi, p) for p in energy.P_SWEEP}
+    rows = [(p, rep.E_p_full, rep.gradient_energy, rep.e_p, rep.sobolev_norm)
+            for p, rep in sweep.items()]
+    p = opts["p"]
+    rep1 = sweep[p] if p in sweep else energy.energy_report(model, phi, p)
     _write_json(os.path.join(outdir, "energy.json"), {
         "model": opts["model"], "seed": opts["seed"], "p": opts["p"],
         "E_p_full": rep1.E_p_full, "E_p_mixed": list(rep1.E_p_mixed),

@@ -35,6 +35,7 @@ P_SWEEP = (1.0, 1.5, 2.0, 3.0)
 RHO_INF_EP = 0.98
 RHO_INF_GRAD = 0.999
 GRADIENT_CORE = 40.0  # |t| past which the gradient energy is summed by octave
+MAX_DOUBLINGS = 54  # most cutoffs per ladder; 2^53 is past any depth on the default grid
 
 
 @dataclass(frozen=True)
@@ -117,11 +118,12 @@ def ep_integral(model, phi, p, j=2):
     return entry(model, "ep", "ep_integral")(model, potential(model, phi), p, j)
 
 
-def cutoff_ladder(depth, start=1.0, max_doublings=54):
-    """Cutoffs k = start * 2^i, up to the first one at or past depth."""
+def cutoff_ladder(depth, start=1.0):
+    """Cutoffs k = start * 2^i, up to the first one at or past depth, at
+    most MAX_DOUBLINGS of them."""
     ks = []
     k = start
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         ks.append(k)
         if k >= depth:
             break

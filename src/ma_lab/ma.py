@@ -29,7 +29,7 @@ from scipy.spatial import ConvexHull
 
 from .errors import InvalidInput, NotOmegaPsh
 from .models import RADIAL_P2, backend, factors, potential, require
-from .profiles import max_offsets, slopes_of
+from .profiles import max_offsets
 
 ATOM_SLOPE_TOL = 1e-12  # slope deficits below this are treated as zero
 CDF_BLOCK = 1 << 21  # entries per row block of a product-measure cdf difference
@@ -92,7 +92,7 @@ class MaMeasure:
 
 def _normalized_ext_slopes(u, cap):
     """u's full slopes over the cap, clipped to [0, 1]; tails as in Profile.from_values."""
-    s = slopes_of(u.base.grid, u.base.values + u.offset)
+    s = np.diff(u.base.values + u.offset) / u.base.widths
     return np.clip(np.concatenate([s[:1], s, s[-1:]]) / cap, 0.0, 1.0)
 
 
@@ -154,10 +154,15 @@ def ma_measure(model, phi):
     return backend(model).measure(model, potential(model, phi))
 
 
+def _slope_map(model, u):
+    """u's normalized slope map; the zero potential's is built once per model."""
+    return model.zero_slopes if u is model.zero else _normalized_ext_slopes(u, model.slope_cap)
+
+
 def _slope_measure(model, phi, psi):
     """Radial measure of phi and psi: the product of their slope maps."""
-    ns1 = _normalized_ext_slopes(phi, model.slope_cap)
-    ns2 = ns1 if psi is phi else _normalized_ext_slopes(psi, model.slope_cap)
+    ns1 = _slope_map(model, phi)
+    ns2 = ns1 if psi is phi else _slope_map(model, psi)
     return measure_1d_pair(phi.base.grid, ns1, ns2)
 
 

@@ -84,6 +84,13 @@ class KahlerModel:
         """The measure of the zero potential, ma_measure(model, None)."""
         return backend(self).measure(self, self.zero).frozen()
 
+    @cached_property
+    def zero_slopes(self):
+        """The zero potential's normalized slope map (radial model)."""
+        from .ma import _normalized_ext_slopes
+
+        return _frozen(_normalized_ext_slopes(self.zero, self.slope_cap))
+
 
 def _frozen(a):
     """Make an array of a cached model read-only: every caller shares it."""

@@ -49,6 +49,18 @@ def slopes_of(grid, values):
     return np.diff(values) / np.diff(grid)
 
 
+def check_slopes(s, lo, hi, cap):
+    """Raise NotOmegaPsh unless the cell slopes s, bracketed by the tail
+    slopes lo and hi, are nondecreasing (up to TOL_CONVEX relative to the
+    largest slope) and, with a cap, the tails lie in [0, cap]."""
+    scale = max(1.0, np.abs(s).max() if s.size else 1.0)
+    ext = np.concatenate([[lo], s, [hi]])
+    if np.any(np.diff(ext) < -TOL_CONVEX * scale):
+        raise NotOmegaPsh("profile is not convex")
+    if cap is not None and (lo < -TOL_CONVEX or hi > cap + TOL_CONVEX):
+        raise NotOmegaPsh("asymptotic slopes outside [0, slope_cap]")
+
+
 @dataclass(frozen=True)
 class Profile:
     """A convex potential profile psi(t).
@@ -73,6 +85,7 @@ class Profile:
     slope_minus_inf: float
     slope_plus_inf: float
     slope_cap: float = 0.5
+    widths: np.ndarray = field(init=False, compare=False, repr=False)  # read-only cell widths
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -83,16 +96,12 @@ class Profile:
             raise InvalidInput("profile needs matching 1-D grid/values, >= 2 points")
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
             raise InvalidInput("non-finite profile data")
-        if np.any(np.diff(g) <= 0):
+        h = np.diff(g)
+        if np.any(h <= 0):
             raise InvalidInput("grid must be strictly increasing")
-        s = slopes_of(g, v)
-        scale = max(1.0, np.abs(s).max() if s.size else 1.0)
-        ext = np.concatenate([[self.slope_minus_inf], s, [self.slope_plus_inf]])
-        if np.any(np.diff(ext) < -TOL_CONVEX * scale):
-            raise NotOmegaPsh("profile is not convex")
-        if self.slope_cap is not None:
-            if self.slope_minus_inf < -TOL_CONVEX or self.slope_plus_inf > self.slope_cap + TOL_CONVEX:
-                raise NotOmegaPsh("asymptotic slopes outside [0, slope_cap]")
+        h.setflags(write=False)
+        object.__setattr__(self, "widths", h)
+        check_slopes(np.diff(v) / h, self.slope_minus_inf, self.slope_plus_inf, self.slope_cap)
 
     @classmethod
     def from_values(cls, grid, values, slope_cap=0.5):
@@ -102,7 +111,7 @@ class Profile:
 
     @property
     def slopes(self):
-        return slopes_of(self.grid, self.values)
+        return np.diff(self.values) / self.widths
 
     def extended_slopes(self):
         """Cell slopes bracketed by the asymptotic tail slopes."""
@@ -148,7 +157,9 @@ class RelativeProfile:
     bounded above because its tail slopes are differences of admissible
     slopes.  sup_value is the supremum of the offset over the line.  The
     offset is a read-only copy of the array passed in.  Construction
-    validates the full profile once and keeps only its two tail slopes.
+    validates the full profile base + offset, with the boundary cell
+    slopes as its tails (as Profile.from_values builds it), from one pass
+    over its slopes, and keeps only the two tail slopes.
     """
 
     base: Profile
@@ -166,8 +177,13 @@ class RelativeProfile:
             raise InvalidInput("non-finite offset")
         if self.sup_value is None:
             object.__setattr__(self, "sup_value", float(off.max()))
-        full = self.full_profile()  # the one validation of the full profile
-        object.__setattr__(self, "_full_tails", (full.slope_minus_inf, full.slope_plus_inf))
+        full = self.base.values + off
+        if not np.all(np.isfinite(full)):
+            raise InvalidInput("non-finite profile data")
+        s = np.diff(full) / self.base.widths
+        tails = float(s[0]), float(s[-1])  # the boundary cell slopes
+        check_slopes(s, *tails, self.base.slope_cap)
+        object.__setattr__(self, "_full_tails", tails)
         # offset tails must not increase outward, else phi is unbounded above
         lo, hi = self.offset_tail_slopes()
         if lo < -TOL_CONVEX or hi > TOL_CONVEX:

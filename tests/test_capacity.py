@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import ma_lab.capacity as cap_mod
-from ma_lab import ma, verify
+from capacity_reference import reference_exit_slope
+from ma_lab import cli, ma, verify
 from ma_lab.errors import InvalidInput, PreconditionViolated
 from ma_lab.profiles import RelativeProfile, truncate, zero_offset
 
@@ -158,20 +159,6 @@ def _reference_abscissa(phi, t):
     return float(np.interp(-t, off, phi.base.grid))
 
 
-def _reference_exit_slope(model, T):
-    """The per-threshold masked scan the array code replaced."""
-    base, cap = model.reference_potential, model.slope_cap
-    g = base.grid
-    if np.isposinf(T):
-        return cap
-    if np.isneginf(T):
-        return 0.0
-    sel = g > T
-    if not sel.any():
-        return cap
-    return float(min(cap, ((base.values[sel] - base(T) + 1.0) / (g[sel] - T)).min()))
-
-
 def test_array_capacities_match_threshold_loop_reference(radial):
     base = radial.reference_potential
     phi = RelativeProfile(base, base.grid / 2 - base.values - 1.0)
@@ -180,12 +167,56 @@ def test_array_capacities_match_threshold_loop_reference(radial):
     assert T.tolist() == [_reference_abscissa(phi, t) for t in ts]
     T = np.concatenate([T, [base.grid[-1] + 5.0]])
     s = cap_mod.exit_slope(radial, T)
-    ref = [_reference_exit_slope(radial, x) for x in T]
+    ref = [reference_exit_slope(radial, x) for x in T]
     assert s.tolist() == ref
     # capacities square the same slopes; libm's pow and numpy's square may
     # round the square differently, by at most one unit in the last place
     want = [(x / radial.slope_cap) ** radial.cdf_power for x in ref]
     np.testing.assert_array_max_ulp(cap_mod.capacity(radial, T), np.array(want), maxulp=1)
+
+
+def test_exit_slope_matches_the_node_scan_on_every_threshold_sent(radial, tmp_path,
+                                                                   monkeypatch):
+    # every threshold array that the capacity command (curve and sandwich)
+    # and verify --size 60 send to exit_slope, against the one-T-at-a-time
+    # scan of all nodes past T
+    sent = []
+    exit_slope = cap_mod.exit_slope
+
+    def spy(model, T):
+        sent.append(np.array(T, dtype=float))
+        return exit_slope(model, T)
+
+    monkeypatch.setattr(cap_mod, "exit_slope", spy)
+    for argv in (["capacity"], ["verify", "--size", "60", "--seed", "0"]):
+        cli.main(argv + ["--out", str(tmp_path / argv[0])])
+    monkeypatch.undo()
+    T = np.concatenate([t.ravel() for t in sent])
+    assert np.isfinite(T).sum() > 10_000 and np.isneginf(T).any()
+    got, ref = cap_mod.exit_slope(radial, T), reference_exit_slope(radial, T)
+    # the search is a least ratio over a subset of the scanned nodes, so it
+    # never reads lower; far left of the core the ratios are flat to
+    # rounding near the tangent and it may read a few ulps higher
+    assert np.all(got >= ref)
+    assert np.all(got - ref <= 1e-13 * ref)
+    core = T > -1e12
+    assert np.array_equal(got[core], ref[core])
+
+
+def test_exit_slope_edge_cases(radial):
+    g = radial.reference_potential.grid
+    cap = radial.slope_cap
+    assert cap_mod.exit_slope(radial, -np.inf) == 0.0
+    assert cap_mod.exit_slope(radial, np.inf) == cap
+    for T in (g[-1], g[-1] + 1.0, 1e300):  # no node past T
+        assert cap_mod.exit_slope(radial, T) == cap
+    for T in (-1e300, g[0] - 1.0, g[0], -3.0, 0.0, 2.5, g[-2]):
+        s = cap_mod.exit_slope(radial, T)
+        assert type(s) is float
+        assert cap_mod.exit_slope(radial, np.array(T)) == s  # a 0-d array
+        ref = reference_exit_slope(radial, T)
+        assert ref <= s <= ref * (1 + 1e-13) if T < -1e12 else s == ref
+    assert cap_mod.exit_slope(radial, np.array([])).shape == (0,)
 
 
 def test_non_monotone_offset_is_a_precondition_violation(radial):

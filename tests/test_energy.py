@@ -164,7 +164,7 @@ def test_cutoff_ladder():
     assert energy.cutoff_ladder(10.0) == [1.0, 2.0, 4.0, 8.0, 16.0]
     assert energy.cutoff_ladder(10.0, start=1.5) == [1.5, 3.0, 6.0, 12.0]
     assert energy.cutoff_ladder(0.5) == [1.0]
-    assert len(energy.cutoff_ladder(np.inf, max_doublings=7)) == 7
+    assert len(energy.cutoff_ladder(np.inf)) == energy.MAX_DOUBLINGS
 
 
 # synthetic ladders, one per branch of the classifier
@@ -390,9 +390,10 @@ def test_product_ep_needs_integer_p_and_nonpositive_sum(product):
 
 
 def test_profile_validated_once_per_cutoff(radial, product, corpus36, monkeypatch):
-    # ep_limit builds one Profile per truncating rung (the RelativeProfile
+    # ep_limit validates one profile per truncating rung (the RelativeProfile
     # of the cutoff); measures and integrals of an existing potential and
-    # of the cached zero potential build none
+    # of the cached zero potential validate none.  check_slopes is the one
+    # slope validation of Profile and RelativeProfile construction.
     phi = corpus36.with_tag("divisor_bounded")[0].phi
     psi = corpus36.with_tag("bounded")[0].phi
     u = zero_offset(product.reference_potential[0])
@@ -401,13 +402,13 @@ def test_profile_validated_once_per_cutoff(radial, product, corpus36, monkeypatc
     for model in (radial, product):
         ma.ma_measure(model, None)
     builds = []
-    post_init = profiles.Profile.__post_init__
+    check_slopes = profiles.check_slopes
 
-    def spy(self):
-        builds.append(self)
-        post_init(self)
+    def spy(*args):
+        builds.append(args)
+        check_slopes(*args)
 
-    monkeypatch.setattr(profiles.Profile, "__post_init__", spy)
+    monkeypatch.setattr(profiles, "check_slopes", spy)
     depth = -phi.offset.min()
     rungs = sum(k < depth for k in energy.cutoff_ladder(depth))
     assert rungs >= 10

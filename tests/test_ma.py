@@ -7,6 +7,7 @@ pairing) rather than by re-running the implementation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import expit
 
@@ -46,6 +47,46 @@ def test_polarization_identity(radial):
         + 0.5 * ma.mixed_measure(radial, phi, psi).cdf_seq \
         + 0.25 * ma.ma_measure(radial, psi).cdf_seq
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+@st.composite
+def radial_profiles(draw):
+    """A random admissible radial potential: an additive constant plus
+    hinges max(t - x, 0) at up to four knots, slopes rising in [0, 1/2]."""
+    m = draw(st.integers(0, 4))
+    knots = draw(st.lists(st.floats(-30.0, 30.0), min_size=m, max_size=m))
+    slopes = sorted(draw(st.lists(st.floats(0.0, 0.5), min_size=m + 1, max_size=m + 1)))
+    c = draw(st.floats(-5.0, 0.0))
+    base = models.radial_p2().reference_potential
+    g = base.grid
+    full = c + slopes[0] * g
+    for x, a, b in zip(sorted(knots), slopes, slopes[1:]):
+        full = full + (b - a) * np.maximum(g - x, 0.0)
+    return RelativeProfile(base, full - base.values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(radial_profiles(), radial_profiles(), st.booleans())
+def test_mass_conservation_and_polarization(phi, psi, psi_is_zero):
+    # every measure has unit mass, node masses and atoms together, and the
+    # midpoint's sublevel masses polarize into the two full measures and
+    # the mixed one; the zero potential goes through the model's shared
+    # slope map
+    radial = models.radial_p2()
+    if psi_is_zero:
+        psi = radial.zero
+    mid = RelativeProfile(phi.base, 0.5 * (phi.full_values() + psi.full_values())
+                          - phi.base.values)
+    m_phi, m_psi = ma.ma_measure(radial, phi), ma.ma_measure(radial, psi)
+    mixed = ma.mixed_measure(radial, phi, None if psi_is_zero else psi)
+    swapped = ma.mixed_measure(radial, psi, phi)
+    m_mid = ma.ma_measure(radial, mid)
+    for m in (m_phi, m_psi, mixed, swapped, m_mid):
+        assert m.total_mass == 1.0
+        assert m.density.sum() + sum(a for _, a in m.atoms) == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(swapped.cdf_seq, mixed.cdf_seq)
+    rhs = 0.25 * m_phi.cdf_seq + 0.5 * mixed.cdf_seq + 0.25 * m_psi.cdf_seq
+    assert np.abs(m_mid.cdf_seq - rhs).max() < 1e-12
 
 
 def test_mixed_degenerates_to_full(radial):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ma_lab import profiles
-from ma_lab.errors import InvalidInput, NotOmegaPsh, PreconditionViolated
+from ma_lab.errors import InvalidInput, MaLabError, NotOmegaPsh, PreconditionViolated
 from ma_lab.profiles import (Profile, RelativeProfile, compose_weight,
                              convex_envelope, default_grid, legendre,
                              max_offsets, scale, truncate, zero_offset)
@@ -263,3 +263,60 @@ def test_kept_tails_and_slope_map_match_the_full_profile(cap, slopes, shift):
                                         f.slope_plus_inf - base.slope_plus_inf)
     assert np.array_equal(ma._normalized_ext_slopes(phi, cap),
                           np.clip(f.extended_slopes() / cap, 0.0, 1.0))
+
+
+def _validated_as_before(base, off):
+    """RelativeProfile's checks as they ran through a full Profile: the
+    offset checks, Profile.from_values of base + offset, and the offset
+    tail check.  Returns the offset tail slopes."""
+    off = np.array(off, dtype=float)
+    if not np.all(np.isfinite(off)):
+        raise InvalidInput("non-finite offset")
+    full = Profile.from_values(base.grid, base.values + off, base.slope_cap)
+    lo = full.slope_minus_inf - base.slope_minus_inf
+    hi = full.slope_plus_inf - base.slope_plus_inf
+    if lo < -profiles.TOL_CONVEX or hi > profiles.TOL_CONVEX:
+        raise NotOmegaPsh("offset tail slopes escape the admissible cone")
+    return lo, hi
+
+
+def _outcome(fn):
+    """fn()'s value, or the class and message of the package error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn()
+    except MaLabError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["admissible", "nonconvex", "overcap", "nonfinite", "overflow",
+                        "escaping"]),
+       st.sampled_from([0.5, 1.0]),
+       st.lists(st.floats(0.0, 1.0), min_size=3, max_size=12),
+       st.floats(-5.0, 0.0), st.integers(0, 12),
+       st.sampled_from([np.nan, np.inf, -np.inf, np.finfo(float).max]))
+def test_relative_profile_validation_matches_the_full_profile_check(
+        kind, cap, slopes, shift, at, bad):
+    # random offsets of each kind raise the same error class and message
+    # as the full-Profile check, or give the same offset tail slopes
+    s = cap * np.asarray(slopes)
+    if kind != "nonconvex":
+        s = np.sort(s)
+    if kind == "overcap":
+        s = 1.5 * s  # the top slopes may pass the cap
+    g = np.cumsum(np.linspace(0.5, 1.5, s.size + 1)) - 5.0
+    full = shift + np.concatenate([[0.0], np.cumsum(s * np.diff(g))])
+    if kind == "escaping":  # tails inside (0, cap): full tails may leave them
+        base = Profile(g, cap * (0.25 * g + 0.5 * np.logaddexp(0.0, g)),
+                       0.25 * cap, 0.75 * cap, cap)
+    elif kind == "overflow":  # base + offset overflows to inf
+        base = Profile(g, np.full(g.size, 1e300), 0.0, 0.0, cap)
+    else:
+        base = Profile(g, cap * np.logaddexp(0.0, g), 0.0, cap, cap)
+    off = full - base.values
+    if kind in ("nonfinite", "overflow"):
+        off[at % off.size] = bad
+    lean = _outcome(lambda: RelativeProfile(base, off).offset_tail_slopes())
+    # repr tells apart every two floats (-0.0 and 0.0 too): bit for bit
+    assert repr(lean) == repr(_outcome(lambda: _validated_as_before(base, off)))
