@@ -16,9 +16,10 @@ cell of a hull vertex is the polygon of the gradients of its incident
 lower facets, clipped to the square, the power-diagram picture of
 semi-discrete optimal transport.  Every edge of the cell diagram is
 dual to one hull edge, so areas, first moments and the area Jacobian
-come from one vectorized pass over the hull edges.  Each distinct
-potential gets one hull: the last one is kept, so the cells, the hull
-projection and the convexity check of one potential share it.
+come from one vectorized pass over the hull edges.  The hull is a value
+its caller builds and holds: toric_measure reads its convexity check and
+its cells off one hull, and the Newton solver projects an accepted step
+onto the hull of that trial.
 """
 
 from dataclasses import dataclass
@@ -396,24 +397,12 @@ class _LowerHull:
     on_hull: np.ndarray
 
 
-_last_hull = [None, None]  # [(t1, t2, Psi) copies, _LowerHull]
-
-
 def _lower_hull(t1, t2, Psi):
-    """The lower hull of (t1 x t2, Psi); the last result is reused.
-
-    The reuse is keyed by exact equality of the inputs, against copies
-    taken when the hull was built, so a caller mutating its arrays
-    afterwards cannot reach the cached hull.
-    """
-    key = (np.array(t1, float), np.array(t2, float), np.array(Psi, float))
-    old_key, hull = _last_hull
-    if old_key is not None and all(a.shape == b.shape and np.array_equal(a, b)
-                                   for a, b in zip(key, old_key)):
-        return hull
-    X, Y = np.meshgrid(key[0], key[1], indexing="ij")
+    """The lower hull of (t1 x t2, Psi); Psi may be flat.  Z is a copy of
+    Psi, so a caller mutating Psi afterwards cannot reach the hull."""
+    X, Y = np.meshgrid(np.asarray(t1, float), np.asarray(t2, float), indexing="ij")
     V = np.column_stack([X.ravel(), Y.ravel()])
-    Z = key[2].ravel()
+    Z = np.array(Psi, float).ravel()
     qh = ConvexHull(np.column_stack([V, Z]), qhull_options="Qt")
     lower = qh.equations[:, 2] < -LOWER_FACET_TOL
     eq = qh.equations[lower]
@@ -424,9 +413,8 @@ def _lower_hull(t1, t2, Psi):
     on_hull = np.zeros(len(Z), bool)
     on_hull[tris.ravel()] = True
     hull = _LowerHull(V, Z, tris, -eq[:, :2] / eq[:, 2:3], -eq[:, 3] / eq[:, 2], on_hull)
-    for arr in (*key, V, Z, tris, hull.grad, hull.icpt, on_hull):
+    for arr in vars(hull).values():
         arr.setflags(write=False)
-    _last_hull[:] = [key, hull]
     return hull
 
 
@@ -529,6 +517,12 @@ def _side_terms(P, Q):
 
 
 def toric_cells(t1, t2, Psi, want_jac=False):
+    """_hull_cells of a hull built for this call alone.  A caller that needs
+    more of one potential builds the _lower_hull once and holds it."""
+    return _hull_cells(_lower_hull(t1, t2, Psi), want_jac)
+
+
+def _hull_cells(hull, want_jac=False):
     """Subgradient cell areas, first moments, and the area Jacobian.
 
     The cell of a lower-hull vertex k is the convex polygon of the
@@ -541,17 +535,12 @@ def toric_cells(t1, t2, Psi, want_jac=False):
     square in one vectorized pass; Green's theorem then gives every
     cell's area and first moments as sums over its dual edges plus the
     pieces of the square's sides it owns (see _side_terms), accumulated
-    per node with bincount.  The lower hull comes from _lower_hull, which
-    reuses the last hull when called again with the same potential, so
-    toric_hull_projection after toric_cells (or before, as in
-    toric_measure) builds no second hull.
+    per node with bincount.
 
     Parameters
     ----------
-    t1, t2 : ndarray
-        Axis grids.
-    Psi : ndarray, shape (len(t1), len(t2))
-        Potential values.
+    hull : _LowerHull
+        The lower hull of the potential, from _lower_hull.
     want_jac : bool
         Also assemble d(areas)/d(Psi) as a sparse matrix.
 
@@ -568,7 +557,6 @@ def toric_cells(t1, t2, Psi, want_jac=False):
         Symmetric Jacobian; row sums vanish.  The entry of a hull edge
         (k, l) is the clipped length of its dual edge over |V_l - V_k|.
     """
-    hull = _lower_hull(t1, t2, Psi)
     N = len(hull.Z)
     k, l, B, D, s0, s1 = _dual_segments(hull)
     keep, P, Q = _clip_to_square(B, D, s0, s1)
@@ -605,15 +593,22 @@ def toric_cells(t1, t2, Psi, want_jac=False):
 
 
 def toric_hull_projection(t1, t2, Psi):
+    """Psi projected onto its lower convex hull, and the sup projection
+    distance; the one-call form of _hull_projection."""
+    low, dist = _hull_projection(_lower_hull(t1, t2, Psi))
+    return low.reshape(len(t1), len(t2)), dist
+
+
+def _hull_projection(hull):
     """Project a toric potential onto its lower convex hull.
 
     Hull vertices keep their values.  Every other node takes the hull's
     value there, the max over the lower-facet planes, which is exact for
     the convex envelope and costs nothing when every node is a vertex.
 
-    Returns the projected array and the sup projection distance.
+    Returns the projected values, flat like hull.Z, and the sup
+    projection distance, which is 0 exactly when no node moves.
     """
-    hull = _lower_hull(t1, t2, Psi)
     low = hull.Z.copy()
     off = np.flatnonzero(~hull.on_hull)
     step = max(1, PROJECTION_BLOCK // len(hull.icpt))
@@ -621,22 +616,18 @@ def toric_hull_projection(t1, t2, Psi):
         idx = off[i:i + step]
         planes = hull.V[idx] @ hull.grad.T + hull.icpt
         low[idx] = np.minimum(planes.max(axis=1), low[idx])
-    dist = float((hull.Z - low).max())
-    return low.reshape(len(t1), len(t2)), dist
+    return low, float((hull.Z - low).max())
 
 
-def toric_measure(model, phi, check_convex=True):
-    """Aleksandrov measure of a toric potential (raw mass = 2).
-
-    The convexity check and the cells share one lower hull.
-    """
-    t1, t2, base = model.reference_potential
-    Psi = base if phi is None else phi.values
-    if check_convex:
-        _, dist = toric_hull_projection(t1, t2, Psi)
-        scale = max(1.0, float(np.abs(Psi).max()))
-        if dist > 1e-8 * scale:
-            raise NotOmegaPsh("toric potential is not convex")
-    areas, _, _ = toric_cells(t1, t2, Psi)
+def toric_measure(model, phi):
+    """Aleksandrov measure of a toric potential (raw mass = 2); NotOmegaPsh
+    if a value lies above the lower hull, which the cells share, by more
+    than 1e-8 * max(1, max|values|)."""
+    t1, t2, _ = model.reference_potential
+    hull = _lower_hull(t1, t2, phi.values)
+    _, dist = _hull_projection(hull)
+    if dist > 1e-8 * max(1.0, float(np.abs(hull.Z).max())):
+        raise NotOmegaPsh("toric potential is not convex")
+    areas, _, _ = _hull_cells(hull)
     dens = 2.0 * areas.reshape(len(t1), len(t2))
     return MaMeasure("TwoD", (t1, t2), dens, (), float(dens.sum()))

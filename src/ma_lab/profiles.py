@@ -192,9 +192,6 @@ class RelativeProfile:
     def full_values(self):
         return self.base.values + self.offset
 
-    def full_profile(self):
-        return Profile.from_values(self.base.grid, self.full_values(), self.base.slope_cap)
-
     def offset_tail_slopes(self):
         """Offset slopes beyond the grid ends (full tail minus base tail)."""
         lo, hi = self._full_tails

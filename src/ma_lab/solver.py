@@ -75,7 +75,7 @@ def _toric_demo_target(model, seed):
     c = np.random.default_rng(seed).uniform(0.2, 0.8, size=2)
     vals = np.logaddexp(0.0, c[0] * t1[:, None] + c[1] * t2[None, :])
     vals += np.logaddexp(0.0, (1 - c[0]) * t1[:, None] + (1 - c[1]) * t2[None, :])
-    return ma.toric_measure(model, ToricGrid(t1, t2, vals), check_convex=False)
+    return ma.toric_measure(model, ToricGrid(t1, t2, vals))
 
 
 def dirac_target(model):
@@ -213,7 +213,7 @@ def _separable_init(t1, t2, T):
     return pot(t1, T.sum(axis=1))[:, None] + pot(t2, T.sum(axis=0))[None, :]
 
 
-def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11):
+def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, hull=None):
     """Damped Newton on cell areas; returns (Psi, residual, info).
 
     A trial step P + tau*d must keep every target cell above the mass
@@ -225,15 +225,19 @@ def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11):
     Kitagawa, Merigot and Thibert (JEMS 2019).  tau halves from 1 down
     to 2**-20.
 
+    Each trial builds one lower hull; an accepted step is projected onto
+    its trial's hull.  hull is Psi0's lower hull if the caller holds it.
+
     residual is the L1 distance of the cell areas from tgt.  info holds
     the accepted step count, the hull projection distances, the stop
     reason -- "tol" (residual below tol), "line_search" (no tau
-    accepted) or "itmax" -- and stalled, true unless the stop is "tol".
+    accepted) or "itmax" --, stalled, true unless the stop is "tol", and
+    the returned Psi's hull (None if the last projection moved a node).
     """
-    X, Y = np.meshgrid(t1, t2, indexing="ij")
-    V = np.column_stack([X.ravel(), Y.ravel()])
-    areas, mom, H = ma.toric_cells(t1, t2, Psi0, want_jac=True)
-    P = np.asarray(Psi0, float).ravel().copy()
+    if hull is None:
+        hull = ma._lower_hull(t1, t2, Psi0)
+    V, P = hull.V, hull.Z
+    areas, mom, H = ma._hull_cells(hull, want_jac=True)
     F, F_bound = _dual_merit(areas, mom, V, P, tgt)
     res = float(np.abs(areas - tgt).sum())
     supp = tgt > 0
@@ -255,8 +259,8 @@ def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11):
         tau, ok = 1.0, False
         while tau > 2.0 ** -20:
             Pt = P + tau * d
-            shaped = Pt.reshape(Psi0.shape)
-            at, mt, Ht = ma.toric_cells(t1, t2, shaped, want_jac=True)
+            hull_t = ma._lower_hull(t1, t2, Pt)
+            at, mt, Ht = ma._hull_cells(hull_t, want_jac=True)
             Ft, Ft_bound = _dual_merit(at, mt, V, Pt, tgt)
             if not supp.any() or at[supp].min() >= floor:
                 if tau * abs(gd) <= F_bound:
@@ -269,20 +273,21 @@ def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11):
         if not ok:
             stop = "line_search"
             break
-        P, areas, mom, H, F, F_bound = Pt, at, mt, Ht, Ft, Ft_bound
+        hull, areas, mom, H, F, F_bound = hull_t, at, mt, Ht, Ft, Ft_bound
         iters += 1
         # convexity safeguard: replace by the lower hull; only nodes with
         # zero area and zero target move, so areas and merit are unchanged
-        hullP, dist = ma.toric_hull_projection(t1, t2, P.reshape(Psi0.shape))
+        P, dist = ma._hull_projection(hull)
         proj_dists.append(dist)
-        P = hullP.ravel()
+        hull = hull if dist == 0 else None  # a moved P needs a new hull
         res = float(np.abs(areas - tgt).sum())
     if stop is None:
         stop = "tol" if res < tol else "itmax"
     return P.reshape(Psi0.shape), res, {"iterations": iters,
                                         "stalled": stop != "tol",
                                         "stop": stop,
-                                        "projection_distances": tuple(proj_dists)}
+                                        "projection_distances": tuple(proj_dists),
+                                        "hull": hull}
 
 
 def _gauss_smooth(T, h, eps):
@@ -332,13 +337,13 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
     if (target.density < 0).any():
         raise InvalidInput("target density must be nonnegative")
     T = target.density / model.volume  # cell areas, sum 1
-    ref_areas, _, _ = ma.toric_cells(t1, t2, base)
-    ref = ref_areas.reshape(T.shape)
+    ref = model.reference_measure.density / model.volume
     h = float(t1[1] - t1[0])
     widths = tuple(widths)
     if len(widths) > 1 and not all(b < a for a, b in zip(widths, widths[1:])):
         raise InvalidInput("mollification widths must decrease strictly")
     Psi = _separable_init(t1, t2, T)
+    hull = None
     trace = []
     info = {}
     stops = []
@@ -354,8 +359,10 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
         # intermediate levels are warm starts; only the final level needs
         # the full tolerance
         lvl_tol = 1e-9 if eps is not None else 1e-11
-        Psi, res, info = _newton(t1, t2, Psi, tgt.ravel(), itmax=itmax, tol=lvl_tol)
+        Psi, res, info = _newton(t1, t2, Psi, tgt.ravel(), itmax=itmax, tol=lvl_tol,
+                                 hull=hull)
         stops.append(info.pop("stop"))
+        hull = info.pop("hull")
         off = Psi - base
         off = off - off.max() - 1.0
         trace.append(float(np.sum(tgt.ravel() * (-off.ravel()) ** p) * model.volume))
@@ -367,7 +374,7 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
             break
     off = Psi - base
     psi = ToricGrid(t1, t2, Psi - off.max() - 1.0)
-    got = ma.toric_measure(model, psi, check_convex=False)
+    got = ma.toric_measure(model, psi)
     residual = ma.cdf_sup_distance(got, target)
     verdict = "solved"
     if info.get("stalled"):

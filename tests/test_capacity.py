@@ -8,6 +8,7 @@ from capacity_reference import reference_exit_slope
 from ma_lab import cli, ma, verify
 from ma_lab.errors import InvalidInput, PreconditionViolated
 from ma_lab.profiles import RelativeProfile, truncate, zero_offset
+from profile_reference import full_profile
 
 
 def test_entire_space_capacity(radial):
@@ -36,7 +37,7 @@ def test_extremal_profile_shape(radial):
     on_set = g <= 0.0
     assert np.abs(u.offset[on_set] + 1.0).max() < 1e-12
     assert np.all(u.offset <= 1e-12) and np.all(u.offset >= -1.0 - 1e-12)
-    u.full_profile()  # admissibility assertion
+    full_profile(u)  # admissibility assertion
 
 
 def test_extremal_mass_equals_capacity(radial):

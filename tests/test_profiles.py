@@ -14,6 +14,7 @@ from ma_lab.errors import InvalidInput, MaLabError, NotOmegaPsh, PreconditionVio
 from ma_lab.profiles import (Profile, RelativeProfile, compose_weight,
                              convex_envelope, default_grid, legendre,
                              max_offsets, scale, truncate, zero_offset)
+from profile_reference import full_profile
 
 
 def envelope_oracle(t, y, cap, query):
@@ -257,7 +258,7 @@ def test_kept_tails_and_slope_map_match_the_full_profile(cap, slopes, shift):
     full = shift + np.concatenate([[0.0], np.cumsum(s * np.diff(g))])
     base = Profile(g, cap * np.logaddexp(0.0, g), 0.0, cap, cap)
     phi = RelativeProfile(base, full - base.values)
-    f = phi.full_profile()
+    f = full_profile(phi)
     assert phi._full_tails == (f.slope_minus_inf, f.slope_plus_inf)
     assert phi.offset_tail_slopes() == (f.slope_minus_inf - base.slope_minus_inf,
                                         f.slope_plus_inf - base.slope_plus_inf)

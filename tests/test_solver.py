@@ -173,6 +173,21 @@ def test_toric_schedule_boundary_target(toric32):
         assert stops == ("tol",) * len(res.energy_trace), (name, stops)
 
 
+def test_toric_zero_mass_region_needs_the_hull_projection(toric32):
+    # the demo target of seed 0 with no mass on a block of interior nodes:
+    # accepted steps lift nodes of the empty region off the lower hull,
+    # and only projecting them back onto it lets the last level converge
+    # (without the projection its line search is exhausted)
+    demo = solver._toric_demo_target(toric32, 0)
+    dens = demo.density.copy()
+    dens[12:20, 12:20] = 0.0
+    dens *= 2.0 / dens.sum()
+    target = ma.MaMeasure("TwoD", demo.grid, dens, (), float(dens.sum()))
+    res = solver.solve_newton_toric(toric32, target)
+    assert res.verdict == "solved", res.diagnostics["stop_reasons"]
+    assert max(res.diagnostics["newton"]["projection_distances"]) > 0
+
+
 def test_toric_validation(toric32, radial):
     target, _ = smooth_toric_target(toric32, 1)
     with pytest.raises(InvalidInput):

@@ -3,7 +3,7 @@
 The vectorized dual-cell kernel in ``ma`` must agree with the
 Sutherland-Hodgman loop and the Delaunay-interpolated hull projection in
 ``toric_reference`` on smooth, degenerate and non-convex potentials, and
-build one lower hull per distinct potential.
+build one lower hull per evaluation, held by the caller.
 """
 
 import numpy as np
@@ -95,7 +95,7 @@ def test_measure_builds_one_hull(grid16, hull_calls):
     t1, t2, base = grid16
     model = models.toric_p1p1(16)
     psi = ToricGrid(t1, t2, base + 0.01 * t1[:, None] ** 2)
-    ma.toric_measure(model, psi, check_convex=True)
+    ma.toric_measure(model, psi)
     assert len(hull_calls) == 1
 
 
@@ -109,13 +109,13 @@ def test_newton_builds_no_more_hulls_than_cell_calls(monkeypatch, hull_calls):
     target = ma.MaMeasure("TwoD", (t1, t2), 2.0 * areas.reshape(vals.shape), (),
                           2.0 * float(areas.sum()))
     cell_calls = []
-    real_cells = ma.toric_cells
+    real_cells = ma._hull_cells
 
     def counting_cells(*args, **kwargs):
         cell_calls.append(1)
         return real_cells(*args, **kwargs)
 
-    monkeypatch.setattr(ma, "toric_cells", counting_cells)
+    monkeypatch.setattr(ma, "_hull_cells", counting_cells)
     del hull_calls[:]
     res = solver.solve_newton_toric(model, target, widths=(0.25,))
     assert res.verdict == "solved"

@@ -5,6 +5,7 @@ import pytest
 
 from ma_lab import verify
 from ma_lab.errors import InvalidInput
+from profile_reference import full_profile
 
 TAGS = ("bounded", "lelong_positive", "alpha_family", "divisor_bounded",
         "decreasing_chain")
@@ -27,7 +28,7 @@ def test_tag_coverage():
 
 def test_corpus_members_admissible(corpus36):
     for e in corpus36.profiles:
-        e.phi.full_profile()  # raises if convexity or caps are violated
+        full_profile(e.phi)  # raises if convexity or caps are violated
         assert e.phi.sup_value <= 1e-9
 
 
