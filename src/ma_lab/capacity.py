@@ -184,8 +184,7 @@ def capacity_curve(model, phi, thresholds):
     else:
         exponent = float(np.nan)
     consts = {"C_phi": decay_constant(model, phi)}
-    sandwich = capacity_energy_sandwich(model, phi, p=1.0)
-    consts.update(sandwich)
+    consts.update(capacity_energy_sandwich(model, phi))
     return CapacityCurve(ts, vals, exponent, consts)
 
 
@@ -203,16 +202,16 @@ def decay_constant(model, phi):
     return sq + 4.0 * lin + 2.0
 
 
-def capacity_energy_sandwich(model, phi, p=1.0):
-    """Both sides of the capacity-energy sandwich at exponent p.
+def capacity_energy_sandwich(model, phi):
+    """Both sides of the capacity-energy sandwich at exponent p = 1.
 
-    The middle quantity int (-phi)^{p+2} dCap is evaluated from its
-    defining improper integral (p+2) * int_1^inf t^{p+1} Cap(phi<-t) dt
-    by log-spaced trapezoid quadrature.  The lower bound uses the tail
-    form of the energy, p * int_1^inf t^{p-1} m(t) dt with m the
-    sublevel mass under omega_phi^2, which is the quantity the
-    comparison-principle derivation actually dominates; the upper bound
-    uses the full combination 2^{p+2} e_p.
+    The middle quantity int (-phi)^3 dCap is evaluated from its
+    defining improper integral 3 * int_1^inf t^2 Cap(phi<-t) dt by
+    log-spaced trapezoid quadrature.  The lower bound uses the tail form
+    of the energy, int_1^inf m(t) dt with m the sublevel mass under
+    omega_phi^2, which is the quantity the comparison-principle
+    derivation actually dominates; the upper bound uses the full
+    combination 2^3 e_1 (energy.capacity_energy).
     """
     require(model, RADIAL_P2, "capacity_energy_sandwich")
     depth = float(-phi.offset.min())
@@ -223,13 +222,13 @@ def capacity_energy_sandwich(model, phi, p=1.0):
     caps = capacity(model, sublevel_abscissae(phi, t))
     m2 = ma.ma_measure(model, phi)
     masses = sublevel_masses(m2, phi, t)
-    mid = (p + 2.0) * np.trapezoid(t ** (p + 1) * caps, t)
-    lower = p * np.trapezoid(t ** (p - 1) * masses, t)
-    rep = energy.energy_report(model, phi, p)
+    mid = 3.0 * np.trapezoid(t ** 2 * caps, t)
+    lower = np.trapezoid(masses, t)
+    ladder = energy.cutoffs(model, energy._nonpositive(model, phi)[0])
     return {
-        "sandwich_lower": float(lower) * (p + 2.0) / p,
+        "sandwich_lower": float(lower) * 3.0,
         "sandwich_mid": float(mid),
-        "sandwich_upper": 2.0 ** (p + 2) * rep.e_p,
+        "sandwich_upper": 8.0 * energy.capacity_energy(model, ladder, 1.0)[1],
     }
 
 

@@ -207,9 +207,11 @@ def _product_gradient(model, phi):
 
 
 def gradient_energy_verdict(model, phi):
-    """Gradient energy with an octave-ratio divergence verdict."""
-    contrib = ma.gradient_cell_contributions(model, phi)
-    g = phi.base.grid
+    """Gradient energy with an octave-ratio divergence verdict (radial model)."""
+    require(model, RADIAL_P2, "gradient_energy_verdict")
+    g = potential(model, phi).base.grid
+    contrib = ma.gradient_density(g, phi.offset, model.reference_potential.values,
+                                  model.slope_cap)
     mid = 0.5 * (g[:-1] + g[1:])
     raw = float(contrib.sum())
     value = raw
@@ -250,6 +252,15 @@ def _nonpositive(model, phi):
     return phi, 0.0
 
 
+def capacity_energy(model, ladder, p):
+    """The E_p verdict along a :func:`cutoffs` ladder of a potential <= 0,
+    and the capacity-facing combination e_p = E_p + 2 I_{p+1}(omega ^
+    omega_phi) + I_{p+2}(omega^2) of the limits along it."""
+    full = ladder_limit(model, ladder, p)
+    return full, (full.value + 2.0 * ladder_limit(model, ladder, p + 1.0, 1).value
+                  + ladder_limit(model, ladder, p + 2.0, 0).value)
+
+
 def check_exponent(p):
     """Raise InvalidInput unless the energy exponent p is a finite number >= 1."""
     if not 1.0 <= p < np.inf:  # nan fails too
@@ -273,14 +284,12 @@ def energy_report(model, phi, p=1.0):
     check_exponent(p)
     phi, shift = _nonpositive(model, phi)
     ladder = cutoffs(model, phi)
-    mixed = [ladder_limit(model, ladder, p, j) for j in range(3)]
-    full = mixed[2]
+    full, ep_val = capacity_energy(model, ladder, p)
+    mixed = [ladder_limit(model, ladder, p, j) for j in range(2)] + [full]
     grad = backend(model).gradient_energy(model, phi)
     sob = float(np.sqrt(grad.value)) if grad.finite else float(np.inf)
     in_ep = full.finite
     in_e1 = ladder_limit(model, ladder, 1.0).finite if p != 1.0 else in_ep
-    ep_val = (full.value + 2.0 * ladder_limit(model, ladder, p + 1.0, 1).value
-              + ladder_limit(model, ladder, p + 2.0, 0).value)
     return EnergyReport(
         p=p,
         E_p_full=full.value,

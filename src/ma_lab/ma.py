@@ -270,15 +270,6 @@ def gradient_current_mass(model, phi, psi=None, weight=None):
     return total
 
 
-def gradient_cell_contributions(model, phi, psi=None):
-    """Per-cell contributions of the gradient pairing (radial model)."""
-    require(model, RADIAL_P2, "gradient_cell_contributions")
-    phi = potential(model, phi)
-    psi = potential(model, psi)
-    return gradient_density(phi.base.grid, phi.offset, psi.full_values(),
-                            model.slope_cap)
-
-
 def weighted_mass(measure, w_nodes, w_left=None, w_right=None):
     """Integral of a nonnegative weight against a 1-D measure.
 
@@ -354,8 +345,8 @@ def comparison_masses(model, phi, psi):
             restricted_mass(m_phi, mask, inc_l, inc_r))
 
 
-def demailly_margin(model, phi, psi, c=0.0):
-    """Worst margin of the local-max inequality.
+def demailly_margin(model, phi, psi):
+    """Worst margin of the local-max inequality at c = 1/2.
 
     The measure of max(phi, psi - c) dominates the measure of phi on
     the region where phi wins; the margin reported is the minimum of
@@ -363,6 +354,7 @@ def demailly_margin(model, phi, psi, c=0.0):
     inequality holds).
     """
     require(model, RADIAL_P2, "demailly_margin")
+    c = 0.5
     top = max_offsets(phi, psi.shifted(-c))
     m_top = ma_measure(model, top)
     m_phi = ma_measure(model, phi)

@@ -26,6 +26,10 @@ from .profiles import Profile, RelativeProfile, default_grid, zero_offset
 RADIAL_P2 = "RadialP2"
 PRODUCT_P1P1 = "ProductP1P1"
 TORIC_P1P1 = "ToricP1P1"
+# half-width of the toric log-coordinate box.  Any box works because the
+# subgradient cells are always clipped to the full moment square; 8 keeps
+# the smallest boundary cell masses well above rounding
+TORIC_BOX = 8.0
 
 
 def psi_fs(t):
@@ -144,18 +148,13 @@ def product_p1p1():
 
 
 @lru_cache(maxsize=None)
-def toric_p1p1(resolution=64, box=8.0):
-    """2-D toric backend on a box in log-coordinates.
+def toric_p1p1(resolution=64):
+    """2-D toric backend on the box [-TORIC_BOX, TORIC_BOX]^2 in log-coordinates.
 
     Parameters
     ----------
     resolution : int
         Cells per axis (the grid has resolution+1 nodes per axis).
-    box : float
-        Half-width of the log-coordinate box.  Any box works because
-        the subgradient cells are always clipped to the full moment
-        square; 8 keeps the smallest boundary cell masses well above
-        rounding.
 
     Raises
     ------
@@ -164,7 +163,7 @@ def toric_p1p1(resolution=64, box=8.0):
     """
     if resolution < 16:
         raise InvalidInput("toric resolution must be >= 16")
-    t1 = _frozen(np.linspace(-box, box, resolution + 1))
+    t1 = _frozen(np.linspace(-TORIC_BOX, TORIC_BOX, resolution + 1))
     t2 = _frozen(t1.copy())
     Psi = _frozen(psi_line(t1)[:, None] + psi_line(t2)[None, :])
     return KahlerModel(TORIC_P1P1, (t1, t2, Psi), 2.0, 1.0, 1, resolution)

@@ -7,7 +7,6 @@ profile is globally defined and every integral against it is a finite
 sum over grid cells.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,28 +125,6 @@ class Profile:
         out = np.where(hi, self.values[-1] + self.slope_plus_inf * (t - self.grid[-1]), out)
         return out if out.ndim else float(out)
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "grid": self.grid.tolist(),
-                "values": self.values.tolist(),
-                "slope_minus_inf": self.slope_minus_inf,
-                "slope_plus_inf": self.slope_plus_inf,
-                "slope_cap": self.slope_cap,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(
-            np.array(d["grid"]),
-            np.array(d["values"]),
-            d["slope_minus_inf"],
-            d["slope_plus_inf"],
-            d["slope_cap"],
-        )
-
 
 @dataclass(frozen=True)
 class RelativeProfile:
@@ -164,7 +141,7 @@ class RelativeProfile:
 
     base: Profile
     offset: np.ndarray
-    sup_value: float = field(default=None)
+    sup_value: float = field(init=False)
     _full_tails: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -175,8 +152,7 @@ class RelativeProfile:
             raise InvalidInput("offset shape must match base grid")
         if not np.all(np.isfinite(off)):
             raise InvalidInput("non-finite offset")
-        if self.sup_value is None:
-            object.__setattr__(self, "sup_value", float(off.max()))
+        object.__setattr__(self, "sup_value", float(off.max()))
         full = self.base.values + off
         if not np.all(np.isfinite(full)):
             raise InvalidInput("non-finite profile data")
@@ -210,21 +186,6 @@ class RelativeProfile:
     def normalized(self, sup=-1.0):
         """Additive renormalization to the requested supremum."""
         return self.shifted(sup - self.sup_value)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "base": json.loads(self.base.to_json()),
-                "offset": self.offset.tolist(),
-                "sup_value": self.sup_value,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        base = Profile.from_json(json.dumps(d["base"]))
-        return cls(base, np.array(d["offset"]), d["sup_value"])
 
 
 def zero_offset(base):
@@ -280,8 +241,8 @@ def convex_envelope(samples_t, samples_y, slope_cap=0.5):
         hull.append(i)
     hv = np.interp(t, t[hull], y[hull])
 
-    s = np.clip(slopes_of(t, hv), 0.0, slope_cap if slope_cap is not None else np.inf)
     raw = slopes_of(t, hv)
+    s = np.clip(raw, 0.0, slope_cap if slope_cap is not None else np.inf)
     # anchor at the hull minimizer: first node whose outgoing slope >= 0
     nonneg = np.nonzero(raw >= 0)[0]
     i0 = int(nonneg[0]) if nonneg.size else t.size - 1

@@ -84,13 +84,13 @@ def dirac_target(model):
     return radial_target(model, np.zeros(g.size), atom_a=1.0)
 
 
-def dirac_preimages(model, slope_deficit=1e-8, kink=-100.0):
+def dirac_preimages(model):
     """Two profiles whose measures agree with the fixed-point atom.
 
     The first is the cusp solution the closed-form solver returns.  The
-    second runs at slope cap*(1 - slope_deficit) left of the kink, so
-    its measure is within 2*slope_deficit of the atom in sup distance
-    while the potentials differ non-constantly, by cap * slope_deficit
+    second runs at slope cap*(1 - d) left of the kink t = -100, with the
+    slope deficit d = 1e-8, so its measure is within 2d of the atom in
+    sup distance while the potentials differ non-constantly, by cap * d
     per unit length.  The atom target is not in the finite-self-energy
     class, and there the measure pins the potential down no better than
     this: the solution set of the exact problem has infinite dimension.
@@ -99,7 +99,7 @@ def dirac_preimages(model, slope_deficit=1e-8, kink=-100.0):
     g = base.grid
     cap = model.slope_cap
     full1 = cap * g
-    full2 = cap * g - cap * slope_deficit * np.minimum(g - kink, 0.0)
+    full2 = cap * g - cap * 1e-8 * np.minimum(g + 100.0, 0.0)
     phi1 = RelativeProfile(base, full1 - base.values).normalized(-1.0)
     phi2 = RelativeProfile(base, full2 - base.values).normalized(-1.0)
     return phi1, phi2

@@ -176,17 +176,32 @@ def corpus_chains(corpus):
     return [c for c in out if len(c) >= 2]
 
 
-def ordered_pairs(corpus, limit=None):
+def _cyclic_pairs(xs):
+    """Each member of the list xs with the next one, the last with the first."""
+    return list(zip(xs, xs[1:] + xs[:1]))
+
+
+def _bounded(corpus):
+    """The potentials of the bounded members."""
+    return [e.phi for e in corpus.with_tag("bounded")]
+
+
+def _monotone(corpus):
+    """The members whose sublevels are sets {t <= T} (capacity.is_monotone)."""
+    return [e.phi for e in corpus.profiles if cap_mod.is_monotone(e.phi)]
+
+
+def _holder_exponent(p):
+    """Exponent of the Holder-type dominations Eq (9) and Prop 6.5 at p."""
+    return 0.25 if p == 1.0 else (1.0 - 1.0 / p) ** 2
+
+
+def ordered_pairs(corpus):
     """Deterministic ordered pairs phi <= psi <= 0 from bounded members."""
-    bounded = [e.phi for e in corpus.with_tag("bounded")]
     pairs = []
-    for i, phi in enumerate(bounded):
-        psi = max_offsets(phi, bounded[(i + 1) % len(bounded)])
-        pairs.append((phi, psi))
-        pairs.append((phi, scale(phi, 0.5)))
-        if limit and len(pairs) >= limit:
-            break
-    return pairs[:limit] if limit else pairs
+    for phi, nxt in _cyclic_pairs(_bounded(corpus)):
+        pairs += [(phi, max_offsets(phi, nxt)), (phi, scale(phi, 0.5))]
+    return pairs
 
 
 # ----------------------------------------------------------------------
@@ -205,9 +220,7 @@ def _report(cid, margins, scale_hint=1.0, details=None):
 
 def check_mixed_mass(corpus, model):
     margins = []
-    members = [e.phi for e in corpus.profiles]
-    for i, phi in enumerate(members):
-        psi = members[(i + 1) % len(members)]
+    for phi, psi in _cyclic_pairs([e.phi for e in corpus.profiles]):
         m = ma.mixed_measure(model, phi, psi)
         margins.append(1e-9 - abs(m.total_mass - model.volume))
     return _report("mixed-mass-probability", margins)
@@ -226,9 +239,7 @@ def check_star_shaped(corpus, model):
 
 def check_max_stable(corpus, model):
     margins = []
-    members = [e.phi for e in corpus.profiles]
-    for i, phi in enumerate(members):
-        psi = members[(i + 1) % len(members)]
+    for phi, psi in _cyclic_pairs([e.phi for e in corpus.profiles]):
         top = max_offsets(phi, psi)
         gp = energy.gradient_energy_verdict(model, phi)
         gt = energy.gradient_energy_verdict(model, top)
@@ -250,10 +261,7 @@ def check_chain_sobolev(corpus, model):
 def check_capacity_decay(corpus, model):
     margins = []
     ts = np.geomspace(1.0, 64.0, 25)
-    for e in corpus.profiles:
-        phi = e.phi
-        if not cap_mod.is_monotone(phi):
-            continue
+    for phi in _monotone(corpus):
         C = cap_mod.decay_constant(model, phi)
         if not np.isfinite(C):
             continue
@@ -311,8 +319,7 @@ def check_weak_continuity(corpus, model):
 
 def check_energy_order(corpus, model):
     margins = []
-    for e in corpus.with_tag("bounded"):
-        phi = e.phi
+    for phi in _bounded(corpus):
         e0 = energy.ep_integral(model, phi, 1.0, 0)
         e1 = energy.ep_integral(model, phi, 1.0, 1)
         e2 = energy.ep_integral(model, phi, 1.0, 2)
@@ -322,9 +329,7 @@ def check_energy_order(corpus, model):
 
 def check_cross_energy(corpus, model):
     margins = []
-    bounded = [e.phi for e in corpus.with_tag("bounded")]
-    for i, phi in enumerate(bounded):
-        psi = bounded[(i + 1) % len(bounded)]
+    for phi, psi in _cyclic_pairs(_bounded(corpus)):
         data = energy.energy_concavity_data(model, phi, psi, 1.0)
         margins.extend([data["margin_phi"], data["margin_psi"]])
     return _report("cross-energy-six-bound", margins, 10.0)
@@ -332,8 +337,7 @@ def check_cross_energy(corpus, model):
 
 def check_gradient_self_bound(corpus, model):
     margins = []
-    for e in corpus.with_tag("bounded"):
-        phi = e.phi
+    for phi in _bounded(corpus):
         lhs = ma.gradient_current_mass(model, phi, phi)
         rhs = energy.ep_integral(model, phi, 1.0, 2)
         margins.append(rhs - lhs)
@@ -342,9 +346,9 @@ def check_gradient_self_bound(corpus, model):
 
 def check_uniqueness(corpus, model):
     margins = []
-    for e in corpus.with_tag("bounded"):
-        res = solver.solve_radial(model, ma.ma_measure(model, e.phi))
-        rec = solver.uniqueness_check(model, res.psi, e.phi)
+    for phi in _bounded(corpus):
+        res = solver.solve_radial(model, ma.ma_measure(model, phi))
+        rec = solver.uniqueness_check(model, res.psi, phi)
         margins.append(1e-5 - rec["deviation"])
     return _report("uniqueness-up-to-constant", margins)
 
@@ -379,8 +383,7 @@ def check_l1_criterion(corpus, model):
         return _report("l1-criterion-constant", [])
     mu = ma.ma_measure(model, singular[0].phi)
     data = []
-    for e in corpus.with_tag("bounded"):
-        phi = e.phi
+    for phi in _bounded(corpus):
         lhs = ma.weighted_mass(mu, np.maximum(-phi.offset, 0.0), 1.0, 1.0)
         rhs = energy.ep_integral(model, phi, 1.0, 2)
         data.append((lhs, rhs))
@@ -396,8 +399,7 @@ def check_lp_criterion(corpus, model):
         return _report("lp-criterion-constant", [])
     mu = ma.ma_measure(model, singular[-1].phi)
     data = []
-    for e in corpus.with_tag("bounded"):
-        phi = e.phi
+    for phi in _bounded(corpus):
         w = np.power(np.maximum(-phi.offset, 0.0), p)
         lhs = ma.weighted_mass(mu, w, 1.0, 1.0)
         rhs = energy.ep_integral(model, phi, p, 2)
@@ -464,13 +466,10 @@ def check_max_in_ep(corpus, model):
 def check_cross_energy_p(corpus, model):
     p = 2.0
     margins = []
-    bounded = [e.phi for e in corpus.with_tag("bounded")]
-    for i, phi in enumerate(bounded):
-        psi = bounded[(i + 1) % len(bounded)]
+    for phi, psi in _cyclic_pairs(_bounded(corpus)):
         data = energy.energy_concavity_data(model, phi, psi, p)
         margins.extend([data["margin_phi"], data["margin_psi"]])
         # weighted gradient pairing stays finite for bounded members
-        g = phi.base.grid
         mid_off = 0.5 * (phi.offset[:-1] + phi.offset[1:])
         w = np.power(np.maximum(-mid_off, 0.0), p - 1.0)
         val = ma.gradient_current_mass(model, phi, phi, weight=w)
@@ -480,10 +479,8 @@ def check_cross_energy_p(corpus, model):
 
 def check_demailly(corpus, model):
     margins = []
-    members = [e.phi for e in corpus.profiles]
-    for i, phi in enumerate(members):
-        psi = members[(i + 1) % len(members)]
-        margins.append(ma.demailly_margin(model, phi, psi, c=0.5))
+    for phi, psi in _cyclic_pairs([e.phi for e in corpus.profiles]):
+        margins.append(ma.demailly_margin(model, phi, psi))
     return _report("local-max-domination", margins)
 
 
@@ -521,11 +518,9 @@ def check_mollification_consistency(corpus, model):
 
 
 def check_uniform_l2(corpus, model):
-    bounded = [e.phi for e in corpus.with_tag("bounded")]
     data = []
-    for i, phi in enumerate(bounded):
-        u = scale(bounded[(i + 1) % len(bounded)].normalized(0.0), 1.0)
-        u = RelativeProfile(u.base, np.maximum(u.offset, -1.0))
+    for phi, nxt in _cyclic_pairs(_bounded(corpus)):
+        u = truncate(nxt.normalized(0.0), 1.0)
         w = np.power(np.maximum(-phi.offset, 0.0), 2.0)
         lhs = ma.weighted_mass(ma.ma_measure(model, u), w, 0.0, 0.0)
         rhs = ma.weighted_mass(ma.ma_measure(model, phi), w, 0.0, 0.0)
@@ -537,9 +532,7 @@ def check_uniform_l2(corpus, model):
 
 def check_comparison(corpus, model):
     margins = []
-    bounded = [e.phi for e in corpus.with_tag("bounded")]
-    for i, phi in enumerate(bounded):
-        psi = bounded[(i + 1) % len(bounded)]
+    for phi, psi in _cyclic_pairs(_bounded(corpus)):
         lhs, rhs = ma.comparison_masses(model, phi, psi)
         margins.append(rhs - lhs)
     return _report("comparison-principle", margins)
@@ -547,9 +540,9 @@ def check_comparison(corpus, model):
 
 def check_sandwich(corpus, model):
     margins = []
-    members = [e for e in corpus.profiles if cap_mod.is_monotone(e.phi)]
-    for e in members[::max(1, len(members) // 40)]:
-        vals = cap_mod.capacity_energy_sandwich(model, e.phi)
+    members = _monotone(corpus)
+    for phi in members[::max(1, len(members) // 40)]:
+        vals = cap_mod.capacity_energy_sandwich(model, phi)
         if not np.isfinite(vals["sandwich_upper"]):
             continue
         margins.append(vals["sandwich_mid"] - vals["sandwich_lower"])
@@ -560,10 +553,7 @@ def check_sandwich(corpus, model):
 def check_eq6(corpus, model):
     margins = []
     ts = np.geomspace(1.0, 64.0, 15)
-    for e in corpus.profiles:
-        phi = e.phi
-        if not cap_mod.is_monotone(phi):
-            continue
+    for phi in _monotone(corpus):
         masses = cap_mod.sublevel_masses(ma.ma_measure(model, phi), phi, ts)
         caps = cap_mod.capacity(model, cap_mod.sublevel_abscissae(phi, ts))
         margins.extend(ts ** 2 * caps - masses)
@@ -574,10 +564,7 @@ def check_eq7(corpus, model):
     margins = []
     ts = np.geomspace(1.0, 32.0, 10)
     m0 = ma.ma_measure(model, None)
-    for e in corpus.profiles:
-        phi = e.phi
-        if not cap_mod.is_monotone(phi):
-            continue
+    for phi in _monotone(corpus):
         m1 = ma.mixed_measure(model, phi, None)
         m2 = ma.ma_measure(model, phi)
         rhs = cap_mod.sublevel_masses(m0, phi, ts) \
@@ -599,14 +586,12 @@ def check_divisor_integrability(corpus, model):
 
 
 def check_energy_holder(corpus, model, p=2.0):
-    gamma = 0.25 if p == 1.0 else (1.0 - 1.0 / p) ** 2
-    bounded = [e.phi for e in corpus.with_tag("bounded")]
-    psi = bounded[0]
-    mu = ma.ma_measure(model, psi)
+    gamma = _holder_exponent(p)
+    bounded = _bounded(corpus)
+    mu = ma.ma_measure(model, bounded[0])
     data = []
     for phi in bounded[1:]:
-        u = phi.normalized(0.0)
-        u = RelativeProfile(u.base, np.maximum(u.offset, -1.0))
+        u = truncate(phi.normalized(0.0), 1.0)
         w = np.power(np.maximum(-u.offset, 0.0), p)
         lhs = ma.weighted_mass(mu, w, 0.0, 0.0)
         rhs = ma.weighted_mass(ma.ma_measure(model, u), w, 0.0, 0.0)
@@ -617,12 +602,11 @@ def check_energy_holder(corpus, model, p=2.0):
 
 
 def check_capacity_domination(corpus, model, p=2.0):
-    gamma = 0.25 if p == 1.0 else (1.0 - 1.0 / p) ** 2
-    bounded = [e.phi for e in corpus.with_tag("bounded")]
+    gamma = _holder_exponent(p)
     singular = [e.phi for e in corpus.with_tag("divisor_bounded")]
     if not singular:
         return _report("measure-capacity-domination", [])
-    mu = ma.ma_measure(model, bounded[0])
+    mu = ma.ma_measure(model, _bounded(corpus)[0])
     data = []
     ts = np.geomspace(1.0, 32.0, 8)
     for phi in singular:

@@ -101,7 +101,7 @@ def test_decay_bound(radial):
 def test_sandwich_order(radial):
     base = radial.reference_potential
     phi = RelativeProfile(base, base.grid / 2 - base.values - 1.0)
-    vals = cap_mod.capacity_energy_sandwich(radial, phi, p=1.0)
+    vals = cap_mod.capacity_energy_sandwich(radial, phi)
     assert vals["sandwich_lower"] <= vals["sandwich_mid"] * (1 + 1e-6) + 1e-9
     assert vals["sandwich_mid"] <= vals["sandwich_upper"] * (1 + 1e-6) + 1e-9
 

@@ -8,6 +8,7 @@ pairing) rather than by re-running the implementation.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from radial_strategies import radial_profiles
 from scipy.integrate import quad
 from scipy.special import expit
 
@@ -47,22 +48,6 @@ def test_polarization_identity(radial):
         + 0.5 * ma.mixed_measure(radial, phi, psi).cdf_seq \
         + 0.25 * ma.ma_measure(radial, psi).cdf_seq
     assert np.abs(lhs - rhs).max() < 1e-12
-
-
-@st.composite
-def radial_profiles(draw):
-    """A random admissible radial potential: an additive constant plus
-    hinges max(t - x, 0) at up to four knots, slopes rising in [0, 1/2]."""
-    m = draw(st.integers(0, 4))
-    knots = draw(st.lists(st.floats(-30.0, 30.0), min_size=m, max_size=m))
-    slopes = sorted(draw(st.lists(st.floats(0.0, 0.5), min_size=m + 1, max_size=m + 1)))
-    c = draw(st.floats(-5.0, 0.0))
-    base = models.radial_p2().reference_potential
-    g = base.grid
-    full = c + slopes[0] * g
-    for x, a, b in zip(sorted(knots), slopes, slopes[1:]):
-        full = full + (b - a) * np.maximum(g - x, 0.0)
-    return RelativeProfile(base, full - base.values)
 
 
 @settings(max_examples=30, deadline=None)
@@ -161,7 +146,7 @@ def test_comparison_principle_pair(radial):
 def test_demailly_margin_nonnegative(radial):
     phi = _bounded(radial)
     psi = _bounded(radial, shifts=(1.0, -4.0), weights=(0.3, 0.7))
-    assert ma.demailly_margin(radial, phi, psi, c=0.5) >= -1e-10
+    assert ma.demailly_margin(radial, phi, psi) >= -1e-10
 
 
 def test_toric_cells_tile_the_square():

@@ -108,21 +108,6 @@ def test_profile_rejects_slope_above_cap():
         Profile(g, np.array([0.0, 0.9]), 0.0, 0.9, 0.5)
 
 
-def test_profile_json_round_trip(radial):
-    base = radial.reference_potential
-    back = Profile.from_json(base.to_json())
-    assert np.array_equal(back.grid, base.grid)
-    assert np.array_equal(back.values, base.values)
-    assert back.slope_cap == base.slope_cap
-
-
-def test_relative_profile_json_round_trip(radial):
-    phi = zero_offset(radial.reference_potential).shifted(-2.5)
-    back = RelativeProfile.from_json(phi.to_json())
-    assert np.array_equal(back.offset, phi.offset)
-    assert back.sup_value == phi.sup_value
-
-
 def test_relative_profile_normalized(radial):
     phi = zero_offset(radial.reference_potential).shifted(3.0)
     assert phi.normalized(-1.0).sup_value == pytest.approx(-1.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from radial_strategies import radial_profiles
 
 from ma_lab import energy, ma, models, solver
 from ma_lab.errors import InvalidInput, NotSolvableInModel, PreconditionViolated
@@ -26,6 +28,17 @@ def test_radial_round_trip(radial):
         assert res.residual <= 1e-10
         assert res.verdict == "solved"
         assert res.psi.sup_value == pytest.approx(-1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(radial_profiles())
+def test_radial_measure_solve_round_trip(phi):
+    # the measure of a random admissible potential solves back to it, up
+    # to the additive constant the measure cannot see
+    radial = models.radial_p2()
+    res = solver.solve_radial(radial, ma.ma_measure(radial, phi))
+    assert res.residual <= 1e-10
+    assert solver.uniqueness_check(radial, res.psi, phi)["passed"]
 
 
 def test_radial_deep_tail_target(radial):

@@ -69,7 +69,7 @@ def test_weak_continuity_helper(radial, corpus36):
 
 
 def test_ordered_pairs(corpus36):
-    pairs = verify.ordered_pairs(corpus36, limit=6)
+    pairs = verify.ordered_pairs(corpus36)[:6]
     assert len(pairs) == 6
     for phi, psi in pairs:
         assert np.all(phi.offset <= psi.offset + 1e-12)
