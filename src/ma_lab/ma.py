@@ -92,14 +92,8 @@ class MaMeasure:
 
 
 def _normalized_ext_slopes(u, cap):
-    """u's full slopes over the cap, clipped to [0, 1]; tails as in Profile.from_values.
-
-    The full slope is taken as base slope plus offset slope: potentials on
-    one base share the base term exactly, so the slope map of an average
-    of offsets is the average of the slope maps up to the rounding of the
-    offset differences alone (the polarization identity needs no more).
-    """
-    s = u.base.slopes + np.diff(u.offset) / u.base.widths
+    """u's full slopes over the cap, clipped to [0, 1]; tails as in Profile.from_values."""
+    s = np.diff(u.base.values + u.offset) / u.base.widths
     return np.clip(np.concatenate([s[:1], s, s[-1:]]) / cap, 0.0, 1.0)
 
 
@@ -300,30 +294,19 @@ def weighted_mass(measure, w_nodes, w_left=None, w_right=None):
     return out
 
 
-def _cdf_factors(m):
-    """A product measure's sublevel masses as A @ B.T: the columns of A are
-    the coefficient times the first factors' cdfs, those of B the second's."""
-    return (np.column_stack([c * f.cdf_seq for c, f, _ in m.factors]),
-            np.column_stack([g.cdf_seq for _, _, g in m.factors]))
-
-
 def cdf_sup_distance(m1, m2):
     """Sup distance between the sublevel-mass functions of two measures."""
     if m1.kind == "OneD" and m2.kind == "OneD":
         return float(np.abs(m1.cdf_seq - m2.cdf_seq).max())
     if m1.factors is not None and m2.factors is not None:
-        # product measures: mass{t1 <= s, t2 <= t} = sum c F(s) G(t), a
-        # low-rank product A @ B.T per measure, taken in row blocks; each
-        # measure's block is formed on its own, so the distance is symmetric
-        A1, B1 = _cdf_factors(m1)
-        A2, B2 = _cdf_factors(m2)
-        step = max(1, CDF_BLOCK // len(B1))
-        dist = 0.0
-        for i in range(0, len(A1), step):
-            d = A1[i:i + step] @ B1.T
-            d -= A2[i:i + step] @ B2.T
-            dist = max(dist, float(np.abs(d, out=d).max()))
-        return dist
+        # product measures: mass{t1 <= s, t2 <= t} = sum c F(s) G(t), so the
+        # difference is the low-rank product A @ B.T, taken in row blocks
+        A = np.column_stack([c * f.cdf_seq for c, f, _ in m1.factors]
+                            + [-c * f.cdf_seq for c, f, _ in m2.factors])
+        B = np.column_stack([g.cdf_seq for _, _, g in m1.factors + m2.factors])
+        step = max(1, CDF_BLOCK // len(B))
+        return max(float(np.abs(A[i:i + step] @ B.T).max())
+                   for i in range(0, len(A), step))
     if m1.density is not None and m2.density is not None:
         diff = m1.density - m2.density
         cum = np.cumsum(np.cumsum(diff, axis=0), axis=1)

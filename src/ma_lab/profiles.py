@@ -85,7 +85,6 @@ class Profile:
     slope_plus_inf: float
     slope_cap: float = 0.5
     widths: np.ndarray = field(init=False, compare=False, repr=False)  # read-only cell widths
-    slopes: np.ndarray = field(init=False, compare=False, repr=False)  # read-only cell slopes
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -99,18 +98,19 @@ class Profile:
         h = np.diff(g)
         if np.any(h <= 0):
             raise InvalidInput("grid must be strictly increasing")
-        s = np.diff(v) / h
         h.setflags(write=False)
-        s.setflags(write=False)
         object.__setattr__(self, "widths", h)
-        object.__setattr__(self, "slopes", s)
-        check_slopes(s, self.slope_minus_inf, self.slope_plus_inf, self.slope_cap)
+        check_slopes(np.diff(v) / h, self.slope_minus_inf, self.slope_plus_inf, self.slope_cap)
 
     @classmethod
     def from_values(cls, grid, values, slope_cap=0.5):
         """Build a profile taking the boundary cell slopes as tails."""
         s = slopes_of(np.asarray(grid, float), np.asarray(values, float))
         return cls(grid, values, float(s[0]), float(s[-1]), slope_cap)
+
+    @property
+    def slopes(self):
+        return np.diff(self.values) / self.widths
 
     def extended_slopes(self):
         """Cell slopes bracketed by the asymptotic tail slopes."""

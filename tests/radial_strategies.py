@@ -7,17 +7,6 @@ from ma_lab import models
 from ma_lab.profiles import RelativeProfile
 
 
-def hinged_profile(c, knots, slopes):
-    """The radial potential c + slopes[0] t plus hinges (b - a) max(t - x, 0)
-    at the sorted knots x, slopes rising a -> b from one knot to the next."""
-    base = models.radial_p2().reference_potential
-    g = base.grid
-    full = c + slopes[0] * g
-    for x, a, b in zip(sorted(knots), slopes, slopes[1:]):
-        full = full + (b - a) * np.maximum(g - x, 0.0)
-    return RelativeProfile(base, full - base.values)
-
-
 @st.composite
 def radial_profiles(draw):
     """A random admissible radial potential: an additive constant plus
@@ -26,4 +15,9 @@ def radial_profiles(draw):
     knots = draw(st.lists(st.floats(-30.0, 30.0), min_size=m, max_size=m))
     slopes = sorted(draw(st.lists(st.floats(0.0, 0.5), min_size=m + 1, max_size=m + 1)))
     c = draw(st.floats(-5.0, 0.0))
-    return hinged_profile(c, knots, slopes)
+    base = models.radial_p2().reference_potential
+    g = base.grid
+    full = c + slopes[0] * g
+    for x, a, b in zip(sorted(knots), slopes, slopes[1:]):
+        full = full + (b - a) * np.maximum(g - x, 0.0)
+    return RelativeProfile(base, full - base.values)
