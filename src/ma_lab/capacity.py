@@ -183,20 +183,26 @@ def capacity_curve(model, phi, thresholds):
         exponent = float(np.polyfit(np.log(ts[sel]), np.log(vals[sel]), 1)[0])
     else:
         exponent = float(np.nan)
-    consts = {"C_phi": decay_constant(model, phi)}
-    consts.update(capacity_energy_sandwich(model, phi))
+    ladder = _ladder(model, phi)
+    consts = {"C_phi": decay_constant(model, ladder)}
+    consts.update(_sandwich(model, phi, ladder))
     return CapacityCurve(ts, vals, exponent, consts)
 
 
-def decay_constant(model, phi):
+def _ladder(model, phi):
+    """The cutoff ladder of phi shifted down to sup <= 0, if needed."""
+    return energy.cutoffs(model, energy._nonpositive(model, phi)[0])
+
+
+def decay_constant(model, ladder):
     """Explicit constant of the quadratic sublevel-capacity decay.
 
     C_phi = int phi^2 omega^2 + 4 int(-phi) omega ^ omega_phi + 2,
     the constant produced by the comparison-principle proof of the
-    decay Cap(phi < -t) <= C_phi / t^2.
+    decay Cap(phi < -t) <= C_phi / t^2, with the energies read off
+    ladder, an :func:`energy.cutoffs` ladder of phi.
     """
     require(model, RADIAL_P2, "decay_constant")
-    ladder = energy.cutoffs(model, phi)
     sq = energy.ladder_limit(model, ladder, 2.0, 0).value
     lin = energy.ladder_limit(model, ladder, 1.0, 1).value
     return sq + 4.0 * lin + 2.0
@@ -214,6 +220,11 @@ def capacity_energy_sandwich(model, phi):
     combination 2^3 e_1 (energy.capacity_energy).
     """
     require(model, RADIAL_P2, "capacity_energy_sandwich")
+    return _sandwich(model, phi, _ladder(model, phi))
+
+
+def _sandwich(model, phi, ladder):
+    """The sandwich of phi, with e_1 read off ladder (:func:`_ladder`)."""
     depth = float(-phi.offset.min())
     # past the grid depth the discrete sublevels degenerate to the fixed
     # point and the mass/capacity pair is no longer faithful; stop there
@@ -224,7 +235,6 @@ def capacity_energy_sandwich(model, phi):
     masses = sublevel_masses(m2, phi, t)
     mid = 3.0 * np.trapezoid(t ** 2 * caps, t)
     lower = np.trapezoid(masses, t)
-    ladder = energy.cutoffs(model, energy._nonpositive(model, phi)[0])
     return {
         "sandwich_lower": float(lower) * 3.0,
         "sandwich_mid": float(mid),

@@ -227,8 +227,9 @@ def _ex_divisor_bounded(outdir):
     model = radial_p2()
     corpus = verify.generate_corpus(5, 24)
     phi = corpus.with_tag("divisor_bounded")[0].phi
-    e1 = energy.ep_limit(model, phi, 1.0, j=1)
-    e2 = energy.ep_limit(model, phi, 2.0, j=1)
+    ladder = energy.cutoffs(model, phi)
+    e1 = energy.ladder_limit(model, ladder, 1.0, 1)
+    e2 = energy.ladder_limit(model, ladder, 2.0, 1)
     payload = {"mixed_e1_finite": e1.finite, "mixed_e1": e1.value,
                "mixed_p_plus_1_finite": e2.finite, "mixed_p_plus_1": e2.value}
     return payload, bool(e1.finite and e2.finite), []

@@ -130,7 +130,7 @@ def _radial_self_test(model):
     base = model.reference_potential
     dirac = RelativeProfile(base, base.grid / 2 - base.values)
     m = ma.ma_measure(model, dirac)
-    if not (dict(m.atoms).get("fixed_point_a", 0.0) > 1.0 - 1e-12
+    if not (m.atom_mass(ma.FIXED_POINT) > 1.0 - 1e-12
             and np.abs(m.density).max() < 1e-12):
         raise MaLabError("radial Dirac anchor is not the unit fixed-point atom")
 

@@ -3,8 +3,8 @@
 The radial backend inverts the sublevel-mass law in closed form: the
 target's distribution function F determines the solution slopes
 s = cap * sqrt(F) cell by cell, and one cumulative sum recovers the
-potential.  The separable product backend does the same per factor with
-s = F.  The toric backend runs a damped Newton method on the
+potential.  The separable product backend runs the same routine per
+factor with s = F.  The toric backend runs a damped Newton method on the
 Aleksandrov cell areas through a mollification schedule, with a convex
 dual merit function and an active-set reduced Jacobian.  Its line search
 keeps every target cell above a mass floor and asks for an Armijo
@@ -105,8 +105,33 @@ def dirac_preimages(model):
     return phi1, phi2
 
 
+def _solve_closed_form(model, factor_targets, target, p):
+    """Closed-form solve, factor by factor: slopes cap * F**(1/cdf_power)
+    from each factor target's distribution function F, sup psi = -1, and
+    the residual against target, the measure the factor targets describe."""
+    energy.check_exponent(p)
+    fs = []
+    for zero, m in zip(backend(model).factors(model.zero), factor_targets):
+        base = zero.base
+        if abs(m.total_mass - 1.0) > 1e-10:
+            raise InvalidInput("target mass must be 1")
+        F = m.cdf_seq
+        if F is None or F.shape != (base.grid.size + 1,):
+            raise InvalidInput("target must be a 1-D measure on the model grid")
+        if F.max() > 1.0 + 1e-12 or F.min() < -1e-15:
+            raise NotSolvableInModel("target distribution function leaves [0, 1]")
+        s = model.slope_cap * np.clip(F, 0.0, 1.0) ** (1 / model.cdf_power)
+        fs.append(RelativeProfile(base, _integrate_slopes(base.grid, s[1:-1]) - base.values))
+    shift = sum(f.sup_value for f in fs) + 1.0
+    psi = backend(model).join((fs[0].shifted(-shift),) + tuple(fs[1:]))
+    residual = ma.cdf_sup_distance(ma.ma_measure(model, psi), target)
+    e = energy.ep_limit(model, psi, p)
+    return SolveResult(psi, residual, (e.value,), "solved" if e.finite else "not_in_Ep",
+                       {"in_Ep": e.finite})
+
+
 def solve_radial(model, target, p=1.0):
-    """Closed-form radial solve.
+    """Closed-form radial solve: slopes s = cap * sqrt(F).
 
     Parameters
     ----------
@@ -114,36 +139,19 @@ def solve_radial(model, target, p=1.0):
     target : MaMeasure
         1-D measure of mass 1 on the model grid.
     p : float
-        Exponent used for the energy trace entry.
+        Exponent used for the energy trace entry and the E_p verdict.
 
     Raises
     ------
     InvalidInput
-        Mass differs from 1 beyond 1e-10.
+        Mass differs from 1 beyond 1e-10, or the target has no
+        distribution function on the model grid.
     NotSolvableInModel
-        The target distribution function exceeds 1, which would demand
-        slopes above the cap.
+        The target distribution function leaves [0, 1]; above 1 it
+        would demand slopes above the cap.
     """
     require(model, RADIAL_P2, "solve_radial")
-    energy.check_exponent(p)
-    if abs(target.total_mass - 1.0) > 1e-10:
-        raise InvalidInput("target mass must be 1")
-    F = target.cdf_seq
-    if F.size != model.reference_potential.grid.size + 1:
-        raise InvalidInput("target must live on the model grid")
-    if F.max() > 1.0 + 1e-12 or F.min() < -1e-15:
-        raise NotSolvableInModel("target distribution function leaves [0, 1]")
-    cap = model.slope_cap
-    s = cap * np.sqrt(np.clip(F, 0.0, 1.0))
-    base = model.reference_potential
-    g = base.grid
-    vals = _integrate_slopes(g, s[1:-1])
-    psi = RelativeProfile(base, vals - base.values).normalized(-1.0)
-    got = ma.ma_measure(model, psi)
-    residual = ma.cdf_sup_distance(got, target)
-    e = energy.ep_limit(model, psi, p)
-    verdict = "solved" if e.finite else "not_in_Ep"
-    return SolveResult(psi, residual, (e.value,), verdict, {"in_Ep": e.finite})
+    return _solve_closed_form(model, (target,), target, p)
 
 
 def _integrate_slopes(g, s_cells):
@@ -163,31 +171,15 @@ def _integrate_slopes(g, s_cells):
 
 
 def solve_separable(model, factor_targets, p=1.0):
-    """Per-factor closed-form solve on the product model.
+    """Per-factor closed-form solve on the product model: slopes s = F.
 
     factor_targets is a pair of 1-D measures of mass 1, one per line
-    factor, describing the target 2 * m1 (x) m2.
+    factor, describing the target 2 * m1 (x) m2.  Checks, errors and
+    verdicts are those of :func:`solve_radial`, factor by factor.
     """
     require(model, PRODUCT_P1P1, "solve_separable")
-    energy.check_exponent(p)
-    sols = []
-    for base, m in zip(model.reference_potential, factor_targets):
-        if abs(m.total_mass - 1.0) > 1e-10:
-            raise InvalidInput("factor target mass must be 1")
-        F = m.cdf_seq
-        if F.max() > 1.0 + 1e-12:
-            raise NotSolvableInModel("factor distribution function exceeds 1")
-        s = np.clip(F, 0.0, 1.0)
-        sols.append(RelativeProfile(base, _integrate_slopes(base.grid, s[1:-1])
-                                    - base.values))
-    u, v = sols
-    shift = u.sup_value + v.sup_value + 1.0
-    u = u.shifted(-shift)
-    psi = (u, v)
-    got = ma.ma_measure(model, psi)
-    tgt = ma.product_measure(((2.0, factor_targets[0], factor_targets[1]),))
-    residual = ma.cdf_sup_distance(got, tgt)
-    return SolveResult(psi, residual, (energy.ep_limit(model, psi, p).value,), "solved", {})
+    target = ma.product_measure(((2.0,) + tuple(factor_targets),))
+    return _solve_closed_form(model, factor_targets, target, p)
 
 
 def _dual_merit(areas, mom, V, P, tgt):

@@ -161,8 +161,9 @@ def generate_corpus(seed, size):
 
 
 def seed_profile(seed):
-    """Deterministic demo potential: first bounded corpus member."""
-    return generate_corpus(seed, 12).with_tag("bounded")[0].phi
+    """Deterministic demo potential: the first member of the seed's corpus,
+    which is bounded, drawn without building the corpus."""
+    return _bounded_member(radial_p2().reference_potential, np.random.default_rng(seed))
 
 
 def corpus_chains(corpus):
@@ -262,7 +263,7 @@ def check_capacity_decay(corpus, model):
     margins = []
     ts = np.geomspace(1.0, 64.0, 25)
     for phi in _monotone(corpus):
-        C = cap_mod.decay_constant(model, phi)
+        C = cap_mod.decay_constant(model, energy.cutoffs(model, phi))
         if not np.isfinite(C):
             continue
         caps = cap_mod.capacity(model, cap_mod.sublevel_abscissae(phi, ts))
@@ -384,7 +385,7 @@ def check_l1_criterion(corpus, model):
     mu = ma.ma_measure(model, singular[0].phi)
     data = []
     for phi in _bounded(corpus):
-        lhs = ma.weighted_mass(mu, np.maximum(-phi.offset, 0.0), 1.0, 1.0)
+        lhs = energy._moment(mu, phi, 1.0)
         rhs = energy.ep_integral(model, phi, 1.0, 2)
         data.append((lhs, rhs))
     A, margins = _fit_holdout(data, 0.5)
@@ -400,8 +401,7 @@ def check_lp_criterion(corpus, model):
     mu = ma.ma_measure(model, singular[-1].phi)
     data = []
     for phi in _bounded(corpus):
-        w = np.power(np.maximum(-phi.offset, 0.0), p)
-        lhs = ma.weighted_mass(mu, w, 1.0, 1.0)
+        lhs = energy._moment(mu, phi, p)
         rhs = energy.ep_integral(model, phi, p, 2)
         data.append((lhs, rhs))
     A, margins = _fit_holdout(data, p / (p + 1.0))
@@ -414,13 +414,11 @@ def check_weighted_chain(corpus, model):
     margins = []
     m0 = ma.ma_measure(model, None)
     for phi, psi in ordered_pairs(corpus):
-        wphi = np.power(np.maximum(-phi.offset, 0.0), p)
-        wpsi = np.power(np.maximum(-psi.offset, 0.0), p)
-        a0 = ma.weighted_mass(m0, wphi, 0.0, 0.0)
-        a1 = ma.weighted_mass(ma.mixed_measure(model, phi, None), wphi, 0.0, 0.0)
-        a2 = ma.weighted_mass(ma.ma_measure(model, phi), wphi, 0.0, 0.0)
-        b1 = ma.weighted_mass(ma.mixed_measure(model, psi, None), wpsi, 0.0, 0.0)
-        b2 = ma.weighted_mass(ma.ma_measure(model, psi), wpsi, 0.0, 0.0)
+        a0 = energy._moment(m0, phi, p)
+        a1 = energy._moment(ma.mixed_measure(model, phi, None), phi, p)
+        a2 = energy._moment(ma.ma_measure(model, phi), phi, p)
+        b1 = energy._moment(ma.mixed_measure(model, psi, None), psi, p)
+        b2 = energy._moment(ma.ma_measure(model, psi), psi, p)
         margins.extend([
             a1 - a0, a2 - a1,                      # ordered wedge chain
             (p + 1.0) * a1 - b1,                   # linear-wedge comparison
@@ -494,7 +492,7 @@ def check_a_priori_energy(corpus, model):
             res = solver.solve_radial(model, mu)
             sol = res.psi
             lhs = energy.ep_integral(model, sol, 1.0, 2)
-            rhs = ma.weighted_mass(mu, np.maximum(-sol.offset, 0.0), 0.0, 0.0)
+            rhs = energy._moment(mu, sol, 1.0)
             lhs_rhs.append((lhs, rhs))
         C = 2.0 * max(l / max(r, 1e-300) for l, r in lhs_rhs[:2])
         margins.extend([C * r - l for l, r in lhs_rhs[2:]])
@@ -521,9 +519,8 @@ def check_uniform_l2(corpus, model):
     data = []
     for phi, nxt in _cyclic_pairs(_bounded(corpus)):
         u = truncate(nxt.normalized(0.0), 1.0)
-        w = np.power(np.maximum(-phi.offset, 0.0), 2.0)
-        lhs = ma.weighted_mass(ma.ma_measure(model, u), w, 0.0, 0.0)
-        rhs = ma.weighted_mass(ma.ma_measure(model, phi), w, 0.0, 0.0)
+        lhs = energy._moment(ma.ma_measure(model, u), phi, 2.0)
+        rhs = energy._moment(ma.ma_measure(model, phi), phi, 2.0)
         data.append((lhs, rhs))
     A, margins = _fit_holdout(data, 0.5)
     return _report("uniform-l2-bound", margins, 10.0,
@@ -592,9 +589,8 @@ def check_energy_holder(corpus, model, p=2.0):
     data = []
     for phi in bounded[1:]:
         u = truncate(phi.normalized(0.0), 1.0)
-        w = np.power(np.maximum(-u.offset, 0.0), p)
-        lhs = ma.weighted_mass(mu, w, 0.0, 0.0)
-        rhs = ma.weighted_mass(ma.ma_measure(model, u), w, 0.0, 0.0)
+        lhs = energy._moment(mu, u, p)
+        rhs = energy._moment(ma.ma_measure(model, u), u, p)
         data.append((lhs, rhs))
     A, margins = _fit_holdout(data, gamma)
     return _report("energy-holder-domination", margins, 10.0,

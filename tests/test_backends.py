@@ -75,7 +75,8 @@ WRONG = {
     "exit_slope-toric": lambda d: capacity.exit_slope(d["toric"], 0.0),
     "capacity_curve-product": lambda d: capacity.capacity_curve(
         d["product"], d["uv"], [2.0, 4.0]),
-    "decay_constant-product": lambda d: capacity.decay_constant(d["product"], d["uv"]),
+    "decay_constant-product": lambda d: capacity.decay_constant(
+        d["product"], energy.cutoffs(d["product"], d["uv"])),
     "scaling_competitor_bound-product": lambda d: capacity.scaling_competitor_bound(
         d["product"], d["uv"], 2.0, 4.0),
     "sublevel_masses-product": lambda d: capacity.sublevel_masses(

@@ -5,7 +5,7 @@ import pytest
 
 import ma_lab.capacity as cap_mod
 from capacity_reference import reference_exit_slope
-from ma_lab import cli, ma, verify
+from ma_lab import cli, energy, ma, verify
 from ma_lab.errors import InvalidInput, PreconditionViolated
 from ma_lab.profiles import RelativeProfile, truncate, zero_offset
 from profile_reference import full_profile
@@ -88,10 +88,24 @@ def test_capacity_curve_preconditions(radial):
         cap_mod.capacity_curve(radial, deep, [0.5, 2.0])
 
 
+def test_capacity_curve_builds_one_ladder(radial, monkeypatch):
+    # the decay constant and the sandwich read their energies off one ladder
+    calls = []
+    real = energy.cutoffs
+
+    def spy(model, phi, *args):
+        calls.append(phi)
+        return real(model, phi, *args)
+
+    monkeypatch.setattr(energy, "cutoffs", spy)
+    cap_mod.capacity_curve(radial, cli._singular_profile(), cli.CAPACITY_THRESHOLDS)
+    assert len(calls) == 1
+
+
 def test_decay_bound(radial):
     base = radial.reference_potential
     phi = RelativeProfile(base, base.grid / 2 - base.values - 1.0)
-    C = cap_mod.decay_constant(radial, phi)
+    C = cap_mod.decay_constant(radial, energy.cutoffs(radial, phi))
     assert np.isfinite(C) and C > 2.0
     for t in (2.0, 8.0, 32.0):
         c = cap_mod.capacity(radial, cap_mod.sublevel_abscissae(phi, t))

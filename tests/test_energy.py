@@ -269,7 +269,7 @@ def test_one_ladder_per_potential(radial, corpus36, monkeypatch):
         energy.energy_report(radial, phi, p)
         assert len(calls) == _rungs(phi), p
     calls.clear()
-    capacity.decay_constant(radial, phi)
+    capacity.decay_constant(radial, energy.cutoffs(radial, phi))
     assert len(calls) == _rungs(phi)
     calls.clear()
     verify.check_divisor_integrability(corpus36, radial)

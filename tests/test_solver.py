@@ -113,17 +113,17 @@ def test_inverse_square_cdf_target(radial):
     assert energy.gradient_energy_verdict(radial, psi).finite
 
 
+def _factor_target(g, rng):
+    w = np.where(np.abs(g) <= 200.0, rng.random(g.size), 0.0)
+    w[0] = w[-1] = 0.0
+    w /= w.sum()
+    return ma.MaMeasure("OneD", g, w, (), 1.0, cdf_seq=np.concatenate([[0.0], np.cumsum(w)]))
+
+
 def test_separable_round_trip(product):
-    b1, b2 = product.reference_potential
-    g = b1.grid
+    g = product.reference_potential[0].grid
     rng = np.random.default_rng(5)
-    targets = []
-    for _ in range(2):
-        w = np.where(np.abs(g) <= 200.0, rng.random(g.size), 0.0)
-        w[0] = w[-1] = 0.0
-        w /= w.sum()
-        c = np.concatenate([[0.0], np.cumsum(w)])
-        targets.append(ma.MaMeasure("OneD", g, w, (), 1.0, cdf_seq=c))
+    targets = [_factor_target(g, rng) for _ in range(2)]
     res = solver.solve_separable(product, tuple(targets))
     assert res.residual <= 1e-10
     u, v = res.psi
@@ -138,6 +138,44 @@ def test_separable_validation(product, radial):
                          cdf_seq=np.linspace(0.0, 2.0, g.size + 1))
     with pytest.raises(InvalidInput):
         solver.solve_separable(product, (heavy, heavy))
+
+
+def test_separable_off_grid_factor_target(product):
+    g = product.reference_potential[0].grid
+    good = _factor_target(g, np.random.default_rng(6))
+    short = ma.MaMeasure("OneD", g, good.density, (), 1.0, cdf_seq=good.cdf_seq[:-1])
+    with pytest.raises(InvalidInput):
+        solver.solve_separable(product, (good, short))
+
+
+def test_separable_factor_cdf_below_zero(product):
+    # the radial solver rejects the same distribution function
+    g = product.reference_potential[0].grid
+    w = np.zeros(g.size)
+    w[100], w[200] = -0.3, 1.3
+    dip = ma.MaMeasure("OneD", g, w, (), 1.0, cdf_seq=np.concatenate([[0.0], np.cumsum(w)]))
+    good = _factor_target(g, np.random.default_rng(7))
+    with pytest.raises(NotSolvableInModel):
+        solver.solve_separable(product, (dip, good))
+
+
+def test_separable_fixed_point_atom_is_not_in_ep(product):
+    # the factor analogue of the radial Dirac target
+    g = product.reference_potential[0].grid
+    atom = ma.MaMeasure("OneD", g, np.zeros(g.size), ((ma.FIXED_POINT, 1.0),), 1.0,
+                        cdf_seq=np.ones(g.size + 1))
+    res = solver.solve_separable(product, (atom, _factor_target(g, np.random.default_rng(8))))
+    assert res.verdict == "not_in_Ep"
+    assert res.diagnostics["in_Ep"] is False
+
+
+def test_target_without_a_distribution_function(radial, product):
+    g = radial.reference_potential.grid
+    no_cdf = ma.MaMeasure("OneD", g, np.full(g.size, 1.0 / g.size), (), 1.0)
+    with pytest.raises(InvalidInput):
+        solver.solve_radial(radial, no_cdf)
+    with pytest.raises(InvalidInput):
+        solver.solve_separable(product, (no_cdf, no_cdf))
 
 
 def smooth_toric_target(model, seed):

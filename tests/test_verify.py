@@ -20,6 +20,13 @@ def test_corpus_deterministic():
         verify.generate_corpus(0, 0)
 
 
+def test_seed_profile_is_the_first_bounded_corpus_member():
+    for seed in range(0, 1000, 37):
+        phi = verify.seed_profile(seed)
+        member = verify.generate_corpus(seed, 12).with_tag("bounded")[0].phi
+        assert np.array_equal(phi.offset, member.offset), seed
+
+
 def test_tag_coverage():
     corpus = verify.generate_corpus(0, 90)
     for tag in TAGS:
