@@ -509,9 +509,17 @@ def _side_terms(P, Q):
 
 
 def toric_cells(t1, t2, Psi, want_jac=False):
-    """_hull_cells of a hull built for this call alone.  A caller that needs
-    more of one potential builds the _lower_hull once and holds it."""
-    return _hull_cells(_lower_hull(t1, t2, Psi), want_jac)
+    """_hull_cells of a hull built for this call alone, with the Jacobian
+    as a scipy.sparse CSR matrix.  A caller that needs more of one
+    potential builds the _lower_hull once and holds it."""
+    areas, mom, jac = _hull_cells(_lower_hull(t1, t2, Psi), want_jac)
+    if jac is not None:
+        k, l, wt, diag = jac
+        idx = np.arange(len(diag))
+        jac = sp.csr_matrix((np.concatenate([wt, wt, diag]),
+                             (np.concatenate([k, l, idx]), np.concatenate([l, k, idx]))),
+                            shape=(len(diag), len(diag)))
+    return areas, mom, jac
 
 
 def _hull_cells(hull, want_jac=False):
@@ -534,7 +542,7 @@ def _hull_cells(hull, want_jac=False):
     hull : _LowerHull
         The lower hull of the potential, from _lower_hull.
     want_jac : bool
-        Also assemble d(areas)/d(Psi) as a sparse matrix.
+        Also compute d(areas)/d(Psi), in edge form.
 
     Returns
     -------
@@ -545,9 +553,15 @@ def _hull_cells(hull, want_jac=False):
     mom : ndarray, shape (N, 2)
         First moments of the cells (used by the solver's merit
         function).
-    H : scipy.sparse matrix or None
-        Symmetric Jacobian; row sums vanish.  The entry of a hull edge
-        (k, l) is the clipped length of its dual edge over |V_l - V_k|.
+    jac : tuple (k, l, wt, diag) or None
+        The symmetric Jacobian in edge form: entry wt[e] at (k[e], l[e])
+        and at (l[e], k[e]) for each hull edge e whose dual edge meets
+        the square, and diag on the diagonal, minus the row sums, so row
+        sums vanish.  wt[e] is the clipped length of the dual edge over
+        |V_l - V_k|, and 0 when the clipped dual edge has no length.
+        Callers assemble the matrix they need (toric_cells the whole
+        CSR matrix, the Newton solver its active block) without a
+        second pass over the hull.
     """
     N = len(hull.Z)
     k, l, B, D, s0, s1 = _dual_segments(hull)
@@ -568,7 +582,7 @@ def _hull_cells(hull, want_jac=False):
     S[:, c] += (2.0, 3.0, 3.0)
     areas = np.maximum(0.5 * S[0], 0.0)
     mom = S[1:].T / 6.0
-    H = None
+    jac = None
     if want_jac:
         dV = hull.V[l] - hull.V[k]
         wt = np.hypot(*(Q - P).T) / np.hypot(*dV.T)
@@ -576,12 +590,8 @@ def _hull_cells(hull, want_jac=False):
         # way the edge leaves the square, so take the mean one-sided slope
         on_side = ((P == Q) & ((P == 0) | (P == 1))).any(axis=1)
         wt[on_side] *= 0.5
-        rowsum = np.bincount(k, wt, N) + np.bincount(l, wt, N)
-        diag = np.arange(N)
-        H = sp.csr_matrix((np.concatenate([wt, wt, -rowsum]),
-                           (np.concatenate([k, l, diag]), np.concatenate([l, k, diag]))),
-                          shape=(N, N))
-    return areas, mom, H
+        jac = (k, l, wt, -(np.bincount(k, wt, N) + np.bincount(l, wt, N)))
+    return areas, mom, jac
 
 
 def toric_hull_projection(t1, t2, Psi):

@@ -12,7 +12,12 @@ decrease of the merit; once the predicted decrease falls below the
 merit's computed rounding bound it asks for a decrease of the L1 area
 residual instead, as in the damped Newton scheme of Kitagawa, Merigot
 and Thibert for semi-discrete optimal transport, so no step is judged
-by rounding noise.
+by rounding noise.  A trial step that lifts a target node above the
+chord of two grid neighbours empties that node's cell, so it fails the
+floor; it is rejected before its lower hull is built.  The Newton matrix
+is assembled once per step, on the active nodes, from the edge-form
+Jacobian of the accepted evaluation, and each level hands its last
+evaluation (hull, cells and Jacobian) to the next.
 """
 
 from dataclasses import dataclass, field
@@ -178,7 +183,11 @@ def solve_separable(model, factor_targets, p=1.0):
     verdicts are those of :func:`solve_radial`, factor by factor.
     """
     require(model, PRODUCT_P1P1, "solve_separable")
-    target = ma.product_measure(((2.0,) + tuple(factor_targets),))
+    factor_targets = tuple(factor_targets)
+    if len(factor_targets) != 2:
+        raise InvalidInput("the product model takes two factor targets, "
+                           "one per line factor")
+    target = ma.product_measure(((2.0,) + factor_targets,))
     return _solve_closed_form(model, factor_targets, target, p)
 
 
@@ -205,7 +214,51 @@ def _separable_init(t1, t2, T):
     return pot(t1, T.sum(axis=1))[:, None] + pot(t2, T.sum(axis=0))[None, :]
 
 
-def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, hull=None):
+def _above_a_chord(Psi):
+    """Nodes of a grid potential that lie above a chord, by more than
+    1e-12 * max(1, max|Psi|): the chord of two grid neighbours placed
+    symmetrically about the node on its row, its column or either
+    diagonal, or along the edge line for a node on the boundary.
+
+    On a uniform grid the neighbours' midpoint is the node, so a node
+    above their chord lies above the lower hull: it is no hull vertex
+    and its cell is empty.  The margin keeps the test clear of qhull's
+    rounding.
+    """
+    tol = 1e-12 * max(1.0, float(np.abs(Psi).max()))
+    above = np.zeros(Psi.shape, bool)
+    above[1:-1] = Psi[1:-1] - 0.5 * (Psi[:-2] + Psi[2:]) > tol
+    above[:, 1:-1] |= Psi[:, 1:-1] - 0.5 * (Psi[:, :-2] + Psi[:, 2:]) > tol
+    inner = Psi[1:-1, 1:-1]
+    above[1:-1, 1:-1] |= ((inner - 0.5 * (Psi[:-2, :-2] + Psi[2:, 2:]) > tol)
+                          | (inner - 0.5 * (Psi[:-2, 2:] + Psi[2:, :-2]) > tol))
+    return above
+
+
+def _newton_matrix(jac, act):
+    """The Newton system's matrix from the edge-form Jacobian of _hull_cells.
+
+    It is the Jacobian's block on the active nodes, its diagonal lowered
+    by 1e-14 * max|diag| (at least 1e-300) so that the graph Laplacian's
+    constant null vector does not make it singular.  It is built as a
+    canonical CSC matrix, sorted and with no stored zeros, so its arrays
+    are those of H[act][:, act].tocsc() - shift * eye for the CSR matrix
+    H of toric_cells, and SuperLU reads the same input.
+    """
+    k, l, wt, diag = jac
+    new = np.cumsum(act) - 1
+    e = act[k] & act[l] & (wt != 0)
+    k, l, wt = new[k[e]], new[l[e]], wt[e]
+    d = diag[act]
+    n = len(d)
+    shift = max(1e-14 * float(np.abs(d).max()), 1e-300)
+    idx = np.arange(n)
+    return sp.csc_matrix((np.concatenate([wt, wt, d - shift]),
+                          (np.concatenate([k, l, idx]), np.concatenate([l, k, idx]))),
+                         shape=(n, n))
+
+
+def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, evaluation=None):
     """Damped Newton on cell areas; returns (Psi, residual, info).
 
     A trial step P + tau*d must keep every target cell above the mass
@@ -217,19 +270,29 @@ def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, hull=None):
     Kitagawa, Merigot and Thibert (JEMS 2019).  tau halves from 1 down
     to 2**-20.
 
-    Each trial builds one lower hull; an accepted step is projected onto
-    its trial's hull.  hull is Psi0's lower hull if the caller holds it.
+    A trial that lifts a target node above a chord of its grid
+    neighbours (_above_a_chord) empties that node's cell, so with a
+    positive floor it fails the floor; it is rejected before its hull is
+    built.  Every other trial builds one lower hull and its cells; an
+    accepted step is projected onto its trial's hull.  The Newton matrix
+    is assembled once per step, from the accepted evaluation's edge-form
+    Jacobian (_newton_matrix).
+
+    evaluation is Psi0's (hull, areas, mom, jac) from _hull_cells, if
+    the caller holds it, typically the previous level's last one.
 
     residual is the L1 distance of the cell areas from tgt.  info holds
     the accepted step count, the hull projection distances, the stop
     reason -- "tol" (residual below tol), "line_search" (no tau
     accepted) or "itmax" --, stalled, true unless the stop is "tol", and
-    the returned Psi's hull (None if the last projection moved a node).
+    the returned Psi's evaluation (None if the last projection moved a
+    node).
     """
-    if hull is None:
+    if evaluation is None:
         hull = ma._lower_hull(t1, t2, Psi0)
+        evaluation = (hull,) + ma._hull_cells(hull, want_jac=True)
+    hull, areas, mom, jac = evaluation
     V, P = hull.V, hull.Z
-    areas, mom, H = ma._hull_cells(hull, want_jac=True)
     F, F_bound = _dual_merit(areas, mom, V, P, tgt)
     res = float(np.abs(areas - tgt).sum())
     supp = tgt > 0
@@ -242,17 +305,19 @@ def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, hull=None):
             break
         r = tgt - areas
         act = (areas > 0) | supp
-        Ha = H[act][:, act].tocsc()
-        Ha = Ha - sp.eye(Ha.shape[0]) * max(1e-14 * np.abs(Ha.diagonal()).max(), 1e-300)
-        da = spla.spsolve(Ha, r[act])
+        da = spla.spsolve(_newton_matrix(jac, act), r[act])
         d = np.zeros(tgt.size)
         d[act] = da
         gd = float(np.dot(r, d))
         tau, ok = 1.0, False
         while tau > 2.0 ** -20:
             Pt = P + tau * d
+            # an empty target cell fails any positive floor
+            if floor > 0 and _above_a_chord(Pt.reshape(Psi0.shape)).ravel()[supp].any():
+                tau *= 0.5
+                continue
             hull_t = ma._lower_hull(t1, t2, Pt)
-            at, mt, Ht = ma._hull_cells(hull_t, want_jac=True)
+            at, mt, jt = ma._hull_cells(hull_t, want_jac=True)
             Ft, Ft_bound = _dual_merit(at, mt, V, Pt, tgt)
             if not supp.any() or at[supp].min() >= floor:
                 if tau * abs(gd) <= F_bound:
@@ -265,21 +330,22 @@ def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, hull=None):
         if not ok:
             stop = "line_search"
             break
-        hull, areas, mom, H, F, F_bound = hull_t, at, mt, Ht, Ft, Ft_bound
+        hull, areas, mom, jac, F, F_bound = hull_t, at, mt, jt, Ft, Ft_bound
         iters += 1
         # convexity safeguard: replace by the lower hull; only nodes with
         # zero area and zero target move, so areas and merit are unchanged
         P, dist = ma._hull_projection(hull)
         proj_dists.append(dist)
-        hull = hull if dist == 0 else None  # a moved P needs a new hull
         res = float(np.abs(areas - tgt).sum())
     if stop is None:
         stop = "tol" if res < tol else "itmax"
+    # a P that the last projection moved needs a new hull
+    last = None if proj_dists and proj_dists[-1] > 0 else (hull, areas, mom, jac)
     return P.reshape(Psi0.shape), res, {"iterations": iters,
                                         "stalled": stop != "tol",
                                         "stop": stop,
                                         "projection_distances": tuple(proj_dists),
-                                        "hull": hull}
+                                        "evaluation": last}
 
 
 def _gauss_smooth(T, h, eps):
@@ -335,7 +401,7 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
     if len(widths) > 1 and not all(b < a for a, b in zip(widths, widths[1:])):
         raise InvalidInput("mollification widths must decrease strictly")
     Psi = _separable_init(t1, t2, T)
-    hull = None
+    evaluation = None
     trace = []
     info = {}
     stops = []
@@ -352,9 +418,9 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
         # the full tolerance
         lvl_tol = 1e-9 if eps is not None else 1e-11
         Psi, res, info = _newton(t1, t2, Psi, tgt.ravel(), itmax=itmax, tol=lvl_tol,
-                                 hull=hull)
+                                 evaluation=evaluation)
         stops.append(info.pop("stop"))
-        hull = info.pop("hull")
+        evaluation = info.pop("evaluation")
         off = Psi - base
         off = off - off.max() - 1.0
         trace.append(float(np.sum(tgt.ravel() * (-off.ravel()) ** p) * model.volume))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from radial_strategies import radial_profiles
 
@@ -148,6 +149,14 @@ def test_separable_off_grid_factor_target(product):
         solver.solve_separable(product, (good, short))
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_separable_needs_two_factor_targets(product, count):
+    g = product.reference_potential[0].grid
+    good = _factor_target(g, np.random.default_rng(9))
+    with pytest.raises(InvalidInput):
+        solver.solve_separable(product, (good,) * count)
+
+
 def test_separable_factor_cdf_below_zero(product):
     # the radial solver rejects the same distribution function
     g = product.reference_potential[0].grid
@@ -202,6 +211,32 @@ def test_toric_direct_solve(toric32):
     assert np.abs(d - d.mean()).max() <= 1e-5
 
 
+def _solve_counting_hulls(model, target):
+    """solve_newton_toric, with the lower hulls it builds and each
+    level's Newton iterations counted."""
+    hulls, iterations = [], []
+    real_hull, real_newton = ma._lower_hull, solver._newton
+
+    def counting_hull(*args):
+        hulls.append(1)
+        return real_hull(*args)
+
+    def counting_newton(*args, **kwargs):
+        out = real_newton(*args, **kwargs)
+        iterations.append(out[2]["iterations"])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ma, "_lower_hull", counting_hull)
+        mp.setattr(solver, "_newton", counting_newton)
+        res = solver.solve_newton_toric(model, target)
+    return res, len(hulls), tuple(iterations)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
 def test_toric_schedule_boundary_target(toric32):
     # boundary-touching slopes, and the target of `ma-lab solve --model
     # toric-p1p1:32 --seed 2`: a level's full Newton step used to reach
@@ -216,12 +251,34 @@ def test_toric_schedule_boundary_target(toric32):
     boundary = ma.MaMeasure("TwoD", (t1, t2), dens, (), float(dens.sum()))
     cli_seed2, _ = smooth_toric_target(toric32, 2)
     for name, target in (("boundary", boundary), ("cli seed 2", cli_seed2)):
-        res = solver.solve_newton_toric(toric32, target)
+        res, hulls, iterations = _solve_counting_hulls(toric32, target)
         stops = res.diagnostics["stop_reasons"]
         assert res.verdict == "solved", (name, stops, res.diagnostics["l1_residual"])
         assert res.residual <= 1e-5, (name, res.residual)
         assert len(res.energy_trace) == len(solver.DEFAULT_WIDTHS) + 1
         assert stops == ("tol",) * len(res.energy_trace), (name, stops)
+    # rejecting trials by the chord check before their hull is built
+    # moves no bit of the solve, and builds fewer hulls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_above_a_chord", lambda Psi: np.zeros(Psi.shape, bool))
+        off, off_hulls, off_iterations = _solve_counting_hulls(toric32, cli_seed2)
+    assert _bits(res.psi.values) == _bits(off.psi.values)
+    assert _bits(res.energy_trace) == _bits(off.energy_trace)
+    assert _bits(res.residual) == _bits(off.residual)
+    assert (_bits(res.diagnostics["l1_residual"])
+            == _bits(off.diagnostics["l1_residual"]))
+    assert res.diagnostics["stop_reasons"] == off.diagnostics["stop_reasons"]
+    assert iterations == off_iterations
+    assert hulls < off_hulls, (hulls, off_hulls)
+
+
+def _emptied_demo_target(model):
+    """The demo target of seed 0 with no mass on the nodes [12:20, 12:20]."""
+    demo = solver._toric_demo_target(model, 0)
+    dens = demo.density.copy()
+    dens[12:20, 12:20] = 0.0
+    dens *= 2.0 / dens.sum()
+    return ma.MaMeasure("TwoD", demo.grid, dens, (), float(dens.sum()))
 
 
 def test_toric_zero_mass_region_needs_the_hull_projection(toric32):
@@ -229,14 +286,55 @@ def test_toric_zero_mass_region_needs_the_hull_projection(toric32):
     # accepted steps lift nodes of the empty region off the lower hull,
     # and only projecting them back onto it lets the last level converge
     # (without the projection its line search is exhausted)
-    demo = solver._toric_demo_target(toric32, 0)
-    dens = demo.density.copy()
-    dens[12:20, 12:20] = 0.0
-    dens *= 2.0 / dens.sum()
-    target = ma.MaMeasure("TwoD", demo.grid, dens, (), float(dens.sum()))
-    res = solver.solve_newton_toric(toric32, target)
+    res = solver.solve_newton_toric(toric32, _emptied_demo_target(toric32))
     assert res.verdict == "solved", res.diagnostics["stop_reasons"]
     assert max(res.diagnostics["newton"]["projection_distances"]) > 0
+
+
+@pytest.mark.parametrize("name", ["smooth", "emptied"])
+def test_newton_matrix_is_the_sliced_shifted_jacobian(toric32, name):
+    # every Newton system solved holds the arrays of the full Jacobian's
+    # active block, shifted, from the one-call cell kernel: SuperLU reads
+    # the same input whichever way the matrix is assembled
+    t1, t2, _ = toric32.reference_potential
+    if name == "smooth":
+        target, _ = smooth_toric_target(toric32, 0)
+    else:
+        target = _emptied_demo_target(toric32)
+    tgt = target.density.ravel() / toric32.volume
+    last, systems = {}, []
+    real_cells, real_solve = ma._hull_cells, solver.spla.spsolve
+
+    def recording_cells(hull, want_jac=False):
+        out = real_cells(hull, want_jac)
+        last.update(Z=hull.Z, areas=out[0])
+        return out
+
+    def recording_solve(A, b):
+        systems.append((A, last["Z"], last["areas"]))
+        return real_solve(A, b)
+
+    Psi0 = solver._separable_init(t1, t2, tgt.reshape(len(t1), len(t2)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ma, "_hull_cells", recording_cells)
+        mp.setattr(solver.spla, "spsolve", recording_solve)
+        solver._newton(t1, t2, Psi0, tgt, itmax=3)
+    assert len(systems) == 3
+    sizes = []
+    for A, Z, areas in systems:
+        _, _, H = ma.toric_cells(t1, t2, Z.reshape(Psi0.shape), want_jac=True)
+        act = (areas > 0) | (tgt > 0)
+        Ha = H[act][:, act].tocsc()
+        ref = Ha - sp.eye(Ha.shape[0]) * max(1e-14 * np.abs(Ha.diagonal()).max(), 1e-300)
+        assert A.format == "csc"
+        for arr in ("indptr", "indices", "data"):
+            got, want = getattr(A, arr), getattr(ref, arr)
+            assert got.dtype == want.dtype and np.array_equal(got, want), arr
+        sizes.append(A.shape[0])
+    if name == "smooth":
+        assert sizes == [tgt.size] * 3
+    else:
+        assert min(sizes) < tgt.size  # inactive nodes: zero area and zero target
 
 
 def test_toric_validation(toric32, radial):

@@ -3,7 +3,9 @@
 The vectorized dual-cell kernel in ``ma`` must agree with the
 Sutherland-Hodgman loop and the Delaunay-interpolated hull projection in
 ``toric_reference`` on smooth, degenerate and non-convex potentials, and
-build one lower hull per evaluation, held by the caller.
+build one lower hull per evaluation, held by the caller.  The Newton
+solver's chord check, which rejects a trial before its hull is built,
+may flag only nodes that qhull leaves off the lower hull.
 """
 
 import numpy as np
@@ -143,3 +145,52 @@ def test_returned_arrays_do_not_reach_the_cached_hull(grid16):
     Psi[4, 4] += 1.0
     low3, dist3 = ma.toric_hull_projection(t1, t2, Psi)
     assert dist3 > 0.5 and low3[4, 4] < Psi[4, 4]
+
+
+def assert_flagged_nodes_are_off_hull(t1, t2, Psi):
+    """Every node solver._above_a_chord flags is off qhull's lower hull
+    and has an empty cell; returns how many it flags."""
+    flagged = np.flatnonzero(solver._above_a_chord(Psi))
+    if flagged.size:
+        hull = ma._lower_hull(t1, t2, Psi)
+        areas, _, _ = ma._hull_cells(hull)
+        assert not hull.on_hull[flagged].any(), flagged[hull.on_hull[flagged]]
+        assert (areas[flagged] == 0.0).all()
+    return flagged.size
+
+
+def test_chord_check_on_newton_trials():
+    # every trial potential that the solves of the CLI's R = 32 demo
+    # targets (seeds 0-2) send to the check
+    model = models.toric_p1p1(32)
+    t1, t2, _ = model.reference_potential
+    trials = []
+    real = solver._above_a_chord
+
+    def recording(Psi):
+        trials.append(Psi.copy())
+        return real(Psi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_above_a_chord", recording)
+        for seed in range(3):
+            solver.solve_newton_toric(model, solver._toric_demo_target(model, seed))
+    flagged = [assert_flagged_nodes_are_off_hull(t1, t2, Psi) for Psi in trials]
+    assert sum(n > 0 for n in flagged) >= 50, (len(trials), flagged)
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=st.floats(0.0, 2.0), q=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       lin=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+       bumps=st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16),
+                                st.sampled_from([-1.0, 1.0]), st.floats(-13.0, 0.0)),
+                      min_size=1, max_size=12))
+def test_chord_check_on_bumped_convex_grids(grid16, w, q, lin, bumps):
+    # convex grids with bumps up and down, from well above qhull's
+    # rounding down to the check's own margin
+    t1, t2, base = grid16
+    T1, T2 = np.meshgrid(t1, t2, indexing="ij")
+    Psi = w * base + (q[0] * T1 ** 2 + q[1] * T2 ** 2) / 64 + lin[0] * T1 + lin[1] * T2
+    for i, j, sign, exponent in bumps:
+        Psi[i, j] += sign * 10.0 ** exponent
+    assert_flagged_nodes_are_off_hull(t1, t2, Psi)
