@@ -28,7 +28,7 @@ UNPASSED_OPTIONS = {
     ("convex_envelope", "slope_cap"): "public envelope kernel; tests pass the cap",
     ("legendre", "num"): "public conjugate kernel; tests vary the slope sampling",
     ("solve_separable", "p"): "public solver; its energy-trace exponent, as on the others",
-    ("solve_newton_toric", "widths"): "tests and the benchmark set the continuation",
+    ("solve_newton_toric", "widths"): "tests set the continuation",
     ("solve_newton_toric", "itmax"): "tests cap the Newton iterations",
     ("uniqueness_check", "measure_tol"): "tests loosen it for coarse toric solves",
     ("uniqueness_check", "deviation_tol"): "tests loosen it for coarse toric solves",

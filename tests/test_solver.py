@@ -211,7 +211,7 @@ def test_toric_direct_solve(toric32):
     assert np.abs(d - d.mean()).max() <= 1e-5
 
 
-def _solve_counting_hulls(model, target):
+def _solve_counting_hulls(model, target, **options):
     """solve_newton_toric, with the lower hulls it builds and each
     level's Newton iterations counted."""
     hulls, iterations = [], []
@@ -229,7 +229,7 @@ def _solve_counting_hulls(model, target):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ma, "_lower_hull", counting_hull)
         mp.setattr(solver, "_newton", counting_newton)
-        res = solver.solve_newton_toric(model, target)
+        res = solver.solve_newton_toric(model, target, **options)
     return res, len(hulls), tuple(iterations)
 
 
@@ -270,6 +270,41 @@ def test_toric_schedule_boundary_target(toric32):
     assert res.diagnostics["stop_reasons"] == off.diagnostics["stop_reasons"]
     assert iterations == off_iterations
     assert hulls < off_hulls, (hulls, off_hulls)
+
+
+EIGHT_WIDTHS = tuple(2.0 ** -j for j in range(3, 11))  # the default before (0.125,)
+
+
+def _near_dirac_target(model, node, eps):
+    """Mass 1 - eps on one node (in units of the model volume), eps
+    spread evenly over every node."""
+    t1, t2, _ = model.reference_potential
+    dens = np.full((len(t1), len(t2)), eps / (len(t1) * len(t2)))
+    dens[node] += 1.0 - eps
+    dens *= model.volume
+    return ma.MaMeasure("TwoD", (t1, t2), dens, (), float(dens.sum()))
+
+
+@pytest.mark.parametrize("kind, arg", [("cli", 0), ("cli", 1), ("cli", 2),
+                                       ("centre", 1e-3), ("corner", 1e-2)])
+def test_one_width_schedule_matches_eight_in_fewer_steps(toric32, kind, arg):
+    # the default one-level warm start solves what the eight-width
+    # schedule solves, to the same potential and energy, in fewer steps
+    if kind == "cli":  # arg is the CLI seed
+        target = solver._toric_demo_target(toric32, arg)
+    else:
+        n = len(toric32.reference_potential[0])
+        node = (n // 2, n // 2) if kind == "centre" else (0, 0)
+        target = _near_dirac_target(toric32, node, arg)
+    res, _, iterations = _solve_counting_hulls(toric32, target)
+    old, _, old_iterations = _solve_counting_hulls(toric32, target, widths=EIGHT_WIDTHS)
+    assert res.verdict == "solved" and old.verdict == "solved"
+    assert res.diagnostics["stop_reasons"] == ("tol", "tol")
+    d = res.psi.values - old.psi.values
+    assert np.abs(d - d.mean()).max() <= 1e-9
+    e, old_e = res.energy_trace[-1], old.energy_trace[-1]
+    assert abs(e - old_e) <= 1e-10 * abs(old_e)
+    assert sum(iterations) < sum(old_iterations), (iterations, old_iterations)
 
 
 def _emptied_demo_target(model):
