@@ -19,6 +19,7 @@ T or an array of them.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -238,7 +239,8 @@ def _sandwich(model, phi, ladder):
     return {
         "sandwich_lower": float(lower) * 3.0,
         "sandwich_mid": float(mid),
-        "sandwich_upper": 8.0 * energy.capacity_energy(model, ladder, 1.0)[1],
+        "sandwich_upper": 8.0 * energy.capacity_energy(
+            partial(energy.ladder_limit, model, ladder), 1.0),
     }
 
 

@@ -86,12 +86,6 @@ def _write_capacity_curve(path, model, phi):
     return curve
 
 
-def _singular_profile():
-    """Full-slope potential, singular at the fixed point, Lelong mass 1."""
-    base = radial_p2().reference_potential
-    return RelativeProfile(base, base.grid / 2 - base.values - 1.0)
-
-
 def _numeric(x):
     """A JSON number or a (nested) list of them; true/false are no numbers."""
     if isinstance(x, list):
@@ -141,11 +135,10 @@ def cmd_energy(opts, outdir):
     model = model_from_descriptor(opts["model"])
     require(model, RADIAL_P2, "the energy command")
     phi = verify.seed_profile(opts["seed"])
-    sweep = {p: energy.energy_report(model, phi, p) for p in energy.P_SWEEP}
+    reports = energy.energy_report(model, phi, energy.P_SWEEP + (opts["p"],))
     rows = [(p, rep.E_p_full, rep.gradient_energy, rep.e_p, rep.sobolev_norm)
-            for p, rep in sweep.items()]
-    p = opts["p"]
-    rep1 = sweep[p] if p in sweep else energy.energy_report(model, phi, p)
+            for p, rep in reports.items() if p in energy.P_SWEEP]
+    rep1 = reports[opts["p"]]
     _write_json(os.path.join(outdir, "energy.json"), {
         "model": opts["model"], "seed": opts["seed"], "p": opts["p"],
         "E_p_full": rep1.E_p_full, "E_p_mixed": list(rep1.E_p_mixed),
@@ -161,7 +154,7 @@ def cmd_capacity(opts, outdir):
     model = model_from_descriptor(opts["model"])
     require(model, RADIAL_P2, "the capacity command")
     curve = _write_capacity_curve(os.path.join(outdir, "capacity.csv"), model,
-                                  _singular_profile())
+                                  verify.point_seed(model.reference_potential))
     _write_json(os.path.join(outdir, "capacity.json"), {
         "model": opts["model"], "seed": opts["seed"],
         "fitted_exponent": curve.fitted_exponent,
@@ -239,8 +232,7 @@ def _ex_gradient_threshold(outdir):
     """Power-family flip of the gradient energy at exponent 1/2, with
     the explicit a^2/(1-2a) bound below the threshold."""
     model = radial_p2()
-    base = model.reference_potential
-    seed_phi = RelativeProfile(base, -base.values - 1.0)
+    seed_phi = verify.divisor_seed(model.reference_potential)
     payload = {}
     ok = True
     for alpha in (0.3, 0.4, 0.49):
@@ -281,7 +273,7 @@ def _ex_capacity_law(outdir):
     """Quadratic sublevel capacity decay of the Lelong-1 potential and
     the p-dependent membership flip of its power family."""
     model = radial_p2()
-    phi = _singular_profile()
+    phi = verify.point_seed(model.reference_potential)
     curve = _write_capacity_curve(os.path.join(outdir, "capacity_curve.csv"), model, phi)
     payload = {"fitted_exponent": curve.fitted_exponent,
                "within_tolerance": bool(abs(curve.fitted_exponent + 2.0) <= 0.1)}
@@ -300,7 +292,7 @@ def _ex_power_and_log(outdir):
     """General singular seeds: small powers land in every stated class
     and the log composition lands in all of them."""
     model = radial_p2()
-    phi = _singular_profile()
+    phi = verify.point_seed(model.reference_potential)
     v1 = energy.ep_limit(model, compose_weight(phi, ("power", 0.15)), 1.0, 2)
     log_phi = compose_weight(phi.shifted(-1.0), ("neglog",))
     v3 = energy.ep_limit(model, log_phi, 3.0, 2)
@@ -317,7 +309,7 @@ def _ex_separable_integrability(outdir):
     b1, b2 = model.reference_potential
     u = zero_offset(b1)
     alpha = 0.4
-    v = compose_weight(RelativeProfile(b2, -b2.values - 1.0), ("power", alpha))
+    v = compose_weight(verify.divisor_seed(b2), ("power", alpha))
     payload = {}
     ok = True
     # factor-side verdicts on the joint potential's cutoff ladder and classifier

@@ -17,7 +17,8 @@ sharing the ratio and tail step.
 Default exponent sweep: p in {1, 1.5, 2, 3}.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache, partial
 from math import comb
 
 import numpy as np
@@ -63,8 +64,8 @@ class EnergyReport:
     e_p: float
     sobolev_norm: float
     memberships: dict
-    sup_shift: float = 0.0
-    truncation_trace: tuple = field(default=())
+    sup_shift: float
+    truncation_trace: tuple
 
 
 def _measure_for(model, phi, j):
@@ -252,13 +253,11 @@ def _nonpositive(model, phi):
     return phi, 0.0
 
 
-def capacity_energy(model, ladder, p):
-    """The E_p verdict along a :func:`cutoffs` ladder of a potential <= 0,
-    and the capacity-facing combination e_p = E_p + 2 I_{p+1}(omega ^
-    omega_phi) + I_{p+2}(omega^2) of the limits along it."""
-    full = ladder_limit(model, ladder, p)
-    return full, (full.value + 2.0 * ladder_limit(model, ladder, p + 1.0, 1).value
-                  + ladder_limit(model, ladder, p + 2.0, 0).value)
+def capacity_energy(limit, p):
+    """The capacity-facing combination e_p = E_p + 2 I_{p+1}(omega ^
+    omega_phi) + I_{p+2}(omega^2) of a potential <= 0, from limit(q, j),
+    its (q, j) :func:`ladder_limit` along one :func:`cutoffs` ladder."""
+    return limit(p, 2).value + 2.0 * limit(p + 1.0, 1).value + limit(p + 2.0, 0).value
 
 
 def check_exponent(p):
@@ -267,40 +266,49 @@ def check_exponent(p):
         raise InvalidInput("exponent p must be a finite number >= 1")
 
 
-def energy_report(model, phi, p=1.0):
-    """Full energy bookkeeping for one potential and exponent.
+def energy_report(model, phi, ps):
+    """Full energy bookkeeping for one potential at each exponent of ps.
+
+    One sup shift, one cutoff ladder and one gradient verdict serve every
+    exponent, and each (p, j) limit along the ladder is computed once.
 
     Parameters
     ----------
     model : KahlerModel
     phi : RelativeProfile or factor pair
-    p : float
-        Finite real exponent >= 1.
+    ps : iterable of float
+        Finite real exponents >= 1.
 
     Returns
     -------
-    EnergyReport
+    dict
+        {p: EnergyReport} for each distinct p of ps, in order.
     """
-    check_exponent(p)
+    ps = dict.fromkeys(ps)
+    for p in ps:
+        check_exponent(p)
     phi, shift = _nonpositive(model, phi)
-    ladder = cutoffs(model, phi)
-    full, ep_val = capacity_energy(model, ladder, p)
-    mixed = [ladder_limit(model, ladder, p, j) for j in range(2)] + [full]
+    limit = cache(partial(ladder_limit, model, cutoffs(model, phi)))
     grad = backend(model).gradient_energy(model, phi)
     sob = float(np.sqrt(grad.value)) if grad.finite else float(np.inf)
-    in_ep = full.finite
-    in_e1 = ladder_limit(model, ladder, 1.0).finite if p != 1.0 else in_ep
-    return EnergyReport(
-        p=p,
-        E_p_full=full.value,
-        E_p_mixed=tuple(v.value for v in mixed),
-        gradient_energy=grad.value,
-        e_p=ep_val,
-        sobolev_norm=sob,
-        memberships={"in_E": grad.finite, "in_E1": in_e1, "in_Ep": in_ep},
-        sup_shift=shift,
-        truncation_trace=full.trace,
-    )
+    in_e1 = limit(1.0, 2).finite
+
+    def report(p):
+        mixed = [limit(p, j) for j in range(3)]
+        full = mixed[2]
+        return EnergyReport(
+            p=p,
+            E_p_full=full.value,
+            E_p_mixed=tuple(v.value for v in mixed),
+            gradient_energy=grad.value,
+            e_p=capacity_energy(limit, p),
+            sobolev_norm=sob,
+            memberships={"in_E": grad.finite, "in_E1": in_e1, "in_Ep": full.finite},
+            sup_shift=shift,
+            truncation_trace=full.trace,
+        )
+
+    return {p: report(p) for p in ps}
 
 
 def energy_concavity_data(model, phi, psi, p=1.0):

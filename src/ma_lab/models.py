@@ -209,7 +209,8 @@ def model_from_descriptor(desc):
         return product_p1p1()
     if kind in (TORIC_P1P1, "toric-p1p1"):
         res = desc.get("resolution", 64)
-        if isinstance(res, bool) or not isinstance(res, (int, float, str)):
+        if (isinstance(res, bool) or not isinstance(res, (int, float, str))
+                or isinstance(res, float) and not res.is_integer()):
             raise InvalidInput("toric resolution must be an integer")
         return toric_p1p1(int(res))
     raise InvalidInput(f"unknown model kind {kind!r}")

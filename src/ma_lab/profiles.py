@@ -48,6 +48,17 @@ def slopes_of(grid, values):
     return np.diff(values) / np.diff(grid)
 
 
+def integrate_slopes(grid, s, i0):
+    """The grid function with cell slopes s that is 0 at node i0: sums of
+    slope times cell width, accumulated outward from i0 on each side."""
+    seg = s * np.diff(grid)
+    vals = np.empty(grid.size)
+    vals[i0] = 0.0
+    vals[i0 + 1:] = np.cumsum(seg[i0:])
+    vals[:i0] = -np.cumsum(seg[:i0][::-1])[::-1]
+    return vals
+
+
 def check_slopes(s, lo, hi, cap):
     """Raise NotOmegaPsh unless the cell slopes s, bracketed by the tail
     slopes lo and hi, are nondecreasing (up to TOL_CONVEX relative to the
@@ -246,12 +257,7 @@ def convex_envelope(samples_t, samples_y, slope_cap=0.5):
     # anchor at the hull minimizer: first node whose outgoing slope >= 0
     nonneg = np.nonzero(raw >= 0)[0]
     i0 = int(nonneg[0]) if nonneg.size else t.size - 1
-    vals = np.empty_like(hv)
-    vals[i0] = hv[i0]
-    seg = s * np.diff(t)
-    vals[i0 + 1:] = hv[i0] + np.cumsum(seg[i0:])
-    vals[:i0] = hv[i0] - np.cumsum(seg[:i0][::-1])[::-1]
-    return Profile.from_values(t, vals, slope_cap)
+    return Profile.from_values(t, hv[i0] + integrate_slopes(t, s, i0), slope_cap)
 
 
 def legendre(p, num=2001):

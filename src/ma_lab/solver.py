@@ -33,7 +33,7 @@ from . import energy, ma
 from .errors import InvalidInput, NotSolvableInModel, PreconditionViolated
 from .models import (PRODUCT_P1P1, RADIAL_P2, TORIC_P1P1, ToricGrid, backend,
                      require)
-from .profiles import RelativeProfile
+from .profiles import RelativeProfile, integrate_slopes
 
 DEFAULT_WIDTHS = (0.125,)
 
@@ -121,7 +121,7 @@ def _solve_closed_form(model, factor_targets, target, p):
     fs = []
     for zero, m in zip(backend(model).factors(model.zero), factor_targets):
         base = zero.base
-        if abs(m.total_mass - 1.0) > 1e-10:
+        if not abs(m.total_mass - 1.0) <= 1e-10:  # nan fails too
             raise InvalidInput("target mass must be 1")
         F = m.cdf_seq
         if F is None or F.shape != (base.grid.size + 1,):
@@ -129,7 +129,11 @@ def _solve_closed_form(model, factor_targets, target, p):
         if F.max() > 1.0 + 1e-12 or F.min() < -1e-15:
             raise NotSolvableInModel("target distribution function leaves [0, 1]")
         s = model.slope_cap * np.clip(F, 0.0, 1.0) ** (1 / model.cdf_power)
-        fs.append(RelativeProfile(base, _integrate_slopes(base.grid, s[1:-1]) - base.values))
+        # anchored at the grid center, where the cells are small: integrating
+        # from a far tail would carry values ~1e14 into the core, where the
+        # ULP exceeds the cell width times any slope jitter budget
+        i0 = int(np.searchsorted(base.grid, 0.0))
+        fs.append(RelativeProfile(base, integrate_slopes(base.grid, s[1:-1], i0) - base.values))
     shift = sum(f.sup_value for f in fs) + 1.0
     psi = backend(model).join((fs[0].shifted(-shift),) + tuple(fs[1:]))
     residual = ma.cdf_sup_distance(ma.ma_measure(model, psi), target)
@@ -160,22 +164,6 @@ def solve_radial(model, target, p=1.0):
     """
     require(model, RADIAL_P2, "solve_radial")
     return _solve_closed_form(model, (target,), target, p)
-
-
-def _integrate_slopes(g, s_cells):
-    """Cumulative integral of cell slopes, anchored at the grid center.
-
-    Anchoring in the core keeps the small-step cells at full precision;
-    integrating from a far tail would carry values ~1e14 into the core
-    where the ULP exceeds the cell width times any slope jitter budget.
-    """
-    deltas = s_cells * np.diff(g)
-    i0 = int(np.searchsorted(g, 0.0))
-    vals = np.empty(g.size)
-    vals[i0] = 0.0
-    vals[i0 + 1:] = np.cumsum(deltas[i0:])
-    vals[:i0] = -np.cumsum(deltas[:i0][::-1])[::-1]
-    return vals
 
 
 def solve_separable(model, factor_targets, p=1.0):
@@ -401,7 +389,7 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
         raise InvalidInput("atoms interior to the moment square are not solvable "
                            "on the Newton path")
     t1, t2, base = model.reference_potential
-    if abs(target.total_mass - model.volume) > 1e-10:
+    if not abs(target.total_mass - model.volume) <= 1e-10:  # nan fails too
         raise InvalidInput("target mass must equal the model volume")
     if (target.density < 0).any():
         raise InvalidInput("target density must be nonnegative")

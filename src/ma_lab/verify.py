@@ -96,17 +96,25 @@ def _lelong_member(base, rng):
     return p.normalized(-1.0), lam
 
 
+def divisor_seed(base):
+    """Zero-slope potential, singular along the divisor at infinity."""
+    return RelativeProfile(base, -base.values - 1.0)
+
+
+def point_seed(base):
+    """Full-slope potential, singular at the fixed point, Lelong mass 1."""
+    return RelativeProfile(base, base.grid / 2 - base.values - 1.0)
+
+
 def _alpha_member(base, alpha):
     """Power-of-singularity family along the divisor at infinity."""
-    seed_phi = RelativeProfile(base, -base.values - 1.0)
-    return compose_weight(seed_phi, ("power", alpha))
+    return compose_weight(divisor_seed(base), ("power", alpha))
 
 
 def _point_alpha_member(base, alpha):
     """Power-of-singularity family at the fixed point; bounded near the
     divisor, hence also tagged as divisor-bounded."""
-    seed_phi = RelativeProfile(base, base.grid / 2 - base.values - 1.0)
-    return compose_weight(seed_phi, ("power", alpha))
+    return compose_weight(point_seed(base), ("power", alpha))
 
 
 def generate_corpus(seed, size):
@@ -378,35 +386,28 @@ def _fit_holdout(pairs_lhs_rhs, power):
     return A, margins
 
 
-def check_l1_criterion(corpus, model):
+def _criterion(corpus, model, check_id, p, singular_index):
+    """Fit A with int (-phi)^p dmu <= A E_p(phi)^(p/(p+1)) over the bounded
+    members, mu the measure of one divisor-bounded member."""
     singular = corpus.with_tag("divisor_bounded")
     if not singular:
-        return _report("l1-criterion-constant", [])
-    mu = ma.ma_measure(model, singular[0].phi)
-    data = []
-    for phi in _bounded(corpus):
-        lhs = energy._moment(mu, phi, 1.0)
-        rhs = energy.ep_integral(model, phi, 1.0, 2)
-        data.append((lhs, rhs))
-    A, margins = _fit_holdout(data, 0.5)
-    return _report("l1-criterion-constant", margins, 10.0,
-                   {"fitted_constant": A})
-
-
-def check_lp_criterion(corpus, model):
-    p = 2.0
-    singular = corpus.with_tag("divisor_bounded")
-    if not singular:
-        return _report("lp-criterion-constant", [])
-    mu = ma.ma_measure(model, singular[-1].phi)
+        return _report(check_id, [])
+    mu = ma.ma_measure(model, singular[singular_index].phi)
     data = []
     for phi in _bounded(corpus):
         lhs = energy._moment(mu, phi, p)
         rhs = energy.ep_integral(model, phi, p, 2)
         data.append((lhs, rhs))
     A, margins = _fit_holdout(data, p / (p + 1.0))
-    return _report("lp-criterion-constant", margins, 10.0,
-                   {"fitted_constant": A})
+    return _report(check_id, margins, 10.0, {"fitted_constant": A})
+
+
+def check_l1_criterion(corpus, model):
+    return _criterion(corpus, model, "l1-criterion-constant", 1.0, 0)
+
+
+def check_lp_criterion(corpus, model):
+    return _criterion(corpus, model, "lp-criterion-constant", 2.0, -1)
 
 
 def check_weighted_chain(corpus, model):

@@ -82,7 +82,7 @@ WRONG = {
     "sublevel_masses-product": lambda d: capacity.sublevel_masses(
         ma.ma_measure(d["product"], d["uv"]), d["uv"], [2.0]),
     "ep_limit-toric": lambda d: energy.ep_limit(d["toric"], d["grid"], 1.0),
-    "energy_report-toric": lambda d: energy.energy_report(d["toric"], d["grid"]),
+    "energy_report-toric": lambda d: energy.energy_report(d["toric"], d["grid"], (1.0,)),
     "ep_integral-toric": lambda d: energy.ep_integral(d["toric"], d["grid"], 1.0),
     "sobolev_distance-toric": lambda d: energy.sobolev_distance(
         d["toric"], d["grid"], d["grid"]),

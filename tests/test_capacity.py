@@ -98,7 +98,8 @@ def test_capacity_curve_builds_one_ladder(radial, monkeypatch):
         return real(model, phi, *args)
 
     monkeypatch.setattr(energy, "cutoffs", spy)
-    cap_mod.capacity_curve(radial, cli._singular_profile(), cli.CAPACITY_THRESHOLDS)
+    cap_mod.capacity_curve(radial, verify.point_seed(radial.reference_potential),
+                           cli.CAPACITY_THRESHOLDS)
     assert len(calls) == 1
 
 

@@ -31,6 +31,54 @@ def test_byte_identical_reruns(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("p", [1, 1.5, 2.0, 3])
+def test_energy_json_matches_its_sweep_row(tmp_path, p):
+    # a JSON integer p reads the sweep's float row of the same value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": p}))
+    assert run(["energy", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "energy.json").read_text())
+    header, *lines = (tmp_path / "energy_sweep.csv").read_text().splitlines()
+    rows = {float(r.split(",")[0]): dict(zip(header.split(","), r.split(","))) for r in lines}
+    row = rows[p]
+    assert payload["E_p_full"] == row["E_p"]
+    for key in ("e_p", "gradient_energy", "sobolev_norm"):
+        assert payload[key] == row[key], key
+
+
+@pytest.mark.parametrize("extra", [[], ["--p", "2.5"]])
+def test_energy_builds_one_ladder_and_one_gradient_verdict(tmp_path, monkeypatch, extra):
+    # one potential, every exponent: one cutoff ladder, one gradient verdict
+    # and one ladder limit per distinct (p, j)
+    from ma_lab import energy
+
+    counts = {"cutoffs": 0, "gradient_energy_verdict": 0}
+    limits = []
+
+    def counted(name):
+        f = getattr(energy, name)
+
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return spy
+
+    def limit_spy(model, ladder, p, j=2, _f=energy.ladder_limit):
+        limits.append((p, j))
+        return _f(model, ladder, p, j)
+
+    for name in counts:
+        monkeypatch.setattr(energy, name, counted(name))
+    monkeypatch.setattr(energy, "ladder_limit", limit_spy)
+    assert run(["energy", "--out", str(tmp_path)] + extra) == 0
+    ps = energy.P_SWEEP + (float(extra[-1]) if extra else 1.0,)
+    wanted = {(1.0, 2)} | {(q, j) for p in ps for q, j in
+                           ((p, 0), (p, 1), (p, 2), (p + 1.0, 1), (p + 2.0, 0))}
+    assert counts == {"cutoffs": 1, "gradient_energy_verdict": 1}
+    assert sorted(limits) == sorted(wanted)
+    assert len(limits) == (21 if extra else 17)
+
+
 def test_solve_radial_with_target(tmp_path):
     from ma_lab import models
 
@@ -72,6 +120,33 @@ def test_toric_target_with_negative_mass_exits_2(tmp_path, capsys):
     assert run(["solve", "--model", "toric-p1p1:16", "--out", str(tmp_path),
                 "--target", str(tpath)]) == 2
     assert "target density must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["radial-p2", "toric-p1p1:16"])
+def test_nan_target_exits_2_on_its_mass(tmp_path, capsys, model):
+    from ma_lab import models
+
+    m = models.model_from_descriptor(model)
+    kind, key, _ = models.backend(m).target
+    if kind == "OneD":
+        mass = np.zeros(m.reference_potential.grid.size)
+        mass[10] = 1.0
+    else:
+        t1, t2, _ = m.reference_potential
+        mass = np.full((len(t1), len(t2)), m.volume / (len(t1) * len(t2)))
+    mass.flat[11] = np.nan
+    tpath = tmp_path / "target.json"
+    tpath.write_text(json.dumps({"kind": kind, key: mass.tolist()}))
+    assert run(["solve", "--model", model, "--out", str(tmp_path),
+                "--target", str(tpath)]) == 2
+    assert "target mass must" in capsys.readouterr().err
+
+
+def test_fractional_toric_resolution_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"kind": "toric-p1p1", "resolution": 32.7}}))
+    assert run(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "toric resolution must be an integer" in capsys.readouterr().err
 
 
 def test_solve_bad_target_schema(tmp_path):

@@ -128,14 +128,14 @@ def test_energy_report_consistency(radial):
     base = radial.reference_potential
     full = 0.5 * base.values + 0.5 * models.psi_fs(base.grid + 1.0)
     phi = RelativeProfile(base, full - base.values).shifted(2.0)
-    rep = energy.energy_report(radial, phi, 2.0)
+    rep = energy.energy_report(radial, phi, (2.0,))[2.0]
     assert rep.sup_shift > 0.0  # positive sup gets renormalized
     assert rep.E_p_mixed[2] == rep.E_p_full
     assert set(rep.memberships) == {"in_E", "in_E1", "in_Ep"}
     assert all(rep.memberships.values())
     assert rep.sobolev_norm == pytest.approx(np.sqrt(rep.gradient_energy))
     with pytest.raises(InvalidInput):
-        energy.energy_report(radial, phi, 0.5)
+        energy.energy_report(radial, phi, (2.0, 0.5))
 
 
 def test_energy_mixed_order(radial):
@@ -264,10 +264,10 @@ def test_one_ladder_per_potential(radial, corpus36, monkeypatch):
     singular = [e.phi for e in corpus36.with_tag("divisor_bounded")]
     phi = singular[0]
     assert _rungs(phi) >= 10
-    for p in (1.0, 2.0):
+    for ps in ((1.0,), (2.0,), energy.P_SWEEP):
         calls.clear()
-        energy.energy_report(radial, phi, p)
-        assert len(calls) == _rungs(phi), p
+        energy.energy_report(radial, phi, ps)
+        assert len(calls) == _rungs(phi), ps
     calls.clear()
     capacity.decay_constant(radial, energy.cutoffs(radial, phi))
     assert len(calls) == _rungs(phi)
@@ -283,8 +283,11 @@ def test_energy_report_matches_ep_limit(radial, product, corpus36):
           compose_weight(RelativeProfile(b2, -b2.values - 1.0), ("power", 0.4)))
     phi = corpus36.with_tag("divisor_bounded")[0].phi
     for model, pot, ps in ((radial, phi, (1.0, 1.5, 3.0)), (product, uv, (1.0, 3.0))):
+        reports = energy.energy_report(model, pot, ps)
+        assert tuple(reports) == ps
         for p in ps:
-            rep = energy.energy_report(model, pot, p)
+            rep = reports[p]
+            assert rep.p == p
             lim = {(q, j): energy.ep_limit(model, pot, q, j) for q, j in
                    ((p, 0), (p, 1), (p, 2), (1.0, 2), (p + 1.0, 1), (p + 2.0, 0))}
             full = lim[p, 2]

@@ -111,6 +111,13 @@ def test_descriptor_dicts():
         model_from_descriptor("no-such-model")
 
 
+def test_fractional_toric_resolution_is_invalid():
+    assert model_from_descriptor({"kind": "toric-p1p1", "resolution": 32.0}).resolution == 32
+    for res in (32.7, 16.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidInput, match="toric resolution must be an integer"):
+            model_from_descriptor({"kind": "toric-p1p1", "resolution": res})
+
+
 def test_reparameterization_invariance(radial):
     # masses are invariant under t -> 2t + 1 because only slopes of the
     # full potential relative to the cap enter the measure law

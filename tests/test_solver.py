@@ -388,6 +388,27 @@ def test_toric_validation(toric32, radial):
         solver.solve_newton_toric(toric32, target, widths=(0.1, 0.2))
 
 
+def test_nan_target_fails_the_mass_check(radial, product, toric32):
+    # nan - v compares false both ways; the mass check must still reject
+    # it, before any profile or hull is built from the target
+    for model, solve in ((radial, solver.solve_radial),
+                         (product, lambda m, t: solver.solve_separable(m, (t, t)))):
+        g = models.backend(model).factors(model.zero)[0].base.grid
+        w = np.zeros(g.size)
+        w[g.size // 2] = 1.0
+        w[g.size // 2 + 1] = np.nan
+        nan_target = ma.MaMeasure("OneD", g, w, (), float(w.sum()),
+                                  cdf_seq=np.concatenate([[0.0], np.cumsum(w)]))
+        with pytest.raises(InvalidInput, match="target mass must be 1"):
+            solve(model, nan_target)
+    target, _ = smooth_toric_target(toric32, 1)
+    dens = target.density.copy()
+    dens[5, 5] = np.nan
+    nan_target = ma.MaMeasure("TwoD", target.grid, dens, (), float(dens.sum()))
+    with pytest.raises(InvalidInput, match="target mass must equal the model volume"):
+        solver.solve_newton_toric(toric32, nan_target)
+
+
 def test_uniqueness_check_contract(radial):
     base = radial.reference_potential
     phi = RelativeProfile(base, 0.5 * models.psi_fs(base.grid - 2.0)
