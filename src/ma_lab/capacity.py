@@ -26,7 +26,7 @@ import numpy as np
 from . import energy, ma
 from .errors import InvalidInput, PreconditionViolated
 from .models import RADIAL_P2, require
-from .profiles import RelativeProfile, truncate
+from .profiles import RelativeProfile
 
 FIT_EXCLUDE_TOP = 0.1  # drop the largest thresholds from the fit window
 SANDWICH_NODES = 600  # log-spaced quadrature nodes of the capacity-energy sandwich
@@ -103,33 +103,6 @@ def exit_slope(model, T):
     near = np.clip(lo + np.arange(-TANGENT_WINDOW, TANGENT_WINDOW + 1), first, g.size - 1)
     s.flat[idx] = np.minimum(cap, ratio(near).min(axis=1))
     return s if s.ndim else float(s)
-
-
-def relative_extremal(model, T):
-    """Upper envelope of admissible potentials <= 0 on X and <= -1 on {t <= T}.
-
-    Parameters
-    ----------
-    model : KahlerModel (radial)
-    T : float
-        Abscissa of the set; -inf is the empty set, +inf the whole space.
-
-    Returns
-    -------
-    RelativeProfile
-        Equals -1 on the set, lies in [-1, 0], and is admissible.
-    """
-    require(model, RADIAL_P2, "relative_extremal")
-    base = model.reference_potential
-    g = base.grid
-    if np.isposinf(T):
-        return RelativeProfile(base, np.full_like(base.values, -1.0))
-    if np.isneginf(T):
-        return RelativeProfile(base, np.zeros_like(base.values))
-    s = exit_slope(model, T)
-    line = base(T) - 1.0 + s * (g - T)
-    U = np.where(g <= T, base.values - 1.0, np.minimum(base.values, line))
-    return RelativeProfile(base, U - base.values)
 
 
 def capacity(model, T):
@@ -242,18 +215,3 @@ def _sandwich(model, phi, ladder):
         "sandwich_upper": 8.0 * energy.capacity_energy(
             partial(energy.ladder_limit, model, ladder), 1.0),
     }
-
-
-def scaling_competitor_bound(model, phi, t, s):
-    """Lower capacity bound from the rescaled cutoff competitor.
-
-    For s > t >= 1: s^{-2} * mass of omega_{max(phi,-s)}^2 on
-    {phi < -t} never exceeds Cap(phi < -t).
-    """
-    require(model, RADIAL_P2, "scaling_competitor_bound")
-    if not s > t:
-        raise InvalidInput("need s > t")
-    cut = truncate(phi, s)
-    m = ma.ma_measure(model, cut)
-    mass = float(sublevel_masses(m, phi, np.array([t]))[0])
-    return mass / s ** 2

@@ -415,7 +415,7 @@ def main(argv=None):
         os.makedirs(outdir, exist_ok=True)
         model_from_descriptor(opts["model"])  # validate the name up front
         return COMMANDS[args.command](opts, outdir)
-    # OverflowError: an input past the float range, e.g. a huge JSON integer or p = 1e308
+    # OverflowError: an input past the float range, e.g. a huge JSON integer
     except (MaLabError, ValueError, OverflowError, OSError) as exc:
         print(f"ma-lab: {exc}", file=sys.stderr)
         return 2

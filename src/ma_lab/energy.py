@@ -80,10 +80,15 @@ def _measure_for(model, phi, j):
 
 def _moment(m, f, k):
     """M_k(m, f) = integral of max(-f, 0)^k against the 1-D measure m, its
-    atoms weighted by the limits of f: inf**k is inf, inf**0 is 1."""
+    atoms weighted by the limits of f: inf**k is inf, inf**0 is 1.  A power
+    past the float range is an InvalidInput naming the exponent k."""
     ll, lr = f.limit_values()
-    return ma.weighted_mass(m, np.power(np.maximum(-f.offset, 0.0), k),
-                            abs(ll) ** k, abs(lr) ** k)
+    try:
+        with np.errstate(over="raise"):
+            w = np.power(np.maximum(-f.offset, 0.0), k)
+        return ma.weighted_mass(m, w, abs(ll) ** k, abs(lr) ** k)
+    except (FloatingPointError, OverflowError):
+        raise InvalidInput(f"the moment (-phi)^p overflows at exponent p = {k!r}") from None
 
 
 def _radial_ep(model, phi, p, j):

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from scipy.spatial import ConvexHull
 
 from .errors import InvalidInput, NotOmegaPsh
-from .models import RADIAL_P2, backend, factors, potential, require
+from .models import RADIAL_P2, ToricGrid, backend, factors, potential, require
 from .profiles import max_offsets
 
 ATOM_SLOPE_TOL = 1e-12  # slope deficits below this are treated as zero
@@ -84,15 +84,10 @@ class MaMeasure:
     def atom_mass(self, tag):
         return dict(self.atoms).get(tag, 0.0)
 
-    def cdf(self):
-        """Mass of {t <= t_i} per node (1-D only)."""
-        if self.cdf_seq is None:
-            raise InvalidInput("cdf available for 1-D measures only")
-        return self.cdf_seq[1:]
-
 
 def _normalized_ext_slopes(u, cap):
-    """u's full slopes over the cap, clipped to [0, 1]; tails as in Profile.from_values."""
+    """u's full slopes over the cap, clipped to [0, 1], bracketed by the
+    boundary cell slopes as tails."""
     s = np.diff(u.base.values + u.offset) / u.base.widths
     return np.clip(np.concatenate([s[:1], s, s[-1:]]) / cap, 0.0, 1.0)
 
@@ -179,7 +174,8 @@ def _product_mixed(model, phi, psi):
 
 
 def _toric_mixed(model, phi, psi):
-    mid = toric_measure(model, phi.combine(psi, 0.5))
+    midpoint = ToricGrid(phi.t1, phi.t2, 0.5 * phi.values + 0.5 * psi.values)
+    mid = toric_measure(model, midpoint)
     m1 = toric_measure(model, phi)
     m2 = toric_measure(model, psi)
     dens = 2.0 * mid.density - 0.5 * m1.density - 0.5 * m2.density
@@ -220,11 +216,6 @@ def mixed_measure(model, phi, psi):
     identity, evaluated without cancellation).
     """
     return backend(model).mixed(model, potential(model, phi), potential(model, psi))
-
-
-def reference_wedge(model, phi):
-    """The measure omega ^ omega_phi (mixed with the zero potential)."""
-    return mixed_measure(model, phi, None)
 
 
 def gradient_density(grid, offset, background, cap):
@@ -527,15 +518,14 @@ def _hull_cells(hull, want_jac=False):
 
     The cell of a lower-hull vertex k is the convex polygon of the
     gradients of its incident lower facets -- the 2-D discrete Legendre
-    dual, the same duality profiles.legendre uses in 1-D -- clipped to
-    the moment square.  Each lower-hull edge (k, l) is dual to one edge
-    of the cell diagram: the segment between the gradients of its two
-    lower facets, or, on the domain boundary, a ray from its one facet's
-    gradient along the outward normal.  All these are clipped to the
-    square in one vectorized pass; Green's theorem then gives every
-    cell's area and first moments as sums over its dual edges plus the
-    pieces of the square's sides it owns (see _side_terms), accumulated
-    per node with bincount.
+    dual -- clipped to the moment square.  Each lower-hull edge (k, l) is
+    dual to one edge of the cell diagram: the segment between the
+    gradients of its two lower facets, or, on the domain boundary, a ray
+    from its one facet's gradient along the outward normal.  All these
+    are clipped to the square in one vectorized pass; Green's theorem
+    then gives every cell's area and first moments as sums over its dual
+    edges plus the pieces of the square's sides it owns (see
+    _side_terms), accumulated per node with bincount.
 
     Parameters
     ----------

@@ -73,10 +73,6 @@ class KahlerModel:
     cdf_power: int
     resolution: int = None
 
-    def normalize(self, mass):
-        """Convert a raw mass to the unit-volume normalization."""
-        return mass / self.volume
-
     # built on first use, once per model, and shared: every array is read-only
     @cached_property
     def zero(self):
@@ -186,10 +182,6 @@ class ToricGrid:
         if not np.all(np.isfinite(v)):
             raise InvalidInput("non-finite toric potential")
 
-    def combine(self, other, w):
-        """Convex combination (1-w)*self + w*other."""
-        return ToricGrid(self.t1, self.t2, (1 - w) * self.values + w * other.values)
-
 
 def model_from_descriptor(desc):
     """Build a model from a descriptor dict or name string.
@@ -201,19 +193,26 @@ def model_from_descriptor(desc):
         name, _, res = desc.partition(":")
         desc = {"kind": name}
         if res:
-            desc["resolution"] = int(res)
+            desc["resolution"] = _resolution(res)
     kind = desc.get("kind")
     if kind in (RADIAL_P2, "radial-p2"):
         return radial_p2()
     if kind in (PRODUCT_P1P1, "product-p1p1"):
         return product_p1p1()
     if kind in (TORIC_P1P1, "toric-p1p1"):
-        res = desc.get("resolution", 64)
-        if (isinstance(res, bool) or not isinstance(res, (int, float, str))
-                or isinstance(res, float) and not res.is_integer()):
-            raise InvalidInput("toric resolution must be an integer")
-        return toric_p1p1(int(res))
+        return toric_p1p1(_resolution(desc.get("resolution", 64)))
     raise InvalidInput(f"unknown model kind {kind!r}")
+
+
+def _resolution(res):
+    """res as an int: an int, an integral float, or a string int() reads."""
+    if (isinstance(res, (int, str)) and not isinstance(res, bool)
+            or isinstance(res, float) and res.is_integer()):
+        try:
+            return int(res)
+        except ValueError:  # a string such as "abc" or "32.0"
+            pass
+    raise InvalidInput("toric resolution must be an integer")
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,6 @@ def default_grid(core_half_width=40.0, core_step=0.02, octaves=45, per_octave=8)
     return _GRID_CACHE[key]
 
 
-def slopes_of(grid, values):
-    """First divided differences of a grid function."""
-    return np.diff(values) / np.diff(grid)
-
-
 def integrate_slopes(grid, s, i0):
     """The grid function with cell slopes s that is 0 at node i0: sums of
     slope times cell width, accumulated outward from i0 on each side."""
@@ -62,12 +57,12 @@ def integrate_slopes(grid, s, i0):
 def check_slopes(s, lo, hi, cap):
     """Raise NotOmegaPsh unless the cell slopes s, bracketed by the tail
     slopes lo and hi, are nondecreasing (up to TOL_CONVEX relative to the
-    largest slope) and, with a cap, the tails lie in [0, cap]."""
+    largest slope) and the tails lie in [0, cap]."""
     scale = max(1.0, np.abs(s).max() if s.size else 1.0)
     ext = np.concatenate([[lo], s, [hi]])
     if np.any(np.diff(ext) < -TOL_CONVEX * scale):
         raise NotOmegaPsh("profile is not convex")
-    if cap is not None and (lo < -TOL_CONVEX or hi > cap + TOL_CONVEX):
+    if lo < -TOL_CONVEX or hi > cap + TOL_CONVEX:
         raise NotOmegaPsh("asymptotic slopes outside [0, slope_cap]")
 
 
@@ -83,11 +78,9 @@ class Profile:
         psi evaluated on the grid.
     slope_minus_inf, slope_plus_inf : float
         Affine continuation slopes beyond the grid.
-    slope_cap : float or None
+    slope_cap : float
         Maximal admissible slope of the model (1/2 on the radial
-        surface, 1 on a line factor).  None disables the [0, cap]
-        slope constraint and only convexity is enforced; this is used
-        for plain convex functions such as conjugates.
+        surface, 1 on a line factor).
     """
 
     grid: np.ndarray
@@ -113,20 +106,6 @@ class Profile:
         object.__setattr__(self, "widths", h)
         check_slopes(np.diff(v) / h, self.slope_minus_inf, self.slope_plus_inf, self.slope_cap)
 
-    @classmethod
-    def from_values(cls, grid, values, slope_cap=0.5):
-        """Build a profile taking the boundary cell slopes as tails."""
-        s = slopes_of(np.asarray(grid, float), np.asarray(values, float))
-        return cls(grid, values, float(s[0]), float(s[-1]), slope_cap)
-
-    @property
-    def slopes(self):
-        return np.diff(self.values) / self.widths
-
-    def extended_slopes(self):
-        """Cell slopes bracketed by the asymptotic tail slopes."""
-        return np.concatenate([[self.slope_minus_inf], self.slopes, [self.slope_plus_inf]])
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         out = np.interp(t, self.grid, self.values)
@@ -146,8 +125,8 @@ class RelativeProfile:
     slopes.  sup_value is the supremum of the offset over the line.  The
     offset is a read-only copy of the array passed in.  Construction
     validates the full profile base + offset, with the boundary cell
-    slopes as its tails (as Profile.from_values builds it), from one pass
-    over its slopes, and keeps only the two tail slopes.
+    slopes as its tails, from one pass over its slopes, and keeps only
+    the two tail slopes.
     """
 
     base: Profile
@@ -201,95 +180,6 @@ class RelativeProfile:
 
 def zero_offset(base):
     return RelativeProfile(base, np.zeros_like(base.values))
-
-
-def convex_envelope(samples_t, samples_y, slope_cap=0.5):
-    """Greatest convex minorant with slopes clamped to [0, slope_cap].
-
-    Parameters
-    ----------
-    samples_t, samples_y : array_like
-        Sample abscissae and obstacle values.  Abscissae are sorted and
-        deduplicated (keeping the pointwise minimum of duplicates).
-    slope_cap : float
-        Upper slope bound; the lower bound is 0.
-
-    Returns
-    -------
-    Profile
-        The envelope on the sample grid.  Beyond the data the boundary
-        cell slopes are kept.
-
-    Notes
-    -----
-    Lower convex hull by a monotone chain, then slope clamping by
-    clipping the hull's cell slopes and re-integrating from the hull's
-    minimizer; both steps are exact for piecewise-linear data.
-    """
-    t = np.asarray(samples_t, dtype=float).ravel()
-    y = np.asarray(samples_y, dtype=float).ravel()
-    if t.size != y.size or t.size < 2:
-        raise InvalidInput("need >= 2 samples")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-        raise InvalidInput("non-finite sample")
-    t, at = np.unique(t, return_inverse=True)
-    y_min = np.full(t.size, np.inf)
-    np.minimum.at(y_min, at, y)
-    y = y_min
-    if t.size < 2:
-        raise InvalidInput("need >= 2 distinct abscissae")
-
-    # monotone-chain lower hull
-    hull = []  # indices
-    for i in range(t.size):
-        while len(hull) >= 2:
-            i0, i1 = hull[-2], hull[-1]
-            # pop i1 if it lies above chord i0 -> i
-            if (y[i1] - y[i0]) * (t[i] - t[i0]) >= (y[i] - y[i0]) * (t[i1] - t[i0]):
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    hv = np.interp(t, t[hull], y[hull])
-
-    raw = slopes_of(t, hv)
-    s = np.clip(raw, 0.0, slope_cap if slope_cap is not None else np.inf)
-    # anchor at the hull minimizer: first node whose outgoing slope >= 0
-    nonneg = np.nonzero(raw >= 0)[0]
-    i0 = int(nonneg[0]) if nonneg.size else t.size - 1
-    return Profile.from_values(t, hv[i0] + integrate_slopes(t, s, i0), slope_cap)
-
-
-def legendre(p, num=2001):
-    """Discrete Legendre conjugate of a convex profile.
-
-    Parameters
-    ----------
-    p : Profile
-    num : int
-        Number of slope samples on the moment interval.
-
-    Returns
-    -------
-    Profile
-        The conjugate on [slope_minus_inf, slope_plus_inf], with
-        slope_cap None (it is a plain convex function of the slope
-        variable, not an admissible potential).
-    """
-    s_lo, s_hi = p.slope_minus_inf, p.slope_plus_inf
-    if s_hi - s_lo < 1e-300:
-        # affine profile: the conjugate is a single point
-        v = float(np.max(s_lo * p.grid - p.values))
-        eps = max(1e-12, abs(s_lo) * 1e-12)
-        return Profile(np.array([s_lo - eps, s_lo + eps]), np.array([v, v]),
-                       -np.inf, np.inf, None)
-    s = np.linspace(s_lo, s_hi, num)
-    vals = np.empty(num)
-    chunk = max(1, 10_000_000 // p.grid.size)
-    for a in range(0, num, chunk):
-        b = min(num, a + chunk)
-        vals[a:b] = np.max(s[a:b, None] * p.grid[None, :] - p.values[None, :], axis=1)
-    return Profile(s, vals, float(p.grid[0]), float(p.grid[-1]), None)
 
 
 def compose_weight(p, chi):

@@ -68,10 +68,6 @@ class CheckReport:
     worst_margin: float
     details: dict = field(default_factory=dict)
 
-    @property
-    def passed(self):
-        return self.failures == 0
-
 
 def _bounded_member(base, rng):
     """Monotone bounded offset: mixture of shifted reference potentials."""

@@ -77,8 +77,6 @@ WRONG = {
         d["product"], d["uv"], [2.0, 4.0]),
     "decay_constant-product": lambda d: capacity.decay_constant(
         d["product"], energy.cutoffs(d["product"], d["uv"])),
-    "scaling_competitor_bound-product": lambda d: capacity.scaling_competitor_bound(
-        d["product"], d["uv"], 2.0, 4.0),
     "sublevel_masses-product": lambda d: capacity.sublevel_masses(
         ma.ma_measure(d["product"], d["uv"]), d["uv"], [2.0]),
     "ep_limit-toric": lambda d: energy.ep_limit(d["toric"], d["grid"], 1.0),

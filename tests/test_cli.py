@@ -1,6 +1,7 @@
 """Command line artifacts, exit codes, and reproducibility."""
 
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -146,7 +147,17 @@ def test_fractional_toric_resolution_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": {"kind": "toric-p1p1", "resolution": 32.7}}))
     assert run(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "toric resolution must be an integer" in capsys.readouterr().err
+    assert run(["solve", "--model", "toric-p1p1:32.0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count("ma-lab: toric resolution must be an integer") == 2
+
+
+def test_overflowing_exponent_exits_2_naming_it(tmp_path, capsys):
+    # the moment (-phi)^p overflows: a package error naming p, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["energy", "--p", "1e308", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "ma-lab: the moment (-phi)^p overflows at exponent p = 1e+308\n"
 
 
 def test_solve_bad_target_schema(tmp_path):

@@ -7,7 +7,7 @@ from ma_lab import ma, models
 from ma_lab.errors import InvalidInput, MaLabError
 from ma_lab.models import (ToricGrid, model_from_descriptor, product_p1p1,
                            radial_p2, toric_p1p1)
-from profile_reference import full_profile
+from profile_reference import extended_slopes, full_profile
 
 
 def test_radial_reference_cdf_law(radial):
@@ -19,9 +19,9 @@ def test_radial_reference_cdf_law(radial):
     from scipy.special import expit
 
     sig = expit(g)
-    assert np.abs(m.cdf() - sig ** 2).max() < 5e-3
+    assert np.abs(m.cdf_seq[1:] - sig ** 2).max() < 5e-3
     i0 = int(np.searchsorted(g, 0.0))
-    assert abs(m.cdf()[i0] - 0.25) < 5e-3
+    assert abs(m.cdf_seq[1:][i0] - 0.25) < 5e-3
     assert m.total_mass == pytest.approx(1.0, abs=1e-12)
     assert not m.atoms
 
@@ -51,7 +51,6 @@ def test_radial_self_test_raises_package_error(radial, monkeypatch):
 
 def test_product_volume(product):
     assert product.volume == 2.0
-    assert product.normalize(2.0) == 1.0
     m = ma.ma_measure(product, None)
     assert m.total_mass == pytest.approx(2.0, abs=1e-12)
 
@@ -77,11 +76,14 @@ def test_toric_grid_shape_check():
 
 
 def test_toric_grid_combine():
+    # the mixed measure's midpoint of a and a + 1 is a + 1/2, which has a's
+    # cells, so polarization gives back a's own measure
     m = toric_p1p1(16)
     t1, t2, base = m.reference_potential
     a = ToricGrid(t1, t2, base)
     b = ToricGrid(t1, t2, base + 1.0)
-    assert np.allclose(a.combine(b, 0.25).values, base + 0.25)
+    want = ma.ma_measure(m, a).density
+    assert np.abs(ma.mixed_measure(m, a, b).density - want).max() < 1e-12
 
 
 def test_toric_grid_owns_frozen_values():
@@ -112,10 +114,16 @@ def test_descriptor_dicts():
 
 
 def test_fractional_toric_resolution_is_invalid():
+    # an integral float or a string int() reads is a resolution; a fraction,
+    # a non-finite float or any other string is not
     assert model_from_descriptor({"kind": "toric-p1p1", "resolution": 32.0}).resolution == 32
-    for res in (32.7, 16.5, float("nan"), float("inf")):
+    assert model_from_descriptor({"kind": "toric-p1p1", "resolution": "32"}).resolution == 32
+    assert model_from_descriptor("toric-p1p1:32").resolution == 32
+    bad = [{"kind": "toric-p1p1", "resolution": res}
+           for res in (32.7, 16.5, float("nan"), float("inf"), "abc", "32.0")]
+    for desc in bad + ["toric-p1p1:abc", "toric-p1p1:32.0"]:
         with pytest.raises(InvalidInput, match="toric resolution must be an integer"):
-            model_from_descriptor({"kind": "toric-p1p1", "resolution": res})
+            model_from_descriptor(desc)
 
 
 def test_reparameterization_invariance(radial):
@@ -130,7 +138,7 @@ def test_reparameterization_invariance(radial):
     off = full - base.values
 
     def ns(b, cap):
-        return np.clip(full_profile(RelativeProfile(b, off)).extended_slopes() / cap,
+        return np.clip(extended_slopes(full_profile(RelativeProfile(b, off))) / cap,
                        0.0, 1.0)
 
     m1 = ma.measure_1d_pair(base.grid, ns(base, 0.5), ns(base, 0.5))

@@ -1,11 +1,19 @@
-"""The public API: every name listed in ma_lab.__all__ exists, once, and
-every option of a function in src/ is passed by some call there, or
-listed with the reason it stays."""
+"""The public API and the guards on dead code in src/.
+
+Every name listed in ma_lab.__all__ exists, once.  Every option of a
+function in src/ is passed by some call there, and every function in
+src/ runs in some command of tests/reachability.py, or is listed with
+the reason it stays."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ma_lab
+import reachability
 
 
 def test_all_names_resolve_once():
@@ -25,8 +33,6 @@ UNPASSED_OPTIONS = {
     ("default_grid", "core_step"): "public grid kernel; tests build a coarse grid",
     ("default_grid", "octaves"): "public grid kernel; tests build a coarse grid",
     ("default_grid", "per_octave"): "public grid kernel; tests build a coarse grid",
-    ("convex_envelope", "slope_cap"): "public envelope kernel; tests pass the cap",
-    ("legendre", "num"): "public conjugate kernel; tests vary the slope sampling",
     ("solve_separable", "p"): "public solver; its energy-trace exponent, as on the others",
     ("solve_newton_toric", "widths"): "tests set the continuation",
     ("solve_newton_toric", "itmax"): "tests cap the Newton iterations",
@@ -94,3 +100,33 @@ def test_every_option_is_passed_or_listed():
     assert not dead, f"defaulted parameters no call in src/ passes: {dead}"
     stale = sorted(set(UNPASSED_OPTIONS) - found)
     assert not stale, f"listed options that src/ now passes or lost: {stale}"
+
+
+# Functions of src/ that no command of reachability.COMMANDS runs, each
+# kept on purpose, by "module.qualified.name".
+UNREACHED = {
+    "ma.toric_cells": "one-call cell kernel; tests and perfbench/layers.py call it",
+    "ma.toric_hull_projection": "one-call projection kernel; tests and perfbench/layers.py "
+                                "call it",
+    "ma._product_mixed": "product backend's mixed measure, in README's backend table",
+    "ma._toric_mixed": "toric backend's mixed measure, in README's backend table",
+    "energy._product_gradient": "product backend's gradient energy, in README's backend table",
+    "solver.solve_separable": "product backend's solver, in README's backend table",
+}
+
+
+def test_every_function_is_reached_or_listed(tmp_path):
+    # a fresh process, so the lru-cached model functions run inside the commands
+    path = [str(reachability.SRC.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, reachability.__file__, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    got = json.loads((tmp_path / "reached.json").read_text())
+    assert got["exit"] == [code for _, code in reachability.COMMANDS], run.stderr
+    reached = {tuple(key) for key in got["reached"]}
+    unreached = {name for key, name in reachability.defs().items() if key not in reached}
+    dead = sorted(unreached - set(UNREACHED))
+    assert not dead, f"functions in src/ that no command runs: {dead}"
+    stale = sorted(set(UNREACHED) - unreached)
+    assert not stale, f"listed functions that a command now runs or that are gone: {stale}"

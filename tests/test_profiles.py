@@ -1,9 +1,6 @@
-"""Profile kernel tests.
-
-The envelope is checked against an independent affine-minorant oracle
-and the conjugate against the closed-form conjugate of the radial
-reference potential.
-"""
+"""Profile kernel tests: construction checks, the operations on relative
+potentials, and the kept tails checked against a full Profile rebuilt
+from scratch (profile_reference)."""
 
 import numpy as np
 import pytest
@@ -11,82 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from ma_lab import profiles
 from ma_lab.errors import InvalidInput, MaLabError, NotOmegaPsh, PreconditionViolated
-from ma_lab.profiles import (Profile, RelativeProfile, compose_weight,
-                             convex_envelope, default_grid, legendre,
+from ma_lab.profiles import (Profile, RelativeProfile, compose_weight, default_grid,
                              max_offsets, scale, truncate, zero_offset)
-from profile_reference import full_profile
-
-
-def envelope_oracle(t, y, cap, query):
-    """Greatest minorant as a sup of admissible affine functions.
-
-    For piecewise-linear data the optimal slope at any point is one of
-    the clipped pairwise divided differences (or an endpoint of the
-    slope interval), so sweeping that finite candidate set is exact.
-    """
-    cands = [0.0, cap]
-    for i in range(len(t)):
-        for j in range(i + 1, len(t)):
-            s = (y[j] - y[i]) / (t[j] - t[i])
-            cands.append(min(max(s, 0.0), cap))
-    best = np.full(len(query), -np.inf)
-    for s in cands:
-        intercept = np.min(y - s * t)
-        best = np.maximum(best, s * query + intercept)
-    return best
-
-
-def test_convex_envelope_matches_affine_minorant_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        t = np.sort(rng.uniform(-5.0, 5.0, size=12))
-        t += np.arange(12) * 1e-6  # guard against duplicates
-        y = rng.uniform(-3.0, 3.0, size=12)
-        env = convex_envelope(t, y, slope_cap=0.5)
-        want = envelope_oracle(t, y, 0.5, t)
-        assert np.abs(env.values - want).max() < 1e-9
-
-
-def test_convex_envelope_tent():
-    # samples of -|t|: the envelope is the constant -1 chord
-    t = np.linspace(-1.0, 1.0, 21)
-    env = convex_envelope(t, -np.abs(t), slope_cap=0.5)
-    assert np.abs(env.values + 1.0).max() < 1e-12
-    assert 0.0 <= env.slope_minus_inf and env.slope_plus_inf <= 0.5
-
-
-def test_convex_envelope_idempotent():
-    rng = np.random.default_rng(3)
-    t = np.sort(rng.uniform(-4.0, 4.0, size=15))
-    y = rng.uniform(-2.0, 2.0, size=15)
-    env = convex_envelope(t, y, slope_cap=0.5)
-    again = convex_envelope(env.grid, env.values, slope_cap=0.5)
-    assert np.abs(env.values - again.values).max() < 1e-12
-
-
-def test_legendre_matches_fs_closed_form(radial):
-    # conjugate of 0.5*log(1+e^t) at slope s: maximize s*t - psi(t) at
-    # t = log(2s/(1-2s)), giving s*log(2s) + (1/2-s)*log(1-2s)
-    base = radial.reference_potential
-    conj = legendre(base, num=3001)
-    s = np.linspace(0.05, 0.45, 9)
-    want = s * np.log(2.0 * s) + (0.5 - s) * np.log(1.0 - 2.0 * s)
-    got = conj(s)
-    assert np.abs(got - want).max() < 1e-4
-
-
-def test_fenchel_young(radial):
-    base = radial.reference_potential
-    conj = legendre(base, num=2001)
-    rng = np.random.default_rng(1)
-    t = rng.uniform(-20.0, 20.0, size=50)
-    s = rng.uniform(0.01, 0.49, size=50)
-    lhs = base(t) + conj(s)
-    assert np.all(lhs >= s * t - 1e-9)
-    # equality at the matching slope s = psi'(t)
-    smatch = 0.5 / (1.0 + np.exp(-t))
-    gap = base(t) + conj(smatch) - smatch * t
-    assert np.abs(gap).max() < 1e-4
+from profile_reference import extended_slopes, from_values, full_profile
 
 
 def test_profile_rejects_nonconvex():
@@ -180,7 +104,7 @@ def test_sorted_slopes_always_admissible(slopes):
     g = np.arange(s.size + 1, dtype=float)
     v = np.concatenate([[0.0], np.cumsum(s)])
     p = Profile(g, v, float(s[0]), float(s[-1]), 0.5)
-    assert np.all(np.diff(p.extended_slopes()) >= -1e-12)
+    assert np.all(np.diff(extended_slopes(p)) >= -1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -213,21 +137,6 @@ def test_relative_profile_owns_a_frozen_offset(radial):
         phi.offset[0] = 0.0
 
 
-def test_convex_envelope_unsorted_duplicates():
-    # duplicate abscissae keep their lowest sample
-    rng = np.random.default_rng(11)
-    t = np.round(rng.uniform(-4.0, 4.0, size=40), 1)
-    y = rng.uniform(-2.0, 2.0, size=40)
-    u = np.unique(t)
-    assert u.size < t.size
-    lowest = np.array([y[t == x].min() for x in u])
-    env = convex_envelope(t, y, slope_cap=0.5)
-    assert np.array_equal(env.grid, u)
-    assert np.abs(env.values - envelope_oracle(u, lowest, 0.5, u)).max() < 1e-9
-    with pytest.raises(InvalidInput):
-        convex_envelope([1.0, 1.0], [0.0, 1.0])
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([0.5, 1.0]),
        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=12),
@@ -248,17 +157,17 @@ def test_kept_tails_and_slope_map_match_the_full_profile(cap, slopes, shift):
     assert phi.offset_tail_slopes() == (f.slope_minus_inf - base.slope_minus_inf,
                                         f.slope_plus_inf - base.slope_plus_inf)
     assert np.array_equal(ma._normalized_ext_slopes(phi, cap),
-                          np.clip(f.extended_slopes() / cap, 0.0, 1.0))
+                          np.clip(extended_slopes(f) / cap, 0.0, 1.0))
 
 
 def _validated_as_before(base, off):
     """RelativeProfile's checks as they ran through a full Profile: the
-    offset checks, Profile.from_values of base + offset, and the offset
+    offset checks, from_values of base + offset, and the offset
     tail check.  Returns the offset tail slopes."""
     off = np.array(off, dtype=float)
     if not np.all(np.isfinite(off)):
         raise InvalidInput("non-finite offset")
-    full = Profile.from_values(base.grid, base.values + off, base.slope_cap)
+    full = from_values(base.grid, base.values + off, base.slope_cap)
     lo = full.slope_minus_inf - base.slope_minus_inf
     hi = full.slope_plus_inf - base.slope_plus_inf
     if lo < -profiles.TOL_CONVEX or hi > profiles.TOL_CONVEX:

@@ -57,7 +57,7 @@ def test_run_checks_contract(corpus36, radial):
                                  "local-max-domination"])
     assert [r.check_id for r in reports] == sorted(r.check_id for r in reports)
     for r in reports:
-        assert r.passed, (r.check_id, r.failures, r.worst_margin)
+        assert r.failures == 0, (r.check_id, r.failures, r.worst_margin)
         assert r.instances > 0
         assert r.citation  # opaque provenance label travels with the report
 
