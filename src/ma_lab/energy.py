@@ -267,7 +267,11 @@ def capacity_energy(limit, p):
 
 def check_exponent(p):
     """Raise InvalidInput unless the energy exponent p is a finite number >= 1."""
-    if not 1.0 <= p < np.inf:  # nan fails too
+    try:
+        ok = 1.0 <= float(p) < np.inf  # nan fails too
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
         raise InvalidInput("exponent p must be a finite number >= 1")
 
 

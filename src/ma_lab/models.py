@@ -187,21 +187,26 @@ def model_from_descriptor(desc):
     """Build a model from a descriptor dict or name string.
 
     Strings take the form "radial-p2", "product-p1p1", "toric-p1p1" or
-    "toric-p1p1:R" with R the grid resolution.
+    "toric-p1p1:R" with R the grid resolution.  Only the toric kind takes
+    a resolution.
     """
     if isinstance(desc, str):
         name, _, res = desc.partition(":")
         desc = {"kind": name}
         if res:
-            desc["resolution"] = _resolution(res)
+            desc["resolution"] = res
     kind = desc.get("kind")
-    if kind in (RADIAL_P2, "radial-p2"):
-        return radial_p2()
-    if kind in (PRODUCT_P1P1, "product-p1p1"):
-        return product_p1p1()
     if kind in (TORIC_P1P1, "toric-p1p1"):
         return toric_p1p1(_resolution(desc.get("resolution", 64)))
-    raise InvalidInput(f"unknown model kind {kind!r}")
+    if kind in (RADIAL_P2, "radial-p2"):
+        build = radial_p2
+    elif kind in (PRODUCT_P1P1, "product-p1p1"):
+        build = product_p1p1
+    else:
+        raise InvalidInput(f"unknown model kind {kind!r}")
+    if "resolution" in desc:
+        raise InvalidInput(f"model kind {kind!r} takes no resolution")
+    return build()
 
 
 def _resolution(res):

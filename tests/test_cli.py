@@ -160,6 +160,15 @@ def test_overflowing_exponent_exits_2_naming_it(tmp_path, capsys):
     assert err == "ma-lab: the moment (-phi)^p overflows at exponent p = 1e+308\n"
 
 
+def test_huge_integer_exponent_exits_2(tmp_path, capsys):
+    # a JSON integer beyond the float range is no finite exponent; the
+    # message does not spell its digits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 10 ** 400}))
+    assert run(["energy", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "ma-lab: exponent p must be a finite number >= 1\n"
+
+
 def test_solve_bad_target_schema(tmp_path):
     tpath = tmp_path / "target.json"
     for bad in ({"node_mass": [1.0]}, {"kind": "OneD"}, {"kind": "TwoD"},

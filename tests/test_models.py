@@ -126,6 +126,16 @@ def test_fractional_toric_resolution_is_invalid():
             model_from_descriptor(desc)
 
 
+def test_resolution_on_a_non_toric_kind_is_invalid():
+    # only the toric kind takes a resolution; any other kind rejects one,
+    # well-formed or not, naming itself
+    for desc, kind in (("radial-p2:32", "radial-p2"), ("radial-p2:abc", "radial-p2"),
+                       ({"kind": "product-p1p1", "resolution": "abc"}, "product-p1p1")):
+        with pytest.raises(InvalidInput, match=f"model kind '{kind}' takes no resolution"):
+            model_from_descriptor(desc)
+    assert model_from_descriptor("toric-p1p1:32").resolution == 32
+
+
 def test_reparameterization_invariance(radial):
     # masses are invariant under t -> 2t + 1 because only slopes of the
     # full potential relative to the cap enter the measure law

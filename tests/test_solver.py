@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from radial_strategies import radial_profiles
 
@@ -326,38 +327,48 @@ def test_toric_zero_mass_region_needs_the_hull_projection(toric32):
     assert max(res.diagnostics["newton"]["projection_distances"]) > 0
 
 
-@pytest.mark.parametrize("name", ["smooth", "emptied"])
-def test_newton_matrix_is_the_sliced_shifted_jacobian(toric32, name):
-    # every Newton system solved holds the arrays of the full Jacobian's
-    # active block, shifted, from the one-call cell kernel: SuperLU reads
-    # the same input whichever way the matrix is assembled
-    t1, t2, _ = toric32.reference_potential
+def _newton_systems(model, name):
+    """The (A, r, Z, areas) of the 3 Newton systems _newton solves first
+    on the smooth or the emptied R = 32 target: the matrix and right-hand side
+    _banded_solve receives, and the hull heights and cell areas of the
+    evaluation they come from."""
+    t1, t2, _ = model.reference_potential
     if name == "smooth":
-        target, _ = smooth_toric_target(toric32, 0)
+        target, _ = smooth_toric_target(model, 0)
     else:
-        target = _emptied_demo_target(toric32)
-    tgt = target.density.ravel() / toric32.volume
+        target = _emptied_demo_target(model)
+    tgt = target.density.ravel() / model.volume
     last, systems = {}, []
-    real_cells, real_solve = ma._hull_cells, solver.spla.spsolve
+    real_cells, real_solve = ma._hull_cells, solver._banded_solve
 
     def recording_cells(hull, want_jac=False):
         out = real_cells(hull, want_jac)
         last.update(Z=hull.Z, areas=out[0])
         return out
 
-    def recording_solve(A, b):
-        systems.append((A, last["Z"], last["areas"]))
-        return real_solve(A, b)
+    def recording_solve(A, r):
+        systems.append((A, r, last["Z"], last["areas"]))
+        return real_solve(A, r)
 
     Psi0 = solver._separable_init(t1, t2, tgt.reshape(len(t1), len(t2)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ma, "_hull_cells", recording_cells)
-        mp.setattr(solver.spla, "spsolve", recording_solve)
+        mp.setattr(solver, "_banded_solve", recording_solve)
         solver._newton(t1, t2, Psi0, tgt, itmax=3)
+    return systems, tgt
+
+
+@pytest.mark.parametrize("name", ["smooth", "emptied"])
+def test_newton_matrix_is_the_sliced_shifted_jacobian(toric32, name):
+    # every Newton system solved holds the arrays of the full Jacobian's
+    # active block, shifted, from the one-call cell kernel: the banded
+    # solve reads the same input whichever way the matrix is assembled
+    t1, t2, _ = toric32.reference_potential
+    systems, tgt = _newton_systems(toric32, name)
     assert len(systems) == 3
     sizes = []
-    for A, Z, areas in systems:
-        _, _, H = ma.toric_cells(t1, t2, Z.reshape(Psi0.shape), want_jac=True)
+    for A, _, Z, areas in systems:
+        _, _, H = ma.toric_cells(t1, t2, Z.reshape(len(t1), len(t2)), want_jac=True)
         act = (areas > 0) | (tgt > 0)
         Ha = H[act][:, act].tocsc()
         ref = Ha - sp.eye(Ha.shape[0]) * max(1e-14 * np.abs(Ha.diagonal()).max(), 1e-300)
@@ -370,6 +381,37 @@ def test_newton_matrix_is_the_sliced_shifted_jacobian(toric32, name):
         assert sizes == [tgt.size] * 3
     else:
         assert min(sizes) < tgt.size  # inactive nodes: zero area and zero target
+
+
+@pytest.mark.parametrize("name", ["smooth", "emptied"])
+def test_banded_solve_matches_superlu(toric32, name):
+    # the banded Cholesky step in Cuthill-McKee order is SuperLU's step up
+    # to rounding, on the part Newton moves by; the constant part is the
+    # shifted null vector's, set by rounding / 1e-14 in either solver
+    systems, _ = _newton_systems(toric32, name)
+    assert len(systems) == 3
+    for A, r, _, _ in systems:
+        x, y = solver._banded_solve(A, r), spla.spsolve(A, r)
+        x, y = x - x.mean(), y - y.mean()
+        assert np.abs(x - y).max() <= 1e-8 * np.abs(y).max()
+
+
+@pytest.mark.parametrize("node, eps, verdict, stops, steps", [
+    ("centre", 1e-3, "solved", ("tol", "tol"), 13),
+    ("centre", 1e-4, "diverged", ("line_search",), 0),
+    ("corner", 1e-2, "solved", ("tol", "tol"), 9),
+    ("corner", 1e-3, "diverged", ("line_search",), 2),
+])
+def test_near_dirac_targets_keep_their_newton_run(toric32, node, eps, verdict, stops, steps):
+    # the near-Dirac targets at the edge of what the default schedule
+    # solves take the verdicts, stop reasons and last-level steps they
+    # took under SuperLU's step, and no factorization fails on them
+    n = len(toric32.reference_potential[0])
+    idx = (n // 2, n // 2) if node == "centre" else (0, 0)
+    res = solver.solve_newton_toric(toric32, _near_dirac_target(toric32, idx, eps))
+    assert res.verdict == verdict
+    assert res.diagnostics["stop_reasons"] == stops
+    assert res.diagnostics["newton"]["iterations"] == steps
 
 
 def test_toric_validation(toric32, radial):
