@@ -15,7 +15,8 @@ which is (s*/cap)^2 with s* the exit slope (0 at T = -inf, cap at
 T = +inf); this closed form is the maximizer over all admissible
 competitors because any competitor's slope at T is dominated by the
 tangent slope.  :func:`exit_slope` and :func:`capacity` take a scalar
-T or an array of them.
+T or an array of them; :func:`sublevel_capacity` gives Cap(phi < -t)
+per threshold t.
 """
 
 from dataclasses import dataclass
@@ -113,6 +114,11 @@ def capacity(model, T):
     return c if np.ndim(T) else float(c[0])
 
 
+def sublevel_capacity(model, phi, ts):
+    """Cap({phi < -t}) per threshold t, phi monotone."""
+    return capacity(model, sublevel_abscissae(phi, ts))
+
+
 def sublevel_masses(measure, phi, thresholds):
     """Mass of {phi < -t} under a 1-D measure, vectorized in t."""
     if not isinstance(phi, RelativeProfile) or measure.kind != "OneD":
@@ -151,7 +157,7 @@ def capacity_curve(model, phi, thresholds):
     ts = np.asarray(thresholds, dtype=float)
     if np.any(ts < 1.0):
         raise InvalidInput("thresholds must be >= 1")
-    vals = capacity(model, sublevel_abscissae(phi, ts))
+    vals = sublevel_capacity(model, phi, ts)
     sel = (ts >= ts.max() / 2.0) & (ts <= (1.0 - FIT_EXCLUDE_TOP) * ts.max()) & (vals > 0)
     if sel.sum() >= 2:
         exponent = float(np.polyfit(np.log(ts[sel]), np.log(vals[sel]), 1)[0])
@@ -204,7 +210,7 @@ def _sandwich(model, phi, ladder):
     # point and the mass/capacity pair is no longer faithful; stop there
     hi = max(4.0, min(depth * 0.99, 1e16))
     t = np.geomspace(1.0, hi, SANDWICH_NODES)
-    caps = capacity(model, sublevel_abscissae(phi, t))
+    caps = sublevel_capacity(model, phi, t)
     m2 = ma.ma_measure(model, phi)
     masses = sublevel_masses(m2, phi, t)
     mid = 3.0 * np.trapezoid(t ** 2 * caps, t)

@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -71,11 +70,11 @@ def _write_json(path, payload):
 
 
 def _write_csv(path, header, rows):
+    # floats as _fmt writes them, others as str; each column has the first row's type
+    fmt = ",".join("{:.17g}" if isinstance(v, (float, np.floating)) else "{}"
+                   for row in rows[:1] for v in row) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + "".join(fmt.format(*row) for row in rows))
 
 
 def _write_capacity_curve(path, model, phi):
@@ -169,7 +168,8 @@ def _write_junit(path, reports):
     lines.append(f'<testsuite name="ma-lab-verify" tests="{len(reports)}" '
                  f'failures="{failures}">')
     for r in reports:
-        name = escape(f"{r.check_id} [{r.citation}]", {'"': "&quot;"})
+        name = (f"{r.check_id} [{r.citation}]".replace("&", "&amp;").replace("<", "&lt;")
+                .replace(">", "&gt;").replace('"', "&quot;"))
         if r.failures:
             lines.append(f'  <testcase name="{name}">')
             lines.append(f'    <failure message="{r.failures} of {r.instances} '
@@ -280,8 +280,8 @@ def _ex_capacity_law(outdir):
     ok = payload["within_tolerance"]
     for p in (1.0, 2.0, 3.0):
         crit = 2.0 / (p + 2.0)
-        below = energy.ep_limit(model, compose_weight(phi, ("power", crit - 0.05)), p, 2)
-        above = energy.ep_limit(model, compose_weight(phi, ("power", crit + 0.05)), p, 2)
+        below = energy.ep_limit(model, compose_weight(phi, ("power", crit - 0.05)), p)
+        above = energy.ep_limit(model, compose_weight(phi, ("power", crit + 0.05)), p)
         payload[f"p={p}"] = {"alpha_below": crit - 0.05, "finite_below": below.finite,
                              "alpha_above": crit + 0.05, "finite_above": above.finite}
         ok = ok and below.finite and not above.finite
@@ -293,9 +293,9 @@ def _ex_power_and_log(outdir):
     and the log composition lands in all of them."""
     model = radial_p2()
     phi = verify.point_seed(model.reference_potential)
-    v1 = energy.ep_limit(model, compose_weight(phi, ("power", 0.15)), 1.0, 2)
+    v1 = energy.ep_limit(model, compose_weight(phi, ("power", 0.15)), 1.0)
     log_phi = compose_weight(phi.shifted(-1.0), ("neglog",))
-    v3 = energy.ep_limit(model, log_phi, 3.0, 2)
+    v3 = energy.ep_limit(model, log_phi, 3.0)
     payload = {"power_0.15_p1_finite": v1.finite, "power_0.15_p1": v1.value,
                "log_p3_finite": v3.finite, "log_p3": v3.value}
     return payload, bool(v1.finite and v3.finite), []
@@ -315,7 +315,7 @@ def _ex_separable_integrability(outdir):
     # factor-side verdicts on the joint potential's cutoff ladder and classifier
     ks, cuts, depth = energy.cutoffs(model, (u, v))
     for p in (1.0, 3.0):
-        joint = energy.ep_limit(model, (u, v), p, 2)
+        joint = energy.ep_limit(model, (u, v), p)
         es = [energy._moment(ma.factor_measure(vk), vk, p) for _, vk in cuts]
         factor = energy.ladder_verdict(ks, es, depth)
         payload[f"p={p}"] = {"joint_finite": joint.finite,

@@ -199,11 +199,12 @@ def ladder_limit(model, ladder, p, j=2):
     return ladder_verdict(ks, [ep_integral(model, c, p, j) for c in cuts], depth)
 
 
-def ep_limit(model, phi, p, j=2):
-    """Limit of the (p, j) energy along phi's canonical cutoffs, as a
+def ep_limit(model, phi, p):
+    """Limit of the energy E_p along phi's canonical cutoffs, as a
     DivergenceVerdict: finite flag, limit estimate (inf when divergent),
-    doubling ratio and (k, energy) trace."""
-    return ladder_limit(model, cutoffs(model, phi), p, j)
+    doubling ratio and (k, energy) trace.  Other wedges j are
+    ladder_limit(model, cutoffs(model, phi), p, j)."""
+    return ladder_limit(model, cutoffs(model, phi), p)
 
 
 def _product_gradient(model, phi):
@@ -321,28 +322,18 @@ def energy_report(model, phi, ps):
 
 
 def energy_concavity_data(model, phi, psi, p=1.0):
-    """Cross energies over all mixed measures plus proof-constant margins.
+    """Proof-constant margins of the mixed cross energies.
 
-    For u in {phi, psi} the integral of (-u)^p is taken against each of
-    omega_phi^2, omega_phi ^ omega_psi, omega_psi^2.  M is the larger of
-    the two self-energies; the reported margins are the slack in the
-    bound 6*M (p = 1) or (p+1)^{p/(p-1)} * M (p > 1) for the mixed
-    cross terms.
+    M is the larger of the self-energies of phi and psi, the integrals of
+    (-u)^p against omega_u^2; the margins margin_phi and margin_psi are
+    the slack in the bound 6*M (p = 1) or (p+1)^{p/(p-1)} * M (p > 1) of
+    the integral of (-phi)^p, resp. (-psi)^p, against omega_phi ^ omega_psi.
     """
     require(model, RADIAL_P2, "energy_concavity_data")
     phi, _ = _nonpositive(model, phi)
     psi, _ = _nonpositive(model, psi)
-    measures = {
-        "phi2": ma.ma_measure(model, phi),
-        "mix": ma.mixed_measure(model, phi, psi),
-        "psi2": ma.ma_measure(model, psi),
-    }
-    out = {f"{uname}_{mname}": _moment(m, u, p)
-           for uname, u in (("phi", phi), ("psi", psi)) for mname, m in measures.items()}
-    M = max(out["phi_phi2"], out["psi_psi2"])
+    M = max(ep_integral(model, phi, p), ep_integral(model, psi, p))
     bound = 6.0 * M if p == 1.0 else (p + 1.0) ** (p / (p - 1.0)) * M
-    out["M"] = M
-    out["bound"] = bound
-    out["margin_phi"] = bound - out["phi_mix"]
-    out["margin_psi"] = bound - out["psi_mix"]
-    return out
+    mix = ma.mixed_measure(model, phi, psi)
+    return {"margin_phi": bound - _moment(mix, phi, p),
+            "margin_psi": bound - _moment(mix, psi, p)}

@@ -205,8 +205,7 @@ def _dual_merit(areas, mom, V, P, tgt):
 
 def _separable_init(t1, t2, T):
     def pot(t, mrg):
-        s = np.clip(np.cumsum(mrg)[:-1], 0.0, 1.0)
-        return np.concatenate([[0.0], np.cumsum(s * np.diff(t))])
+        return integrate_slopes(t, np.clip(np.cumsum(mrg)[:-1], 0.0, 1.0), 0)
 
     return pot(t1, T.sum(axis=1))[:, None] + pot(t2, T.sum(axis=0))[None, :]
 

@@ -270,7 +270,7 @@ def check_capacity_decay(corpus, model):
         C = cap_mod.decay_constant(model, energy.cutoffs(model, phi))
         if not np.isfinite(C):
             continue
-        caps = cap_mod.capacity(model, cap_mod.sublevel_abscissae(phi, ts))
+        caps = cap_mod.sublevel_capacity(model, phi, ts)
         margins.extend(C / ts ** 2 - caps)
     return _report("sublevel-capacity-decay", margins)
 
@@ -409,13 +409,9 @@ def check_lp_criterion(corpus, model):
 def check_weighted_chain(corpus, model):
     p = 2.0
     margins = []
-    m0 = ma.ma_measure(model, None)
     for phi, psi in ordered_pairs(corpus):
-        a0 = energy._moment(m0, phi, p)
-        a1 = energy._moment(ma.mixed_measure(model, phi, None), phi, p)
-        a2 = energy._moment(ma.ma_measure(model, phi), phi, p)
-        b1 = energy._moment(ma.mixed_measure(model, psi, None), psi, p)
-        b2 = energy._moment(ma.ma_measure(model, psi), psi, p)
+        a0, a1, a2 = (energy.ep_integral(model, phi, p, j) for j in range(3))
+        b1, b2 = (energy.ep_integral(model, psi, p, j) for j in (1, 2))
         margins.extend([
             a1 - a0, a2 - a1,                      # ordered wedge chain
             (p + 1.0) * a1 - b1,                   # linear-wedge comparison
@@ -427,7 +423,7 @@ def check_weighted_chain(corpus, model):
 def check_truncation_free(corpus, model):
     margins = []
     for e in corpus.with_tag("alpha_family") + corpus.with_tag("divisor_bounded"):
-        v2 = energy.ep_limit(model, e.phi, 1.0, 2)
+        v2 = energy.ep_limit(model, e.phi, 1.0)
         if 0.9 <= v2.rho <= 1.02:
             continue  # inside the classifier's resolution band
 
@@ -440,8 +436,7 @@ def check_truncation_free(corpus, model):
 def check_convergence_in_capacity(corpus, model):
     margins = []
     for e in corpus.with_tag("divisor_bounded"):
-        caps = cap_mod.capacity(
-            model, cap_mod.sublevel_abscissae(e.phi, [4.0, 16.0, 64.0]))
+        caps = cap_mod.sublevel_capacity(model, e.phi, [4.0, 16.0, 64.0])
         margins.extend(-np.diff(caps))
         margins.append(0.05 - caps[-1])
     return _report("truncation-capacity-convergence", margins)
@@ -517,7 +512,7 @@ def check_uniform_l2(corpus, model):
     for phi, nxt in _cyclic_pairs(_bounded(corpus)):
         u = truncate(nxt.normalized(0.0), 1.0)
         lhs = energy._moment(ma.ma_measure(model, u), phi, 2.0)
-        rhs = energy._moment(ma.ma_measure(model, phi), phi, 2.0)
+        rhs = energy.ep_integral(model, phi, 2.0)
         data.append((lhs, rhs))
     A, margins = _fit_holdout(data, 0.5)
     return _report("uniform-l2-bound", margins, 10.0,
@@ -549,7 +544,7 @@ def check_eq6(corpus, model):
     ts = np.geomspace(1.0, 64.0, 15)
     for phi in _monotone(corpus):
         masses = cap_mod.sublevel_masses(ma.ma_measure(model, phi), phi, ts)
-        caps = cap_mod.capacity(model, cap_mod.sublevel_abscissae(phi, ts))
+        caps = cap_mod.sublevel_capacity(model, phi, ts)
         margins.extend(ts ** 2 * caps - masses)
     return _report("sublevel-mass-vs-capacity", margins, 100.0)
 
@@ -564,7 +559,7 @@ def check_eq7(corpus, model):
         rhs = cap_mod.sublevel_masses(m0, phi, ts) \
             + 2.0 / ts * cap_mod.sublevel_masses(m1, phi, ts) \
             + 1.0 / ts ** 2 * cap_mod.sublevel_masses(m2, phi, ts)
-        lhs = cap_mod.capacity(model, cap_mod.sublevel_abscissae(phi, 2.0 * ts))
+        lhs = cap_mod.sublevel_capacity(model, phi, 2.0 * ts)
         margins.extend(rhs - lhs)
     return _report("capacity-split-bound", margins, 10.0)
 
@@ -587,7 +582,7 @@ def check_energy_holder(corpus, model, p=2.0):
     for phi in bounded[1:]:
         u = truncate(phi.normalized(0.0), 1.0)
         lhs = energy._moment(mu, u, p)
-        rhs = energy._moment(ma.ma_measure(model, u), u, p)
+        rhs = energy.ep_integral(model, u, p)
         data.append((lhs, rhs))
     A, margins = _fit_holdout(data, gamma)
     return _report("energy-holder-domination", margins, 10.0,
@@ -604,7 +599,7 @@ def check_capacity_domination(corpus, model, p=2.0):
     ts = np.geomspace(1.0, 32.0, 8)
     for phi in singular:
         masses = cap_mod.sublevel_masses(mu, phi, ts)
-        caps = cap_mod.capacity(model, cap_mod.sublevel_abscissae(phi, ts))
+        caps = cap_mod.sublevel_capacity(model, phi, ts)
         data.extend(zip(masses, caps))
     A, margins = _fit_holdout(data, gamma)
     return _report("measure-capacity-domination", margins, 1.0,

@@ -78,8 +78,8 @@ def test_ep_membership_flips(radial):
     phi = singular_profile(radial)
     for p in (1.0, 2.0, 3.0):
         crit = 2.0 / (p + 2.0)
-        below = energy.ep_limit(radial, compose_weight(phi, ("power", crit - 0.05)), p, 2)
-        above = energy.ep_limit(radial, compose_weight(phi, ("power", crit + 0.05)), p, 2)
+        below = energy.ep_limit(radial, compose_weight(phi, ("power", crit - 0.05)), p)
+        above = energy.ep_limit(radial, compose_weight(phi, ("power", crit + 0.05)), p)
         assert below.finite, (p, below.rho)
         assert not above.finite, (p, above.rho)
 

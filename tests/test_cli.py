@@ -219,6 +219,34 @@ def test_verify_junit_and_exit(tmp_path):
     assert (out / "verify.csv").exists()
 
 
+def test_junit_names_are_escaped_as_by_saxutils(tmp_path):
+    from xml.sax.saxutils import escape
+
+    from ma_lab.verify import CheckReport
+    reports = [CheckReport("a&b<c>\"d'e", "Prop 1.3", 2, failures, -1.0)
+               for failures in (0, 1)]
+    cli._write_junit(tmp_path / "v.xml", reports)
+    name = escape("a&b<c>\"d'e [Prop 1.3]", {'"': "&quot;"})
+    lines = (tmp_path / "v.xml").read_text().splitlines()
+    assert f'  <testcase name="{name}"/>' in lines
+    assert f'  <testcase name="{name}">' in lines
+    assert [t.get("name") for t in ET.parse(tmp_path / "v.xml").getroot()] == [
+        "a&b<c>\"d'e [Prop 1.3]"] * 2
+
+
+def test_csv_writes_floats_with_17_digits_and_the_rest_as_str(tmp_path):
+    rows = [(np.inf, -np.inf, np.nan, -0.0, 5e-324, np.float64(0.1), 3, np.int64(7), True, "s"),
+            (1e300, 2.5, -np.nan, 0.0, 1.0, np.float32(0.1), 10 ** 20, np.int64(-1), False, "t")]
+    cli._write_csv(tmp_path / "a.csv", list("abcdefghij"), rows)
+    assert (tmp_path / "a.csv").read_bytes() == (
+        b"a,b,c,d,e,f,g,h,i,j\n"
+        b"inf,-inf,nan,-0,4.9406564584124654e-324,0.10000000000000001,3,7,True,s\n"
+        b"1.0000000000000001e+300,2.5,nan,0,1,0.10000000149011612,100000000000000000000,"
+        b"-1,False,t\n")
+    cli._write_csv(tmp_path / "b.csv", ["x"], [])
+    assert (tmp_path / "b.csv").read_bytes() == b"x\n"
+
+
 def test_verify_unknown_check(tmp_path):
     assert run(["verify", "--out", str(tmp_path), "--checks", "bogus"]) == 2
 

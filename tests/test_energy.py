@@ -40,7 +40,7 @@ def test_constant_offset_closed_form(radial):
     for p in (1.0, 2.0, 3.0):
         assert energy.ep_integral(radial, phi, p, 2) == pytest.approx(3.0 ** p,
                                                                       rel=1e-10)
-        v = energy.ep_limit(radial, phi, p, 2)
+        v = energy.ep_limit(radial, phi, p)
         assert v.finite and v.rho == 0.0
         assert v.value == pytest.approx(3.0 ** p, rel=1e-10)
 
@@ -54,8 +54,8 @@ def test_wedge_index_validation(radial):
 def test_point_family_threshold(radial, point_family):
     # membership in E^p flips at alpha = 2/(p+2)
     for p, lo, hi in ((1.0, 0.5, 0.8), (2.0, 0.35, 0.65), (3.0, 0.3, 0.5)):
-        below = energy.ep_limit(radial, point_family(lo), p, 2)
-        above = energy.ep_limit(radial, point_family(hi), p, 2)
+        below = energy.ep_limit(radial, point_family(lo), p)
+        above = energy.ep_limit(radial, point_family(hi), p)
         assert below.finite, (p, lo)
         assert not above.finite, (p, hi)
         assert above.rho >= 1.0
@@ -74,7 +74,7 @@ def test_partial_final_doubling_regression(radial, divisor_family):
     # convergent band
     phi = divisor_family(0.5)
     for p in (2.0, 3.0):
-        v = energy.ep_limit(radial, phi, p, 2)
+        v = energy.ep_limit(radial, phi, p)
         assert not v.finite, (p, v.rho)
         assert v.rho >= energy.RHO_INF_EP
 
@@ -85,8 +85,8 @@ def test_product_separable_threshold(product):
     b1, b2 = product.reference_potential
     u = zero_offset(b1)
     v = compose_weight(RelativeProfile(b2, -b2.values - 1.0), ("power", 0.4))
-    fin = energy.ep_limit(product, (u, v), 1.0, 2)
-    div = energy.ep_limit(product, (u, v), 3.0, 2)
+    fin = energy.ep_limit(product, (u, v), 1.0)
+    div = energy.ep_limit(product, (u, v), 3.0)
     assert fin.finite
     assert not div.finite
     assert div.rho == pytest.approx(2.0 * np.sqrt(2.0), rel=0.05)
@@ -277,7 +277,7 @@ def test_one_ladder_per_potential(radial, corpus36, monkeypatch):
 
 
 def test_energy_report_matches_ep_limit(radial, product, corpus36):
-    # every energy in the report is bitwise the independent ep_limit value
+    # every energy in the report is bitwise the independent ladder_limit value
     b1, b2 = product.reference_potential
     uv = (zero_offset(b1),
           compose_weight(RelativeProfile(b2, -b2.values - 1.0), ("power", 0.4)))
@@ -288,8 +288,8 @@ def test_energy_report_matches_ep_limit(radial, product, corpus36):
         for p in ps:
             rep = reports[p]
             assert rep.p == p
-            lim = {(q, j): energy.ep_limit(model, pot, q, j) for q, j in
-                   ((p, 0), (p, 1), (p, 2), (1.0, 2), (p + 1.0, 1), (p + 2.0, 0))}
+            lim = {(q, j): energy.ladder_limit(model, energy.cutoffs(model, pot), q, j)
+                   for q, j in ((p, 0), (p, 1), (p, 2), (1.0, 2), (p + 1.0, 1), (p + 2.0, 0))}
             full = lim[p, 2]
             assert rep.sup_shift == 0.0
             assert rep.E_p_full == full.value
@@ -393,8 +393,8 @@ def test_product_ep_needs_integer_p_and_nonpositive_sum(product):
 
 
 def test_profile_validated_once_per_cutoff(radial, product, corpus36, monkeypatch):
-    # ep_limit validates one profile per truncating rung (the RelativeProfile
-    # of the cutoff); measures and integrals of an existing potential and
+    # a cutoff ladder validates one profile per truncating rung (the
+    # RelativeProfile of the cutoff); measures and integrals of an existing potential and
     # of the cached zero potential validate none.  check_slopes is the one
     # slope validation of Profile and RelativeProfile construction.
     phi = corpus36.with_tag("divisor_bounded")[0].phi
@@ -417,7 +417,7 @@ def test_profile_validated_once_per_cutoff(radial, product, corpus36, monkeypatc
     assert rungs >= 10
     for j in range(3):
         builds.clear()
-        energy.ep_limit(radial, phi, 1.0, j)
+        energy.ladder_limit(radial, energy.cutoffs(radial, phi), 1.0, j)
         assert len(builds) == rungs
     builds.clear()
     for model, a, b in ((radial, phi, psi), (product, (u, v), (v, u))):

@@ -1,9 +1,9 @@
 """The public API and the guards on dead code in src/.
 
 Every name listed in ma_lab.__all__ exists, once.  Every option of a
-function in src/ is passed by some call there, and every function in
-src/ runs in some command of tests/reachability.py, or is listed with
-the reason it stays."""
+function in src/ takes more than one value in the calls there, and every
+function in src/ runs in some command of tests/reachability.py, or is
+listed with the reason it stays."""
 
 import ast
 import json
@@ -44,8 +44,8 @@ UNPASSED_OPTIONS = {
 
 
 def _defaulted_params(tree):
-    """(function name, parameter, positional index or None) of every
-    defaulted parameter; a method's index does not count self or cls."""
+    """(function name, parameter, positional index or None, default node) of
+    every defaulted parameter; a method's index does not count self or cls."""
     out = []
     for fn in ast.walk(tree):
         if not isinstance(fn, ast.FunctionDef):
@@ -55,24 +55,42 @@ def _defaulted_params(tree):
         if pos and pos[0].arg in ("self", "cls"):
             pos = pos[1:]
         first = len(pos) - len(a.defaults)
-        out += [(fn.name, x.arg, i) for i, x in enumerate(pos) if i >= first]
-        out += [(fn.name, x.arg, None)
+        out += [(fn.name, x.arg, i, a.defaults[i - first])
+                for i, x in enumerate(pos) if i >= first]
+        out += [(fn.name, x.arg, None, d)
                 for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
     return out
 
 
-def _passes(call, param, index):
-    if any(k.arg in (param, None) for k in call.keywords):  # None: **kwargs
-        return True
+def _given(call, param, index):
+    """The argument node call gives param, None if it gives none, or
+    ast.Starred when *args or **kwargs may give it."""
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+        if k.arg is None:  # **kwargs
+            return ast.Starred()
     if index is None:
+        return None
+    if any(isinstance(x, ast.Starred) for x in call.args[:index + 1]):
+        return ast.Starred()
+    return call.args[index] if len(call.args) > index else None
+
+
+def _literal(node):
+    try:
+        ast.literal_eval(node)
+    except ValueError:
         return False
-    return len(call.args) > index or any(
-        isinstance(x, ast.Starred) for x in call.args[:index + 1])
+    return True
 
 
-def unpassed_options(sources):
-    """(function, parameter) of each defaulted parameter that no call in
-    the sources passes, by keyword or positionally at or past its index."""
+def one_value_options(sources):
+    """(function, parameter) of each defaulted parameter that its calls in
+    the sources give one value only: no call passes it, or every call
+    gives it the same literal, the default counting for a call that does
+    not pass it.  A value is the argument's source text; a starred
+    argument is a value of its own."""
     trees = [ast.parse(s) for s in sources]
     calls = {}
     for node in (n for t in trees for n in ast.walk(t)):
@@ -80,24 +98,37 @@ def unpassed_options(sources):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
             calls.setdefault(name, []).append(node)
-    return {(fn, param) for t in trees for fn, param, index in _defaulted_params(t)
-            if not any(_passes(c, param, index) for c in calls.get(fn, ()))}
+    found = set()
+    for fn, param, index, default in (d for t in trees for d in _defaulted_params(t)):
+        given = [_given(c, param, index) for c in calls.get(fn, ())]
+        if any(isinstance(g, ast.Starred) for g in given):
+            continue
+        nodes = [default if g is None else g for g in given]
+        if all(g is None for g in given) or (
+                len({ast.unparse(n) for n in nodes}) == 1 and _literal(nodes[0])):
+            found.add((fn, param))
+    return found
 
 
 def test_unpassed_option_finder():
     src = ("def f(a, b=1, *, c=2): pass\n"
            "class K:\n    def m(self, x=0): pass\n"
            "f(0, 1)\n")
-    assert unpassed_options([src]) == {("f", "c"), ("m", "x")}
-    assert unpassed_options([src, "f(0, c=3)\nk.m(1)"]) == set()
-    assert unpassed_options([src, "f(*xs, **kw)\nK.m(**kw)"]) == set()
+    assert one_value_options([src]) == {("f", "b"), ("f", "c"), ("m", "x")}
+    assert one_value_options([src, "f(0, 2, c=3)\nk.m(1)\nK().m()"]) == set()
+    assert one_value_options([src, "f(*xs, **kw)\nK.m(**kw)"]) == set()
+    # one value: every call gives the same literal, passed or by default
+    assert one_value_options([src, "f(0, b=1, c=3)\nk.m(1)"]) == {("f", "b"), ("m", "x")}
+    assert one_value_options([src, "f(0, 2, c=2)\nk.m(0)"]) == {("f", "c"), ("m", "x")}
+    # a variable passed can take any value
+    assert one_value_options([src, "f(0, n, c=n)\nk.m(x)"]) == set()
 
 
 def test_every_option_is_passed_or_listed():
     src = Path(ma_lab.__file__).parent
-    found = unpassed_options(p.read_text() for p in sorted(src.glob("*.py")))
+    found = one_value_options(p.read_text() for p in sorted(src.glob("*.py")))
     dead = sorted(found - set(UNPASSED_OPTIONS))
-    assert not dead, f"defaulted parameters no call in src/ passes: {dead}"
+    assert not dead, f"defaulted parameters that calls in src/ give one value only: {dead}"
     stale = sorted(set(UNPASSED_OPTIONS) - found)
     assert not stale, f"listed options that src/ now passes or lost: {stale}"
 

@@ -109,9 +109,9 @@ def test_inverse_square_cdf_target(radial):
     assert res.residual <= 1e-10
     assert res.verdict == "solved"
     psi = res.psi
-    assert energy.ep_limit(radial, psi, 1.0, 2).finite
-    assert energy.ep_limit(radial, psi, 1.5, 2).finite
-    assert not energy.ep_limit(radial, psi, 3.0, 2).finite
+    assert energy.ep_limit(radial, psi, 1.0).finite
+    assert energy.ep_limit(radial, psi, 1.5).finite
+    assert not energy.ep_limit(radial, psi, 3.0).finite
     assert energy.gradient_energy_verdict(radial, psi).finite
 
 
