@@ -312,12 +312,13 @@ def _ex_separable_integrability(outdir):
     v = compose_weight(verify.divisor_seed(b2), ("power", alpha))
     payload = {}
     ok = True
-    # factor-side verdicts on the joint potential's cutoff ladder and classifier
-    ks, cuts, depth = energy.cutoffs(model, (u, v))
+    # joint and factor-side verdicts on the joint potential's one cutoff ladder
+    ladder = energy.cutoffs(model, (u, v))
+    cuts = [ladder.cut(i) for i in range(len(ladder.ks))]
     for p in (1.0, 3.0):
-        joint = energy.ep_limit(model, (u, v), p)
+        joint = energy.ladder_limit(model, ladder, p)
         es = [energy._moment(ma.factor_measure(vk), vk, p) for _, vk in cuts]
-        factor = energy.ladder_verdict(ks, es, depth)
+        factor = energy.ladder_verdict(ladder.ks, es, ladder.depth)
         payload[f"p={p}"] = {"joint_finite": joint.finite,
                              "factor_finite": factor.finite,
                              "joint_rho": joint.rho, "factor_rho": factor.rho}

@@ -7,18 +7,22 @@ increments are asymptotically geometric for the singularity families of
 interest, so the doubling ratio rho of the last increments separates
 convergence (rho < 1) from divergence, and for convergent cases the
 geometric tail rho/(1-rho) turns the last partial sum into a limit
-estimate.  :func:`cutoffs` builds a potential's ladder once and
+estimate.  :func:`cutoffs` builds a potential's :class:`Ladder` once and
 :func:`ladder_limit` reads any (p, j) energy off it; :func:`ladder_verdict`
 is the one classifier of such ladders, which every ladder in the package
-(other cutoff subsequences, factor measures) goes through.  The gradient
-energy is handled the same way with per-octave contributions in t,
-sharing the ratio and tail step.
+(other cutoff subsequences, factor measures) goes through.  A ladder is
+built and read in blocks of rungs: its cut rows are checked, slope-mapped
+and measured once per ladder, and each rung's energy is one weighted mass
+against moment weights computed a block at a time, with the same
+arithmetic per rung as :func:`ep_integral` of the cut potential.  The
+gradient energy is handled the same way with per-octave contributions in
+t, sharing the ratio and tail step.
 
 Default exponent sweep: p in {1, 1.5, 2, 3}.
 """
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from math import comb
 
 import numpy as np
@@ -26,7 +30,7 @@ import numpy as np
 from . import ma
 from .errors import InvalidInput
 from .models import RADIAL_P2, backend, entry, factors, potential, require
-from .profiles import truncate
+from .profiles import limit_values, relative_slopes, truncate
 
 P_SWEEP = (1.0, 1.5, 2.0, 3.0)
 
@@ -37,6 +41,7 @@ RHO_INF_EP = 0.98
 RHO_INF_GRAD = 0.999
 GRADIENT_CORE = 40.0  # |t| past which the gradient energy is summed by octave
 MAX_DOUBLINGS = 54  # most cutoffs per ladder; 2^53 is past any depth on the default grid
+LADDER_BLOCK = 1 << 15  # entries per row block of a ladder's cut and measure rows
 
 
 @dataclass(frozen=True)
@@ -68,35 +73,46 @@ class EnergyReport:
     truncation_trace: tuple
 
 
+def _wedge(j):
+    """The wedge index j; InvalidInput unless it is 0, 1 or 2."""
+    if j not in (0, 1, 2):
+        raise InvalidInput("wedge index j must be 0, 1 or 2")
+    return j
+
+
 def _measure_for(model, phi, j):
-    if j == 0:
+    if _wedge(j) == 0:
         return ma.ma_measure(model, None)
     if j == 1:
         return ma.mixed_measure(model, phi, None)
-    if j == 2:
-        return ma.ma_measure(model, phi)
-    raise InvalidInput("wedge index j must be 0, 1 or 2")
+    return ma.ma_measure(model, phi)
 
 
-def _moment(m, f, k):
-    """M_k(m, f) = integral of max(-f, 0)^k against the 1-D measure m, its
-    atoms weighted by the limits of f: inf**k is inf, inf**0 is 1.  A power
-    past the float range is an InvalidInput naming the exponent k."""
-    ll, lr = f.limit_values()
+def _moment_weights(offset, limits, k):
+    """The weights of the moment M_k: max(-offset, 0)^k at the nodes, for
+    offset rows along a leading axis, and (|left|^k, |right|^k) of each
+    row's (left, right) limits, where inf**k is inf and inf**0 is 1.  A
+    power past the float range is an InvalidInput naming the exponent k."""
+    w = np.negative(offset)
     try:
         with np.errstate(over="raise"):
-            w = np.power(np.maximum(-f.offset, 0.0), k)
-        return ma.weighted_mass(m, w, abs(ll) ** k, abs(lr) ** k)
+            np.power(np.maximum(w, 0.0, out=w), k, out=w)
+        return w, [(abs(ll) ** k, abs(lr) ** k) for ll, lr in limits]
     except (FloatingPointError, OverflowError):
         raise InvalidInput(f"the moment (-phi)^p overflows at exponent p = {k!r}") from None
 
 
-def _radial_ep(model, phi, p, j):
-    return _moment(_measure_for(model, phi, j), phi, p)
+def _moment(m, f, k):
+    """M_k(m, f) = integral of max(-f, 0)^k against the 1-D measure m, its
+    atoms weighted by the limits of f (:func:`_moment_weights`).  This is
+    the radial backend's E_p integral of f against m."""
+    w, ((wl, wr),) = _moment_weights(f.offset, [f.limit_values()], k)
+    return ma.weighted_mass(m, w, wl, wr)
 
 
-def _product_ep(model, phi, p, j):
-    """Fubini over the tensor terms c * m1 (x) m2 of the measure: for an
+def _product_ep(m, phi, p):
+    """The product backend's E_p integral of phi = (u, v) against the
+    product measure m, by Fubini over its tensor terms c * m1 (x) m2: for an
     integer p and u + v <= 0, c * sum_k C(p, k) M_k(m1, u) M_{p-k}(m2, v)."""
     u, v = phi
     top = u.offset.max()
@@ -106,7 +122,7 @@ def _product_ep(model, phi, p, j):
         u, v = u.shifted(-top), v.shifted(top)
     n = int(p)
     total = 0.0
-    for c, m1, m2 in _measure_for(model, phi, j).factors:
+    for c, m1, m2 in m.factors:
         mu = [_moment(m1, u, k) for k in range(n + 1)]
         mv = [_moment(m2, v, n - k) for k in range(n + 1)]
         if np.isinf(mu + mv).any():  # an atom at an infinite limit; before inf * 0
@@ -121,7 +137,9 @@ def ep_integral(model, phi, p, j=2):
     Returns inf when an atom carries an infinite weight limit; use
     :func:`ep_limit` for the truncation-based limit instead.
     """
-    return entry(model, "ep", "ep_integral")(model, potential(model, phi), p, j)
+    ep = entry(model, "ep", "ep_integral")
+    phi = potential(model, phi)
+    return ep(_measure_for(model, phi, j), phi, p)
 
 
 def cutoff_ladder(depth, start=1.0):
@@ -180,23 +198,145 @@ def ladder_verdict(ks, es, depth):
     return DivergenceVerdict(True, float(es[-1]) + rest, rho, trace)
 
 
+@dataclass(frozen=True)
+class _Cut:
+    """One factor of one ladder rung, as the product E_p integral reads
+    it: the offset max(f, -k) + shift, rebuilt on each read so that a
+    ladder holds no offset rows, and the limit values of that offset."""
+
+    factor: object
+    k: float
+    shift: float
+    limits: tuple
+
+    @property
+    def offset(self):
+        off = np.maximum(self.factor.offset, -self.k)
+        return off + self.shift if self.shift else off
+
+    def limit_values(self):
+        return self.limits
+
+
+def _checked_rows(base, off):
+    """The full cell slopes of the offset rows off, checked as
+    RelativeProfile construction checks a potential, and each row's limit
+    values."""
+    s = relative_slopes(base, off)
+    lo, hi = s[:, 0] - base.slope_minus_inf, s[:, -1] - base.slope_plus_inf
+    return s, [limit_values(*x) for x in zip(lo, hi, off[:, 0], off[:, -1])]
+
+
+class Ladder:
+    """A potential's cutoff ladder: the cutoffs ks from
+    :func:`cutoff_ladder`, the potential's depth, and its cuts
+    max(phi, -k), factor by factor (a factor no deeper than k is its own
+    cut).
+
+    The ladder holds no potential and no offset row per rung.  It builds
+    the cut rows of each factor a block of rungs at a time, LADDER_BLOCK
+    entries at most, checks each row as RelativeProfile construction
+    checks a potential (:func:`profiles.relative_slopes`), and keeps the
+    rows' normalized slope maps and limit values.  A rung of several
+    factors moves each factor but the last to sup 0 and the last by the
+    opposite constant, as the product E_p integral moves them; those rows
+    are checked too, and their limits kept.  The j = 1 and j = 2 measures
+    of every rung are built from the slope maps on first use, block by
+    block, once per ladder (the backend's ``ladder_measures``); j = 0 is
+    the model's reference measure.  Every array is read-only.
+    :meth:`cut` builds one rung's potential for a caller that needs it.
+    """
+
+    def __init__(self, model, phi, start):
+        fs = factors(model, phi, "ep_limit")
+        self.model, self.factors = model, fs
+        self.depths = [-f.offset.min() for f in fs]
+        self.depth = max(self.depths)
+        self.ks = cutoff_ladder(self.depth, start)
+        self._step = max(1, LADDER_BLOCK // fs[0].offset.size)
+        self._maps = [[] for _ in fs]  # per factor, blocks of normalized slope maps
+        self._measures = {}
+        self.limits = [[] for _ in fs]  # per factor, each rung's limit values
+        self.shifts = []  # per rung, each factor's move
+        for rows in self.blocks():
+            offs = [self.cut_rows(f, rows) for f in fs]
+            for f, off, maps, lims in zip(fs, offs, self._maps, self.limits):
+                s, lim = _checked_rows(f.base, off)
+                ns = ma.slope_rows(s, f.base.slope_cap)
+                ns.setflags(write=False)
+                maps.append(ns)
+                lims += lim
+            tops = [off.max(axis=1) for off in offs[:-1]]
+            moves = [-t for t in tops] + [sum(tops, np.zeros(len(offs[0])))]
+            self.shifts += zip(*moves)
+            moved = np.flatnonzero(np.any(tops, axis=0)) if tops else ()
+            if len(moved):
+                for f, off, c, lims in zip(fs, offs, moves, self.limits):
+                    _, lim = _checked_rows(f.base, off[moved] + c[moved, None])
+                    for r, x in zip(moved, lim):
+                        lims[rows.start + r] = x
+
+    @cached_property
+    def rungs(self):
+        """Every rung as the backend's E_p integral reads a potential: its
+        factors as :class:`_Cut` rows, joined."""
+        join = backend(self.model).join
+        return [join(tuple(_Cut(f, k, c, lims[i])
+                           for f, c, lims in zip(self.factors, sh, self.limits)))
+                for i, (k, sh) in enumerate(zip(self.ks, self.shifts))]
+
+    def blocks(self):
+        """The slices of rungs that the ladder builds and reads together."""
+        return [slice(a, a + self._step) for a in range(0, len(self.ks), self._step)]
+
+    def cut_rows(self, f, rows):
+        """The offset rows max(f, -k) of factor f at the rungs rows."""
+        return np.maximum(f.offset, -np.array(self.ks[rows], dtype=float)[:, None])
+
+    def cut(self, i):
+        """Rung i's potential, with :func:`truncate` on each factor deeper
+        than its cutoff."""
+        k = self.ks[i]
+        return backend(self.model).join(tuple(truncate(f, k) if d > k else f
+                                              for f, d in zip(self.factors, self.depths)))
+
+    def measures(self, j):
+        """Every rung's measure omega^{2-j} ^ omega_cut^j."""
+        if _wedge(j) not in self._measures:
+            model = self.model
+            self._measures[j] = [model.reference_measure] * len(self.ks) if j == 0 else (
+                entry(model, "ladder_measures", "ep_limit")(
+                    model, [f.base.grid for f in self.factors], self._maps, j))
+        return self._measures[j]
+
+
+def _radial_ladder_ep(ladder, p, j):
+    """The radial E_p integral of every rung against its measure: the
+    moment weights of a block of rungs at a time, one np.dot per rung."""
+    ms = ladder.measures(j)
+    (f,), (limits,) = ladder.factors, ladder.limits
+    es = []
+    for rows in ladder.blocks():
+        w, ends = _moment_weights(ladder.cut_rows(f, rows), limits[rows], p)
+        es += [ma.weighted_mass(m, wi, wl, wr) for m, wi, (wl, wr) in zip(ms[rows], w, ends)]
+    return es
+
+
+def _product_ladder_ep(ladder, p, j):
+    """The product E_p integral of every rung against its measure."""
+    return [_product_ep(m, cut, p) for m, cut in zip(ladder.measures(j), ladder.rungs)]
+
+
 def cutoffs(model, phi, start=1.0):
-    """phi's cutoff ladder (ks, cuts, depth): the cutoffs ks from
-    :func:`cutoff_ladder`, the cut potentials max(phi, -k) built factor by
-    factor (a factor no deeper than k is its own cut), and phi's depth."""
-    fs = factors(model, phi, "ep_limit")
-    depths = [-f.offset.min() for f in fs]
-    depth = max(depths)
-    ks = cutoff_ladder(depth, start)
-    cuts = [backend(model).join(tuple(truncate(f, k) if d > k else f
-                                      for f, d in zip(fs, depths))) for k in ks]
-    return ks, cuts, depth
+    """phi's cutoff :class:`Ladder`, its first cutoff start."""
+    return Ladder(model, phi, start)
 
 
 def ladder_limit(model, ladder, p, j=2):
-    """Verdict of the energies of order (p, j) along a :func:`cutoffs` ladder."""
-    ks, cuts, depth = ladder
-    return ladder_verdict(ks, [ep_integral(model, c, p, j) for c in cuts], depth)
+    """Verdict of the energies of order (p, j) along a :func:`cutoffs`
+    ladder: the backend's E_p integral of every rung against its measure."""
+    es = entry(model, "ladder_ep", "ep_limit")(ladder, p, j)
+    return ladder_verdict(ladder.ks, es, ladder.depth)
 
 
 def ep_limit(model, phi, p):

@@ -88,8 +88,32 @@ class MaMeasure:
 def _normalized_ext_slopes(u, cap):
     """u's full slopes over the cap, clipped to [0, 1], bracketed by the
     boundary cell slopes as tails."""
-    s = np.diff(u.base.values + u.offset) / u.base.widths
-    return np.clip(np.concatenate([s[:1], s, s[-1:]]) / cap, 0.0, 1.0)
+    return slope_rows(np.diff(u.base.values + u.offset) / u.base.widths, cap)
+
+
+def slope_rows(s, cap):
+    """Normalized slope maps of the full cell slopes s, one per row of s:
+    s over the cap, clipped to [0, 1], bracketed by the boundary cell
+    slopes as tails."""
+    ns = np.concatenate([s[..., :1], s, s[..., -1:]], axis=-1)
+    ns /= cap
+    return np.clip(ns, 0.0, 1.0, out=ns)
+
+
+def pair_rows(ns1, ns2):
+    """Sublevel masses and end-atom flags (c, fixed_point_atom,
+    divisor_atom) of the measures whose sublevel mass is the product of
+    two normalized slope maps, one per row of ns1 and ns2 (either may be
+    one map for every row)."""
+    return (ns1 * ns2, np.minimum(ns1[..., 0], ns2[..., 0]) > ATOM_SLOPE_TOL,
+            np.minimum(1.0 - ns1[..., -1], 1.0 - ns2[..., -1]) > ATOM_SLOPE_TOL)
+
+
+def factor_rows(ns):
+    """Sublevel masses and end-atom flags of line-factor measures, one per
+    row of the normalized slope maps ns: the slope is the sublevel mass, and
+    each end's atom follows the factor's own slope deficit."""
+    return ns, ns[..., 0] > ATOM_SLOPE_TOL, 1.0 - ns[..., -1] > ATOM_SLOPE_TOL
 
 
 def measure_1d_pair(grid, ns1, ns2):
@@ -107,24 +131,43 @@ def measure_1d_pair(grid, ns1, ns2):
     MaMeasure
         Total mass exactly 1.
     """
-    return _measure_1d(grid, ns1 * ns2, min(ns1[0], ns2[0]) > ATOM_SLOPE_TOL,
-                       min(1.0 - ns1[-1], 1.0 - ns2[-1]) > ATOM_SLOPE_TOL)
+    return _measure_1d(grid, *pair_rows(ns1, ns2))
+
+
+def measure_rows(c, fixed_point_atom, divisor_atom):
+    """Node masses and end atoms of the 1-D measures with sublevel masses
+    c, one per row of c: each end's mass is an atom where the row's flag is
+    set, and is lumped onto the end node where it is not.  Returns the node
+    masses, one row per measure, and each measure's atoms."""
+    node_mass = c[..., 1:] - c[..., :-1]
+    atoms = []
+    for mass, row, fp, dv in zip(node_mass, c, fixed_point_atom, divisor_atom):
+        ends = ()
+        if fp:
+            ends = ((FIXED_POINT, float(row[0])),)
+        else:
+            mass[0] += row[0]
+        if dv:
+            ends += ((DIVISOR, float(1.0 - row[-1])),)
+        else:
+            mass[-1] += 1.0 - row[-1]
+        atoms.append(ends)
+    return node_mass, atoms
+
+
+def row_measures(grid, c, fixed_point_atom, divisor_atom):
+    """The 1-D measures of :func:`measure_rows`, one per row of c, with
+    read-only node masses and no cdf_seq: a cutoff ladder reads only their
+    masses and atoms."""
+    node_mass, atoms = measure_rows(c, fixed_point_atom, divisor_atom)
+    node_mass.setflags(write=False)
+    return [MaMeasure("OneD", grid, d, a, 1.0) for d, a in zip(node_mass, atoms)]
 
 
 def _measure_1d(grid, c, fixed_point_atom, divisor_atom):
-    """Measure with sublevel masses c; each end's mass is an atom or is
-    lumped onto the end node."""
-    node_mass = np.diff(c)
-    atoms = []
-    if fixed_point_atom:
-        atoms.append((FIXED_POINT, float(c[0])))
-    else:
-        node_mass[0] += c[0]
-    if divisor_atom:
-        atoms.append((DIVISOR, float(1.0 - c[-1])))
-    else:
-        node_mass[-1] += 1.0 - c[-1]
-    return MaMeasure("OneD", grid, node_mass, tuple(atoms), 1.0, cdf_seq=c)
+    """The measure of :func:`measure_rows` for one sequence c."""
+    (node_mass,), (atoms,) = measure_rows(c[None], (fixed_point_atom,), (divisor_atom,))
+    return MaMeasure("OneD", grid, node_mass, atoms, 1.0, cdf_seq=c)
 
 
 def ma_measure(model, phi):
@@ -163,14 +206,40 @@ def _slope_measure(model, phi, psi):
 
 
 def _product_measure(model, phi):
-    u, v = phi
-    return product_measure(((2.0, factor_measure(u), factor_measure(v)),))
+    fs = tuple(map(factor_measure, phi))
+    return product_wedge(fs, fs)
 
 
 def _product_mixed(model, phi, psi):
-    (u1, v1), (u2, v2) = phi, psi
-    return product_measure(((1.0, factor_measure(u1), factor_measure(v2)),
-                            (1.0, factor_measure(u2), factor_measure(v1))))
+    return product_wedge(tuple(map(factor_measure, phi)), tuple(map(factor_measure, psi)))
+
+
+def _slope_ladder(model, grids, maps, j):
+    """Every cutoff rung's radial measure of order j = 1 or 2 from the
+    blocks of the rungs' slope maps: the product of a rung's map with
+    itself (j = 2) or with the zero potential's (j = 1)."""
+    (grid,), (blocks,) = grids, maps
+    return [m for ns in blocks for m in row_measures(
+        grid, *pair_rows(ns, ns if j == 2 else model.zero_slopes))]
+
+
+def _product_ladder(model, grids, maps, j):
+    """Every cutoff rung's product measure of order j = 1 or 2 from the
+    blocks of its factors' slope maps, wedged as :func:`_product_measure`
+    (j = 2) and :func:`_product_mixed` with the zero potential (j = 1) do."""
+    fs = [[m for ns in blocks for m in row_measures(g, *factor_rows(ns))]
+          for g, blocks in zip(grids, maps)]
+    zero = model.reference_measure.factors[0][1:]
+    return [product_wedge(a, a if j == 2 else zero) for a in zip(*fs)]
+
+
+def product_wedge(a, b):
+    """The product measure of omega_phi ^ omega_psi from the factor
+    measures a = (mu, mv) of phi and b of psi: 2 mu (x) mv when b is a,
+    else the polarized pair of tensor terms."""
+    if b is a:
+        return product_measure(((2.0, *a),))
+    return product_measure(((1.0, a[0], b[1]), (1.0, b[0], a[1])))
 
 
 def _toric_mixed(model, phi, psi):
@@ -188,9 +257,7 @@ def _toric_mixed(model, phi, psi):
 def factor_measure(u):
     """Measure of one line factor (normalized slope is the sublevel mass);
     its end atoms follow its own slope deficits."""
-    ns = _normalized_ext_slopes(u, u.base.slope_cap)
-    return _measure_1d(u.base.grid, ns, ns[0] > ATOM_SLOPE_TOL,
-                       1.0 - ns[-1] > ATOM_SLOPE_TOL)
+    return _measure_1d(u.base.grid, *factor_rows(_normalized_ext_slopes(u, u.base.slope_cap)))
 
 
 def product_measure(factor_pairs):

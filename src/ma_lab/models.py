@@ -9,7 +9,8 @@ with the measure realized as an Aleksandrov subgradient measure.
 Each kind has one :class:`Backend` record, looked up by :func:`backend`
 and nowhere else, through which every kind-dependent operation goes:
 potential type, zero potential, factor view ((phi,) radial, (u, v)
-product, none toric), measures, E_p integral, gradient energy, and the
+product, none toric), measures, E_p integral, the measures and E_p
+integrals of a cutoff ladder, gradient energy, and the
 solver with the solve command's target schema.  An operation the kind
 lacks, or one written for another kind, raises InvalidInput naming the
 operation and the model.
@@ -230,7 +231,9 @@ class Backend:
     join: object = None  # tuple of factor profiles -> potential
     measure: object = None  # (model, phi) -> MaMeasure
     mixed: object = None  # (model, phi, psi) -> MaMeasure
-    ep: object = None  # (model, phi, p, j) -> raw E_p integral
+    ep: object = None  # (measure, phi, p) -> raw E_p integral of phi against it
+    ladder_measures: object = None  # (model, grids, slope-map blocks, j) -> cutoff measures
+    ladder_ep: object = None  # (ladder, p, j) -> raw E_p integral of every cutoff
     gradient_energy: object = None  # (model, phi) -> DivergenceVerdict
     solve: object = None  # (model, target, p) -> SolveResult
     target: tuple = None  # --target schema: measure kind, JSON key, reader(model, obj)
@@ -250,7 +253,8 @@ def _backends():
             RelativeProfile, lambda m: zero_offset(m.reference_potential),
             factors=lambda phi: (phi,), join=lambda fs: fs[0],
             measure=lambda m, phi: ma._slope_measure(m, phi, phi), mixed=ma._slope_measure,
-            ep=energy._radial_ep,
+            ep=energy._moment, ladder_measures=ma._slope_ladder,
+            ladder_ep=energy._radial_ladder_ep,
             gradient_energy=lambda m, phi: energy.gradient_energy_verdict(m, phi),
             solve=lambda m, target, p: solver.solve_radial(m, target, p),
             target=("OneD", "node_mass", lambda m, d: solver.radial_target(
@@ -261,7 +265,9 @@ def _backends():
         PRODUCT_P1P1: Backend(
             tuple, lambda m: tuple(map(zero_offset, m.reference_potential)),
             factors=tuple, join=tuple, measure=ma._product_measure, mixed=ma._product_mixed,
-            ep=energy._product_ep, gradient_energy=energy._product_gradient),
+            ep=energy._product_ep, ladder_measures=ma._product_ladder,
+            ladder_ep=energy._product_ladder_ep,
+            gradient_energy=energy._product_gradient),
         TORIC_P1P1: Backend(
             ToricGrid, lambda m: ToricGrid(*m.reference_potential),
             measure=lambda m, phi: ma.toric_measure(m, phi), mixed=ma._toric_mixed,

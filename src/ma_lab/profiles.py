@@ -57,13 +57,47 @@ def integrate_slopes(grid, s, i0):
 def check_slopes(s, lo, hi, cap):
     """Raise NotOmegaPsh unless the cell slopes s, bracketed by the tail
     slopes lo and hi, are nondecreasing (up to TOL_CONVEX relative to the
-    largest slope) and the tails lie in [0, cap]."""
-    scale = max(1.0, np.abs(s).max() if s.size else 1.0)
-    ext = np.concatenate([[lo], s, [hi]])
-    if np.any(np.diff(ext) < -TOL_CONVEX * scale):
-        raise NotOmegaPsh("profile is not convex")
-    if lo < -TOL_CONVEX or hi > cap + TOL_CONVEX:
-        raise NotOmegaPsh("asymptotic slopes outside [0, slope_cap]")
+    largest slope) and the tails lie in [0, cap].  s may carry a leading
+    axis of rows, with one lo and hi per row, each row checked on its own
+    scale; the first failing row raises."""
+    s, lo, hi = np.asarray(s), np.asarray(lo), np.asarray(hi)
+    # per row, -TOL_CONVEX * max(1, max |s|) bounds each step of lo, s, hi below
+    tol = -TOL_CONVEX * np.maximum(1.0, np.maximum(s.max(axis=-1), -s.min(axis=-1)))
+    concave = (np.any(s[..., 1:] - s[..., :-1] < tol[..., None], axis=-1)
+               | (s[..., 0] - lo < tol) | (hi - s[..., -1] < tol))
+    bad = concave | (lo < -TOL_CONVEX) | (hi > cap + TOL_CONVEX)
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        raise NotOmegaPsh("profile is not convex" if concave.flat[first]
+                          else "asymptotic slopes outside [0, slope_cap]")
+
+
+def relative_slopes(base, off):
+    """The full cell slopes of the offsets off over base, checked as
+    RelativeProfile construction checks them: finite offsets and full
+    values, :func:`check_slopes` with the boundary cell slopes as tails,
+    and offset tails in the admissible cone.  off may carry a leading axis
+    of rows, one potential per row."""
+    if not np.all(np.isfinite(off)):
+        raise InvalidInput("non-finite offset")
+    full = base.values + off
+    if not np.all(np.isfinite(full)):
+        raise InvalidInput("non-finite profile data")
+    s = full[..., 1:] - full[..., :-1]
+    s /= base.widths
+    check_slopes(s, s[..., 0], s[..., -1], base.slope_cap)
+    # offset tails must not increase outward, else phi is unbounded above
+    lo, hi = s[..., 0] - base.slope_minus_inf, s[..., -1] - base.slope_plus_inf
+    if np.any((lo < -TOL_CONVEX) | (hi > TOL_CONVEX)):
+        raise NotOmegaPsh("offset tail slopes escape the admissible cone")
+    return s
+
+
+def limit_values(lo, hi, first, last):
+    """Offset limits at t -> -inf and t -> +inf (may be -inf) of an offset
+    with tail slopes lo, hi and end values first, last."""
+    return (-np.inf if lo > TOL_CONVEX else float(first),
+            -np.inf if hi < -TOL_CONVEX else float(last))
 
 
 @dataclass(frozen=True)
@@ -140,20 +174,9 @@ class RelativeProfile:
         object.__setattr__(self, "offset", off)
         if off.shape != self.base.grid.shape:
             raise InvalidInput("offset shape must match base grid")
-        if not np.all(np.isfinite(off)):
-            raise InvalidInput("non-finite offset")
+        s = relative_slopes(self.base, off)
         object.__setattr__(self, "sup_value", float(off.max()))
-        full = self.base.values + off
-        if not np.all(np.isfinite(full)):
-            raise InvalidInput("non-finite profile data")
-        s = np.diff(full) / self.base.widths
-        tails = float(s[0]), float(s[-1])  # the boundary cell slopes
-        check_slopes(s, *tails, self.base.slope_cap)
-        object.__setattr__(self, "_full_tails", tails)
-        # offset tails must not increase outward, else phi is unbounded above
-        lo, hi = self.offset_tail_slopes()
-        if lo < -TOL_CONVEX or hi > TOL_CONVEX:
-            raise NotOmegaPsh("offset tail slopes escape the admissible cone")
+        object.__setattr__(self, "_full_tails", (float(s[0]), float(s[-1])))
 
     def full_values(self):
         return self.base.values + self.offset
@@ -165,10 +188,7 @@ class RelativeProfile:
 
     def limit_values(self):
         """Offset limits at t -> -inf and t -> +inf (may be -inf)."""
-        lo, hi = self.offset_tail_slopes()
-        left = -np.inf if lo > TOL_CONVEX else float(self.offset[0])
-        right = -np.inf if hi < -TOL_CONVEX else float(self.offset[-1])
-        return left, right
+        return limit_values(*self.offset_tail_slopes(), self.offset[0], self.offset[-1])
 
     def shifted(self, c):
         return RelativeProfile(self.base, self.offset + c)

@@ -131,11 +131,15 @@ def test_factor_views(pots):
 
 
 def test_radial_cutoff_keeps_shallow_potentials(pots):
-    # a potential no deeper than k is its own cutoff, as a product factor was
+    # a potential no deeper than k is its own cutoff, as a product factor
+    # is: the rung's cut is phi itself, and the ladder's row is phi's offset
     phi = pots["phi"]
-    ks, cuts, depth = energy.cutoffs(pots["radial"], phi)
-    assert depth == 1.0
-    assert ks == [1.0] and cuts[0] is phi
-    ks, cuts, _ = energy.cutoffs(pots["radial"], phi, start=0.5)
-    assert ks == [0.5, 1.0] and cuts[1] is phi
-    assert np.array_equal(cuts[0].offset, np.full(phi.offset.size, -0.5))
+    ladder = energy.cutoffs(pots["radial"], phi)
+    assert ladder.depth == 1.0
+    assert ladder.ks == [1.0] and ladder.cut(0) is phi
+    assert np.array_equal(ladder.rungs[0].offset, phi.offset)
+    ladder = energy.cutoffs(pots["radial"], phi, start=0.5)
+    assert ladder.ks == [0.5, 1.0] and ladder.cut(1) is phi
+    assert np.array_equal(ladder.rungs[1].offset, phi.offset)
+    assert np.array_equal(ladder.cut(0).offset, np.full(phi.offset.size, -0.5))
+    assert np.array_equal(ladder.rungs[0].offset, ladder.cut(0).offset)

@@ -6,11 +6,14 @@ two power families; bounded cases against exact constants.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from ma_lab import energy, ma, models, profiles, solver
+from ladder_reference import reference_cutoffs, reference_ladder_limit
+from ma_lab import energy, ma, models, profiles, solver, verify
 from ma_lab.errors import InvalidInput
 from ma_lab.profiles import (RelativeProfile, compose_weight, truncate,
                              zero_offset)
+from radial_strategies import radial_profiles
 
 
 @pytest.fixture(scope="module")
@@ -232,48 +235,89 @@ def test_ladder_classifier_is_shared(radial, corpus36, monkeypatch, tmp_path):
     assert rep.instances > 0 and len(alt) == rep.instances
 
     calls.clear()
-    # the joint energies are not what is checked here; skip their cost
-    monkeypatch.setattr(energy, "ep_limit",
-                        lambda *a, **k: energy.DivergenceVerdict(True, 0.0, 0.0))
+    # per exponent, the joint verdict (ladder_limit) and then the factor's
     payload, _, _ = cli._ex_separable_integrability(tmp_path)
-    assert len(calls) == 2
-    for (ks, v), p in zip(calls, ("p=1.0", "p=3.0")):
+    assert len(calls) == 4
+    for (ks, joint), (_, factor), p in zip(calls[::2], calls[1::2], ("p=1.0", "p=3.0")):
         assert ks[0] == 1.0 and len(ks) == 22
-        assert payload[p]["factor_rho"] == v.rho
-        assert payload[p]["factor_finite"] == v.finite
+        assert payload[p]["factor_rho"] == factor.rho
+        assert payload[p]["factor_finite"] == factor.finite
+        assert payload[p]["joint_rho"] == joint.rho
 
 
-def _rungs(phi):
-    """Truncating rungs of phi's default ladder: the cutoffs above its floor."""
-    depth = -phi.offset.min()
-    return sum(k < depth for k in energy.cutoff_ladder(depth))
+def _spy_checked_rows(monkeypatch):
+    """Spy on the ladder's row checks; returns the list of rows per call."""
+    rows = []
+    real = energy._checked_rows
+
+    def spy(base, off):
+        rows.append(len(off))
+        return real(base, off)
+
+    monkeypatch.setattr(energy, "_checked_rows", spy)
+    return rows
 
 
 def test_one_ladder_per_potential(radial, corpus36, monkeypatch):
-    # a caller needing several energies of one potential cuts it once per
-    # rung: truncate runs once per truncating rung, not once per (p, j)
+    # a caller needing several energies of one potential cuts it once: each
+    # rung's row is checked once, not once per (p, j), and no rung is a
+    # truncated potential
     from ma_lab import capacity, verify
 
-    calls = []
-
-    def spy(f, k):
-        calls.append(k)
-        return truncate(f, k)
-
-    monkeypatch.setattr(energy, "truncate", spy)
+    truncated = []
+    monkeypatch.setattr(energy, "truncate", lambda f, k: truncated.append(k))
+    rows = _spy_checked_rows(monkeypatch)
     singular = [e.phi for e in corpus36.with_tag("divisor_bounded")]
     phi = singular[0]
-    assert _rungs(phi) >= 10
+    n = len(energy.cutoffs(radial, phi).ks)
+    assert n >= 10
     for ps in ((1.0,), (2.0,), energy.P_SWEEP):
-        calls.clear()
+        rows.clear()
         energy.energy_report(radial, phi, ps)
-        assert len(calls) == _rungs(phi), ps
-    calls.clear()
+        assert sum(rows) == n, ps
+    rows.clear()
     capacity.decay_constant(radial, energy.cutoffs(radial, phi))
-    assert len(calls) == _rungs(phi)
-    calls.clear()
+    assert sum(rows) == n
+    rows.clear()
     verify.check_divisor_integrability(corpus36, radial)
-    assert len(calls) == sum(map(_rungs, singular))
+    assert sum(rows) == sum(len(energy.cutoff_ladder(-f.offset.min())) for f in singular)
+    assert truncated == []
+
+
+def test_energy_report_counts_its_ladder_work(radial, product, corpus36, monkeypatch):
+    # one energy_report builds no RelativeProfile per rung, checks its rows
+    # in blocks of at most LADDER_BLOCK entries, and builds the j = 1 and
+    # j = 2 measure rows of its one ladder once each, whatever the exponents
+    b1, b2 = product.reference_potential
+    uv = (zero_offset(b1),
+          compose_weight(RelativeProfile(b2, -b2.values - 1.0), ("power", 0.4)))
+    phi = corpus36.with_tag("divisor_bounded")[0].phi
+    profiles_built, measure_rows = [], []
+    post_init = RelativeProfile.__post_init__
+    measure = ma.measure_rows
+
+    def build_spy(self):
+        profiles_built.append(self)
+        post_init(self)
+
+    def measure_spy(c, fp, dv):
+        measure_rows.append(len(c))
+        return measure(c, fp, dv)
+
+    monkeypatch.setattr(RelativeProfile, "__post_init__", build_spy)
+    monkeypatch.setattr(ma, "measure_rows", measure_spy)
+    rows = _spy_checked_rows(monkeypatch)
+    for model, pot, ps, n_factors in ((radial, phi, energy.P_SWEEP, 1),
+                                      (product, uv, (1.0, 3.0), 2)):
+        n = len(energy.cutoffs(model, pot).ks)
+        assert n >= 10
+        block = max(1, energy.LADDER_BLOCK // b1.grid.size)
+        profiles_built.clear(), measure_rows.clear(), rows.clear()
+        energy.energy_report(model, pot, ps)
+        assert profiles_built == []
+        assert sum(rows) == n * n_factors and max(rows) <= block
+        # j = 1 and j = 2, each once per rung (and per factor)
+        assert sum(measure_rows) == 2 * n * n_factors and max(measure_rows) <= block
 
 
 def test_energy_report_matches_ep_limit(radial, product, corpus36):
@@ -393,10 +437,11 @@ def test_product_ep_needs_integer_p_and_nonpositive_sum(product):
 
 
 def test_profile_validated_once_per_cutoff(radial, product, corpus36, monkeypatch):
-    # a cutoff ladder validates one profile per truncating rung (the
-    # RelativeProfile of the cutoff); measures and integrals of an existing potential and
-    # of the cached zero potential validate none.  check_slopes is the one
-    # slope validation of Profile and RelativeProfile construction.
+    # a cutoff ladder checks each rung's row once, in row blocks, the last
+    # rung (phi itself, no deeper than its cutoff) too; measures and
+    # integrals of an existing potential and of the cached zero potential
+    # check none.  check_slopes is the one slope validation of Profile and
+    # RelativeProfile construction and of a ladder's rows.
     phi = corpus36.with_tag("divisor_bounded")[0].phi
     psi = corpus36.with_tag("bounded")[0].phi
     u = zero_offset(product.reference_potential[0])
@@ -412,13 +457,12 @@ def test_profile_validated_once_per_cutoff(radial, product, corpus36, monkeypatc
         check_slopes(*args)
 
     monkeypatch.setattr(profiles, "check_slopes", spy)
-    depth = -phi.offset.min()
-    rungs = sum(k < depth for k in energy.cutoff_ladder(depth))
+    rungs = len(energy.cutoff_ladder(-phi.offset.min()))
     assert rungs >= 10
     for j in range(3):
         builds.clear()
         energy.ladder_limit(radial, energy.cutoffs(radial, phi), 1.0, j)
-        assert len(builds) == rungs
+        assert sum(len(s) for s, *_ in builds) == rungs
     builds.clear()
     for model, a, b in ((radial, phi, psi), (product, (u, v), (v, u))):
         ma.ma_measure(model, a)
@@ -428,3 +472,85 @@ def test_profile_validated_once_per_cutoff(radial, product, corpus36, monkeypatc
         for j in range(3):
             energy.ep_integral(model, a, 2.0, j)
     assert builds == []
+
+
+# every exponent an energy report reads: P_SWEEP and the p + 1, p + 2 of e_p
+LADDER_PS = sorted({q for p in energy.P_SWEEP for q in (p, p + 1.0, p + 2.0)})
+
+
+def _assert_ladder_matches_reference(model, phi, ps, start=1.0):
+    ladder = energy.cutoffs(model, phi, start)
+    ref = reference_cutoffs(model, phi, start)
+    assert ladder.ks == ref[0] and ladder.depth == ref[2]
+    for p in ps:
+        for j in range(3):
+            got = energy.ladder_limit(model, ladder, p, j)
+            want = reference_ladder_limit(model, ref, p, j)
+            # DivergenceVerdict equality: flag, value, rho and trace, bit for bit
+            assert got == want, (p, j, got, want)
+    return ladder
+
+
+def test_ladder_matches_the_per_rung_reference(radial):
+    base = radial.reference_potential
+    point, divisor = verify.point_seed(base), verify.divisor_seed(base)
+    cases = {
+        "point-seed": (point, 1.0),
+        "divisor-seed": (divisor, 1.0),
+        "divisor-alpha-0.3": (compose_weight(divisor, ("power", 0.3)), 1.0),
+        "divisor-alpha-0.6": (compose_weight(divisor, ("power", 0.6)), 1.0),
+        "point-alpha-0.4": (compose_weight(point, ("power", 0.4)), 1.0),
+        "point-alpha-0.4-from-1.5": (compose_weight(point, ("power", 0.4)), 1.5),
+        "neglog": (compose_weight(point.shifted(-1.0), ("neglog",)), 1.0),
+        "shallow": (zero_offset(base).shifted(-0.75), 1.0),
+        "shallow-from-0.5": (zero_offset(base).shifted(-0.75), 0.5),
+    }
+    rungs = {}
+    for name, (phi, start) in cases.items():
+        rungs[name] = len(_assert_ladder_matches_reference(radial, phi, LADDER_PS, start).ks)
+    assert rungs["point-seed"] == rungs["divisor-seed"] == 51
+    assert rungs["shallow"] == 1
+
+
+def test_ladder_matches_the_per_rung_reference_on_the_corpus(radial, corpus36):
+    for e in corpus36.profiles[::3]:
+        _assert_ladder_matches_reference(radial, e.phi, LADDER_PS)
+
+
+@settings(max_examples=15, deadline=None)
+@given(radial_profiles())
+def test_ladder_matches_the_per_rung_reference_on_drawn_potentials(phi):
+    _assert_ladder_matches_reference(models.radial_p2(), phi, LADDER_PS)
+
+
+def test_product_ladder_matches_the_per_rung_reference(product):
+    b1, b2 = product.reference_potential
+    u, v = zero_offset(b1), compose_weight(RelativeProfile(b2, -b2.values - 1.0), ("power", 0.4))
+    # the first factor's sup is not 0 on any rung: each rung's constant moves
+    shifted = (RelativeProfile(b1, np.minimum(-0.5 * b1.values, 0.0) - 0.25), v.shifted(-2.0))
+    assert all(u_k.shift == 0.25 for u_k, _ in energy.cutoffs(product, shifted).rungs)
+    # a fixed-point atom at the infinite limit of the second factor
+    atom = (u.shifted(-0.5), RelativeProfile(b2, 0.25 * b2.grid - 0.25 * b2.values - 1.0))
+    # a fixed-point atom at a finite limit: the second factor's tail slope
+    # 5e-11 lies between ATOM_SLOPE_TOL and TOL_CONVEX; the first factor's
+    # constant moves onto it, limit included
+    g = b2.grid
+    finite_atom = (u.shifted(-0.5), RelativeProfile(b2, 5e-11 * np.minimum(g + 1e3, 0.0) - 1.0))
+    m = ma.factor_measure(finite_atom[1])
+    assert m.atoms[0][0] == ma.FIXED_POINT and np.isfinite(finite_atom[1].limit_values()[0])
+    for pair in ((u, v), shifted, atom, finite_atom, (v, u)):
+        _assert_ladder_matches_reference(product, pair, (1.0, 2.0, 3.0))
+
+
+def test_ladder_arrays_are_read_only(radial, product, corpus36):
+    b1, b2 = product.reference_potential
+    for model, phi in ((radial, corpus36.with_tag("divisor_bounded")[0].phi),
+                       (product, (zero_offset(b1), zero_offset(b2).shifted(-3.0)))):
+        ladder = energy.cutoffs(model, phi)
+        for j in (1, 2):
+            for m in ladder.measures(j):
+                for d in ([m.density] if m.density is not None else
+                          [f.density for _, *fs in m.factors for f in fs]):
+                    assert not d.flags.writeable
+        for maps in ladder._maps:
+            assert all(not ns.flags.writeable for ns in maps)
