@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
-from .errors import InvalidInput, NotOmegaPsh
+from .errors import InvalidInput, NotOmegaPsh, PreconditionViolated
 from .models import RADIAL_P2, ToricGrid, backend, factors, potential, require
 from .profiles import max_offsets
 
@@ -427,6 +427,7 @@ def demailly_margin(model, phi, psi):
 
 LOWER_FACET_TOL = 1e-12  # facets whose unit normal has z below -this are lower
 PROJECTION_BLOCK = 1 << 20  # facet-plane evaluations per block of off-hull nodes
+INTERIOR_MARGIN = 1e-9  # dual segments with both ends this far inside skip the clip
 
 
 @dataclass(frozen=True)
@@ -449,14 +450,29 @@ class _LowerHull:
 
 def _lower_hull(t1, t2, Psi):
     """The lower hull of (t1 x t2, Psi); Psi may be flat.  Z is a copy of
-    Psi, so a caller mutating Psi afterwards cannot reach the hull."""
+    Psi, so a caller mutating Psi afterwards cannot reach the hull.
+
+    qhull rejects an affine Psi (its initial simplex is flat); its lower
+    hull is then its plane, two triangles on the four corners.  Any other
+    lift that qhull rejects raises PreconditionViolated.
+    """
     X, Y = np.meshgrid(np.asarray(t1, float), np.asarray(t2, float), indexing="ij")
     V = np.column_stack([X.ravel(), Y.ravel()])
     Z = np.array(Psi, float).ravel()
-    qh = ConvexHull(np.column_stack([V, Z]), qhull_options="Qt")
-    lower = qh.equations[:, 2] < -LOWER_FACET_TOL
-    eq = qh.equations[lower]
-    tris = qh.simplices[lower].astype(np.intp)  # k * N + l overflows int32
+    try:
+        qh = ConvexHull(np.column_stack([V, Z]), qhull_options="Qt")
+    except QhullError as exc:
+        n = X.shape[1]
+        c = [0, len(Z) - n, len(Z) - 1, n - 1]  # the corners, counter-clockwise
+        g = np.linalg.solve(np.column_stack([V[c[:3]], np.ones(3)]), Z[c[:3]])
+        if not np.abs(V @ g[:2] + g[2] - Z).max() <= 1e-12 * max(1.0, np.abs(Z).max()):
+            raise PreconditionViolated(f"qhull rejects the lifted toric grid: {exc}")
+        tris = np.array([c[:3], [c[0], c[2], c[3]]], np.intp)
+        eq = np.tile([g[0], g[1], -1.0, g[2]], (2, 1))  # the plane z = g . v + h
+    else:
+        lower = qh.equations[:, 2] < -LOWER_FACET_TOL
+        eq = qh.equations[lower]
+        tris = qh.simplices[lower].astype(np.intp)  # k * N + l overflows int32
     a, b, c = V[tris[:, 0]], V[tris[:, 1]], V[tris[:, 2]]
     cw = _cross(b - a, c - a) < 0
     tris[cw] = tris[cw][:, [0, 2, 1]]
@@ -493,7 +509,9 @@ def _dual_segments(hull):
     k, l = np.minimum(src, dst), np.maximum(src, dst)
     left = src < dst  # the facet lies left of k->l
     edge = k * N + l
-    order = np.argsort(edge, kind="stable")
+    # each key occurs once or twice, and both rows of a pair give the same
+    # (k, l, fL, fR), so any order of equal keys gives the same output
+    order = np.argsort(edge)
     pair = edge[order][1:] == edge[order][:-1]
     i1, i2 = order[:-1][pair], order[1:][pair]
     single = np.ones(len(k), bool)
@@ -519,6 +537,9 @@ def _clip_to_square(B, D, s0, s1):
 
     Returns the kept rows and their clipped ends P, Q.  An end cut by a
     side is placed exactly on it, so side membership is an exact test.
+    _hull_cells passes only the rows it cannot take as they are: the
+    rays, the segments that come within INTERIOR_MARGIN of a side, and
+    the non-finite ones.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         at0, at1 = -B / D, (1.0 - B) / D
@@ -588,11 +609,22 @@ def _hull_cells(hull, want_jac=False):
     dual -- clipped to the moment square.  Each lower-hull edge (k, l) is
     dual to one edge of the cell diagram: the segment between the
     gradients of its two lower facets, or, on the domain boundary, a ray
-    from its one facet's gradient along the outward normal.  All these
-    are clipped to the square in one vectorized pass; Green's theorem
-    then gives every cell's area and first moments as sums over its dual
-    edges plus the pieces of the square's sides it owns (see
+    from its one facet's gradient along the outward normal.  Green's
+    theorem then gives every cell's area and first moments as sums over
+    its dual edges plus the pieces of the square's sides it owns (see
     _side_terms), accumulated per node with bincount.
+
+    Most dual edges are segments with both ends B, E = B + D inside
+    (INTERIOR_MARGIN, 1 - INTERIOR_MARGIN)^2, and they are kept as they
+    are.  On such a row the Liang-Barsky ratios -B/D and (1 - B)/D are
+    all below 0 or above 1 (already for a margin of 0, by a last-ulp
+    argument; the margin makes it plain), so _clip_to_square would
+    return B + 0*D == B and B + 1*D == E unchanged, and _side_terms would
+    add zeros.  Only the other rows (rays, segments that come near or
+    cross a side, non-finite ones) go through one vectorized clip and
+    the side terms.  The kept rows stay in ascending row order, so every
+    bincount sums the same addends in the same order as clipping every
+    row would, and the output is the same to the bit.
 
     Parameters
     ----------
@@ -621,12 +653,22 @@ def _hull_cells(hull, want_jac=False):
         second pass over the hull.
     """
     N = len(hull.Z)
-    k, l, B, D, s0, s1 = _dual_segments(hull)
-    keep, P, Q = _clip_to_square(B, D, s0, s1)
-    k, l = k[keep], l[keep]
+    k, l, P, D, s0, s1 = _dual_segments(hull)
+    Q = P + D
+    ends = np.hstack([P, Q])
+    inner = ((s0 == 0) & (s1 == 1)
+             & ((ends > INTERIOR_MARGIN) & (ends < 1.0 - INTERIOR_MARGIN)).all(axis=1))
+    cut = np.flatnonzero(~inner)
+    keep, Pc, Qc = _clip_to_square(P[cut], D[cut], s0[cut], s1[cut])
+    cut = cut[keep]
+    P[cut], Q[cut] = Pc, Qc
+    inner[cut] = True  # now every kept row, in ascending order
+    rows = np.flatnonzero(inner)
+    k, l, P, Q = k[rows], l[rows], P[rows], Q[rows]
     cr = _cross(P, Q)
     w = np.column_stack([cr, (P[:, 0] + Q[:, 0]) * cr, (P[:, 1] + Q[:, 1]) * cr])
-    w += _side_terms(P, Q)
+    # an interior end adds no side term, and every end on a side is a clipped one
+    w[np.searchsorted(rows, cut)] += _side_terms(Pc, Qc)
     # float even when no edge meets the square (bincount is then integer)
     S = np.array([np.bincount(k, w[:, i], N) - np.bincount(l, w[:, i], N)
                   for i in range(3)], dtype=float)

@@ -15,6 +15,7 @@ as the digests of its BLOCK_LINES-line blocks, so that a mismatch names
 its first differing block.
 """
 
+import ctypes
 import hashlib
 import json
 import math
@@ -56,11 +57,35 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def openblas():
+    """Each OpenBLAS loaded in this process: its file name and its config
+    string, which names the kernel that OpenBLAS chose for this CPU."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+    except OSError:  # no /proc: record nothing rather than guess
+        return []
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        info = {"library": Path(path).name}
+        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
+                     "openblas_get_config64_", "openblas_get_config"):
+            cfg = getattr(lib, name, None)
+            if cfg is not None:
+                cfg.restype = ctypes.c_char_p
+                info["config"] = cfg().decode()
+                break
+        found.append(info)
+    return found
+
+
 def environment():
     """What the last digits of the artifacts may depend on."""
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "machine": platform.machine(),
-            "nproc": len(os.sched_getaffinity(0))}
+            "scipy": scipy.__version__, "openblas": openblas(),
+            "machine": platform.machine(), "nproc": len(os.sched_getaffinity(0))}
 
 
 def file_record(path):

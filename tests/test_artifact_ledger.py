@@ -31,3 +31,16 @@ def test_a_moved_digit_is_named_with_its_relative_difference():
     assert diffs[1] == "energy: exit code 0 in the ledger, 1 now"
     assert diffs[2].startswith("energy: energy.json differs at field 3:")
     assert artifact_ledger.compare(ledger, ledger) == []
+
+
+def test_the_environment_names_the_blas_kernel():
+    ledger = json.loads(artifact_ledger.LEDGER.read_text())
+    found = artifact_ledger.environment()["openblas"]
+    if ledger["environment"]["openblas"]:
+        assert found and all(b["config"].startswith("OpenBLAS") for b in found), found
+    # a mismatch recorded under another kernel names the kernel first
+    env = dict(ledger["environment"], openblas=[{"library": "x.so", "config": "Haswell"}])
+    cmd = {"argv": ["energy"], "exit": 0, "files": {"energy.json": {"sha256": "a"}}}
+    now = {"environment": env, "commands": [{**cmd, "exit": 1}]}
+    diffs = artifact_ledger.compare({**ledger, "commands": [cmd]}, now)
+    assert diffs[0].startswith("recorded in another environment (ledger, here): {'openblas':")

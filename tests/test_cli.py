@@ -123,6 +123,19 @@ def test_toric_target_with_negative_mass_exits_2(tmp_path, capsys):
     assert "target density must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corners", [(0,), (0, 1, 2, 3)])
+def test_toric_target_on_the_corners_exits_0(tmp_path, corners):
+    # the separable start of such a target is affine, whose lift qhull rejects
+    d = np.zeros((17, 17))
+    for c in corners:
+        d[(0, -1, 0, -1)[c], (0, 0, -1, -1)[c]] = 2.0 / len(corners)
+    tpath = tmp_path / "target.json"
+    tpath.write_text(json.dumps({"kind": "TwoD", "density": d.tolist()}))
+    assert run(["solve", "--model", "toric-p1p1:16", "--out", str(tmp_path),
+                "--target", str(tpath)]) == 0
+    assert json.loads((tmp_path / "solve.json").read_text())["residual"] == "0"
+
+
 @pytest.mark.parametrize("model", ["radial-p2", "toric-p1p1:16"])
 def test_nan_target_exits_2_on_its_mass(tmp_path, capsys, model):
     from ma_lab import models

@@ -3,7 +3,9 @@
 The vectorized dual-cell kernel in ``ma`` must agree with the
 Sutherland-Hodgman loop and the Delaunay-interpolated hull projection in
 ``toric_reference`` on smooth, degenerate and non-convex potentials, and
-build one lower hull per evaluation, held by the caller.  The Newton
+build one lower hull per evaluation, held by the caller.  On one hull,
+``ma._hull_cells`` must equal, bit for bit, the kernel that clipped every
+dual edge (``toric_reference.reference_hull_cells``).  The Newton
 solver's chord check, which rejects a trial before its hull is built,
 may flag only nodes that qhull leaves off the lower hull.
 """
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ma_lab import ma, models, solver
+from ma_lab.errors import PreconditionViolated
 from ma_lab.models import ToricGrid
-from toric_reference import reference_cells, reference_hull_projection
+from toric_reference import reference_cells, reference_hull_cells, reference_hull_projection
 
 TOL = 1e-12
 
@@ -32,6 +35,24 @@ def assert_matches_reference(t1, t2, Psi):
     assert np.abs(mom - ref_mom).max() <= TOL
     assert abs(H - ref_H).max() <= TOL
     assert areas.sum() == pytest.approx(1.0, abs=TOL)
+    assert_bit_identical(ma._lower_hull(t1, t2, Psi))
+
+
+def assert_bit_identical(hull):
+    """_hull_cells equals the clip-every-edge kernel by bytes: areas,
+    moments and the four Jacobian arrays, with and without the Jacobian."""
+    for want_jac in (False, True):
+        areas, mom, jac = ma._hull_cells(hull, want_jac)
+        ref_areas, ref_mom, ref_jac = reference_hull_cells(hull, want_jac)
+        got, want = [areas, mom], [ref_areas, ref_mom]
+        if want_jac:
+            got += list(jac)
+            want += list(ref_jac)
+        else:
+            assert jac is None and ref_jac is None
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 def _degenerate(name, t1, t2, base):
@@ -50,6 +71,61 @@ def _degenerate(name, t1, t2, base):
 def test_cells_match_reference_on_degenerate_potentials(grid16, name):
     t1, t2, base = grid16
     assert_matches_reference(t1, t2, _degenerate(name, t1, t2, base))
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.sampled_from([16, 32]), e=st.floats(0.0, 2 * ma.INTERIOR_MARGIN),
+       jump=st.floats(0.05, 0.9), at=st.integers(1, 15), lin=st.floats(0.1, 0.9),
+       q=st.floats(0.0, 0.35), axis=st.integers(0, 1), flip=st.booleans())
+def test_cells_are_bit_identical_with_ends_near_a_side(r, e, jump, at, lin, q, axis, flip):
+    # along one axis the slopes are 1 - e - jump, then 1 - e past a kink
+    # (e and e + jump when flipped), so many dual edges end within
+    # 0-2 * INTERIOR_MARGIN of a side, on both sides of the margin
+    t1, t2, _ = models.toric_p1p1(r).reference_potential
+    T1, T2 = np.meshgrid(t1, t2, indexing="ij")
+    A, C = (T1, T2) if axis == 0 else (T2, T1)
+    c = t1[at * r // 16]  # an inner grid line, so Psi is not affine
+
+    def g(x):
+        return (1.0 - e - jump) * x + jump * np.maximum(x - c, 0.0)
+
+    Psi = lin * A + q * A ** 2 / 64 + (C + g(-C) if flip else g(C))
+    assert_bit_identical(ma._lower_hull(t1, t2, Psi))
+
+
+def test_affine_potential_puts_its_mass_on_the_corners():
+    # qhull rejects the flat lift; the hull is the plane, and the cell of
+    # each corner is the rectangle the gradient (a, b) cuts off the square
+    model = models.toric_p1p1(16)
+    t1, t2, _ = model.reference_potential
+    a, b = 0.3, 0.65
+    dens = ma.toric_measure(model, ToricGrid(t1, t2, a * t1[:, None] + b * t2[None, :] + 0.7)).density
+    corners = dens[[0, -1, 0, -1], [0, 0, -1, -1]]
+    want = [2 * a * b, 2 * (1 - a) * b, 2 * a * (1 - b), 2 * (1 - a) * (1 - b)]
+    assert corners == pytest.approx(want, abs=TOL)
+    assert np.count_nonzero(dens) == 4
+
+
+def test_a_rejected_lift_off_the_corner_plane_raises(grid16, monkeypatch):
+    t1, t2, base = grid16
+
+    def rejecting(*args, **kwargs):
+        raise ma.QhullError("QH6154 initial simplex is flat")
+
+    monkeypatch.setattr(ma, "ConvexHull", rejecting)
+    with pytest.raises(PreconditionViolated, match="qhull rejects the lifted toric grid"):
+        ma._lower_hull(t1, t2, base)
+    assert ma._lower_hull(t1, t2, 0.5 * t1[:, None] - 0.1 * t2[None, :]).tris.shape == (2, 3)
+
+
+@pytest.mark.parametrize("r", [64, 128])
+def test_cells_are_bit_identical_on_the_smooth_family(r):
+    t1, t2, _ = models.toric_p1p1(r).reference_potential
+    for seed in (301, 302):
+        c = np.random.default_rng(seed).uniform(0.2, 0.8, 2)
+        vals = (np.logaddexp(0.0, c[0] * t1[:, None] + c[1] * t2[None, :])
+                + np.logaddexp(0.0, (1 - c[0]) * t1[:, None] + (1 - c[1]) * t2[None, :]))
+        assert_bit_identical(ma._lower_hull(t1, t2, vals))
 
 
 @settings(max_examples=100, deadline=None)

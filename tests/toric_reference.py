@@ -7,6 +7,12 @@ neighbours (Sutherland-Hodgman, one node at a time), and the hull
 projection interpolates the hull vertices linearly over their Delaunay
 triangulation.  They build their own hulls and share no code with the
 package kernel.
+
+``reference_hull_cells`` is the package's ``ma._hull_cells`` as it was
+before it skipped the clip of interior dual segments: every dual edge
+goes through one Liang-Barsky clip and one side-term pass, and the edge
+keys are sorted stably.  It reads a hull built by ``ma._lower_hull`` and
+must agree with the package kernel bit for bit.
 """
 
 import numpy as np
@@ -107,3 +113,97 @@ def reference_hull_projection(t1, t2, Psi):
     low = np.minimum(low, pts[:, 2])
     dist = float((pts[:, 2] - low).max())
     return low.reshape(len(t1), len(t2)), dist
+
+
+def _cross(u, v):
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+
+def _dual_segments(hull):
+    V, tris = hull.V, hull.tris
+    N = len(V)
+    src = tris.ravel()
+    dst = tris[:, [1, 2, 0]].ravel()
+    fac = np.repeat(np.arange(len(tris)), 3)
+    k, l = np.minimum(src, dst), np.maximum(src, dst)
+    left = src < dst
+    edge = k * N + l
+    order = np.argsort(edge, kind="stable")
+    pair = edge[order][1:] == edge[order][:-1]
+    i1, i2 = order[:-1][pair], order[1:][pair]
+    single = np.ones(len(k), bool)
+    single[i1] = single[i2] = False
+    i0 = np.flatnonzero(single)
+
+    fL = np.where(left[i1], fac[i1], fac[i2])
+    fR = np.where(left[i1], fac[i2], fac[i1])
+    d = V[l[i0]] - V[k[i0]]
+    rot = np.column_stack([-d[:, 1], d[:, 0]])
+    outgoing = ~left[i0]
+    n_pair = len(i1)
+    B = np.concatenate([hull.grad[fR], hull.grad[fac[i0]]])
+    D = np.concatenate([hull.grad[fL] - hull.grad[fR], rot])
+    s0 = np.concatenate([np.zeros(n_pair), np.where(outgoing, 0.0, -np.inf)])
+    s1 = np.concatenate([np.ones(n_pair), np.where(outgoing, np.inf, 0.0)])
+    return (np.concatenate([k[i1], k[i0]]), np.concatenate([l[i1], l[i0]]),
+            B, D, s0, s1)
+
+
+def _clip_to_square(B, D, s0, s1):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at0, at1 = -B / D, (1.0 - B) / D
+    lo = np.where(D > 0, at0, np.where(D < 0, at1, -np.inf))
+    hi = np.where(D > 0, at1, np.where(D < 0, at0, np.inf))
+    s_in = np.maximum(s0, lo.max(axis=1))
+    s_out = np.minimum(s1, hi.min(axis=1))
+    inside = ((D != 0) | ((B >= 0) & (B <= 1))).all(axis=1)
+    keep = np.flatnonzero(inside & (s_in < s_out))
+    B, D, lo, hi = B[keep], D[keep], lo[keep], hi[keep]
+    s_in, s_out = s_in[keep, None], s_out[keep, None]
+    P = np.where(lo == s_in, np.where(D > 0, 0.0, 1.0), B + s_in * D)
+    Q = np.where(hi == s_out, np.where(D > 0, 1.0, 0.0), B + s_out * D)
+    return keep, np.clip(P, 0.0, 1.0), np.clip(Q, 0.0, 1.0)
+
+
+def _side_terms(P, Q):
+    ends = np.concatenate([P, Q])
+    x, y = ends[:, 0], ends[:, 1]
+    low_side = ((x == 0) | (y == 0)) & (x != 1) & (y != 1)
+    v = np.where(x == 0, 1.0 - y, 1.0 + x)
+    marks = np.sort(np.concatenate([[0.0, 2.0], v[low_side]]))
+    i = np.argmax(np.diff(marks))
+    v_jump = 0.5 * (marks[i] + marks[i + 1])
+    phi = np.zeros((len(ends), 3))
+    phi[low_side & (v < v_jump)] = (2.0, 3.0, 3.0)
+    right = x == 1
+    phi[right] = np.column_stack([y, 2.0 * y, y * y])[right]
+    top = (y == 1) & ~right
+    phi[top] = np.column_stack([2.0 - x, 3.0 - x * x, 3.0 - 2.0 * x])[top]
+    return phi[:len(P)] - phi[len(P):]
+
+
+def reference_hull_cells(hull, want_jac=False):
+    """Areas, moments and edge-form Jacobian with every dual edge clipped."""
+    N = len(hull.Z)
+    k, l, B, D, s0, s1 = _dual_segments(hull)
+    keep, P, Q = _clip_to_square(B, D, s0, s1)
+    k, l = k[keep], l[keep]
+    cr = _cross(P, Q)
+    w = np.column_stack([cr, (P[:, 0] + Q[:, 0]) * cr, (P[:, 1] + Q[:, 1]) * cr])
+    w += _side_terms(P, Q)
+    S = np.array([np.bincount(k, w[:, i], N) - np.bincount(l, w[:, i], N)
+                  for i in range(3)], dtype=float)
+    c = np.argmin(S[0])
+    if S[0, c] >= -0.5:
+        c = np.argmax(hull.V.sum(axis=1) * 0.5 - hull.Z)
+    S[:, c] += (2.0, 3.0, 3.0)
+    areas = np.maximum(0.5 * S[0], 0.0)
+    mom = S[1:].T / 6.0
+    jac = None
+    if want_jac:
+        dV = hull.V[l] - hull.V[k]
+        wt = np.hypot(*(Q - P).T) / np.hypot(*dV.T)
+        on_side = ((P == Q) & ((P == 0) | (P == 1))).any(axis=1)
+        wt[on_side] *= 0.5
+        jac = (k, l, wt, -(np.bincount(k, wt, N) + np.bincount(l, wt, N)))
+    return areas, mom, jac
