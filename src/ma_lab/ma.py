@@ -428,6 +428,7 @@ def demailly_margin(model, phi, psi):
 LOWER_FACET_TOL = 1e-12  # facets whose unit normal has z below -this are lower
 PROJECTION_BLOCK = 1 << 20  # facet-plane evaluations per block of off-hull nodes
 INTERIOR_MARGIN = 1e-9  # dual segments with both ends this far inside skip the clip
+STRICT_MARGIN = 1e-12  # chord and coplanarity gaps, relative to max(1, max|Psi|)
 
 
 @dataclass(frozen=True)
@@ -448,9 +449,50 @@ class _LowerHull:
     on_hull: np.ndarray
 
 
+def _chord_gaps(Psi):
+    """How far each node of a grid potential lies below a chord, and the
+    margin STRICT_MARGIN * max(1, max|Psi|) its tests compare with.
+
+    The chord joins two grid neighbours placed symmetrically about the
+    node: on axis 0 (the gaps have shape (n1 - 2, n2)), on axis 1
+    ((n1, n2 - 2)) and on the two diagonals ((n1 - 2, n2 - 2) each).  A
+    node on the boundary has the chord along its edge line only.  On a
+    uniform grid the neighbours' midpoint is the node, so a negative gap
+    puts the node above the lower hull.
+    """
+    tol = STRICT_MARGIN * max(1.0, float(np.abs(Psi).max()))
+    inner = Psi[1:-1, 1:-1]
+    return tol, (0.5 * (Psi[:-2] + Psi[2:]) - Psi[1:-1],
+                 0.5 * (Psi[:, :-2] + Psi[:, 2:]) - Psi[:, 1:-1],
+                 0.5 * (Psi[:-2, :-2] + Psi[2:, 2:]) - inner,
+                 0.5 * (Psi[:-2, 2:] + Psi[2:, :-2]) - inner)
+
+
+def _strictly_convex(Psi):
+    """Whether every chord gap of the grid potential Psi exceeds the
+    margin of _chord_gaps, and so does the distance from coplanarity of
+    every grid cell's four lifted corners (their mixed difference)."""
+    tol, gaps = _chord_gaps(Psi)
+    mixed = Psi[:-1, :-1] + Psi[1:, 1:] - Psi[1:, :-1] - Psi[:-1, 1:]
+    return all((g > tol).all() for g in gaps) and bool((np.abs(mixed) > tol).all())
+
+
 def _lower_hull(t1, t2, Psi):
     """The lower hull of (t1 x t2, Psi); Psi may be flat.  Z is a copy of
     Psi, so a caller mutating Psi afterwards cannot reach the hull.
+
+    qhull runs once.  By default ("Qt") it premerges nearly coplanar
+    facets to absorb its rounding.  A strictly convex lift
+    (_strictly_convex) has no node on the hull surface and no coplanar
+    grid cell, so the merge has nothing to change in its lower
+    triangles; it is built without the merge ("Qt Q0"), which costs about
+    a third less.  Its facet gradients can then differ in the last bits,
+    since each triangle keeps its own plane.  Every other lift keeps the
+    merge: on lifts with nodes exactly on the hull surface (separable or
+    ruled potentials, a Newton iterate projected onto its hull), "Q0"
+    makes such nodes vertices and moves their cells.  The screen rules
+    out those lifts; it does not prove that the two builds agree, which
+    the tests check on drawn strictly convex lifts.
 
     qhull rejects an affine Psi (its initial simplex is flat); its lower
     hull is then its plane, two triangles on the four corners.  Any other
@@ -459,8 +501,9 @@ def _lower_hull(t1, t2, Psi):
     X, Y = np.meshgrid(np.asarray(t1, float), np.asarray(t2, float), indexing="ij")
     V = np.column_stack([X.ravel(), Y.ravel()])
     Z = np.array(Psi, float).ravel()
+    opts = "Qt Q0" if _strictly_convex(Z.reshape(X.shape)) else "Qt"
     try:
-        qh = ConvexHull(np.column_stack([V, Z]), qhull_options="Qt")
+        qh = ConvexHull(np.column_stack([V, Z]), qhull_options=opts)
     except QhullError as exc:
         n = X.shape[1]
         c = [0, len(Z) - n, len(Z) - 1, n - 1]  # the corners, counter-clockwise

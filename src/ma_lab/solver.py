@@ -211,8 +211,8 @@ def _separable_init(t1, t2, T):
 
 
 def _above_a_chord(Psi):
-    """Nodes of a grid potential that lie above a chord, by more than
-    1e-12 * max(1, max|Psi|): the chord of two grid neighbours placed
+    """Nodes of a grid potential that lie above a chord by more than the
+    margin of ma._chord_gaps: the chord of two grid neighbours placed
     symmetrically about the node on its row, its column or either
     diagonal, or along the edge line for a node on the boundary.
 
@@ -221,13 +221,11 @@ def _above_a_chord(Psi):
     and its cell is empty.  The margin keeps the test clear of qhull's
     rounding.
     """
-    tol = 1e-12 * max(1.0, float(np.abs(Psi).max()))
+    tol, gaps = ma._chord_gaps(Psi)
     above = np.zeros(Psi.shape, bool)
-    above[1:-1] = Psi[1:-1] - 0.5 * (Psi[:-2] + Psi[2:]) > tol
-    above[:, 1:-1] |= Psi[:, 1:-1] - 0.5 * (Psi[:, :-2] + Psi[:, 2:]) > tol
-    inner = Psi[1:-1, 1:-1]
-    above[1:-1, 1:-1] |= ((inner - 0.5 * (Psi[:-2, :-2] + Psi[2:, 2:]) > tol)
-                          | (inner - 0.5 * (Psi[:-2, 2:] + Psi[2:, :-2]) > tol))
+    above[1:-1] = gaps[0] < -tol
+    above[:, 1:-1] |= gaps[1] < -tol
+    above[1:-1, 1:-1] |= (gaps[2] < -tol) | (gaps[3] < -tol)
     return above
 
 

@@ -7,12 +7,15 @@ build one lower hull per evaluation, held by the caller.  On one hull,
 ``ma._hull_cells`` must equal, bit for bit, the kernel that clipped every
 dual edge (``toric_reference.reference_hull_cells``).  The Newton
 solver's chord check, which rejects a trial before its hull is built,
-may flag only nodes that qhull leaves off the lower hull.
+may flag only nodes that qhull leaves off the lower hull.  A strictly
+convex lift is built without qhull's premerge, and must give the lower
+triangles, cells and moments of the merged build; every other lift keeps
+the merge.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ma_lab import ma, models, solver
 from ma_lab.errors import PreconditionViolated
@@ -162,11 +165,86 @@ def hull_calls(monkeypatch):
     real = ma.ConvexHull
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs["qhull_options"])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ma, "ConvexHull", counting)
     return calls
+
+
+MERGED, UNMERGED = "Qt", "Qt Q0"
+
+
+def _smooth(t1, t2, c):
+    return (np.logaddexp(0.0, c[0] * t1[:, None] + c[1] * t2[None, :])
+            + np.logaddexp(0.0, (1 - c[0]) * t1[:, None] + (1 - c[1]) * t2[None, :]))
+
+
+def test_lifts_with_nodes_on_the_hull_surface_keep_the_merge(grid16, hull_calls):
+    t1, t2, base = grid16
+    lifts = [_degenerate(name, t1, t2, base) for name in ("separable", "kinked", "ruled", "leaving")]
+    lifts.append(0.3 * t1[:, None] - 0.2 * t2[None, :] + 1.0)  # affine: qhull rejects it
+    # a target with no mass on a block of nodes: its separable start, and
+    # the first Newton iterate, projected onto its hull
+    demo = solver._toric_demo_target(models.toric_p1p1(16), 0).density.copy()
+    demo[6:10, 6:10] = 0.0
+    T = demo / demo.sum()
+    start = solver._separable_init(t1, t2, T)
+    P, _, info = solver._newton(t1, t2, start, T.ravel(), itmax=1)
+    assert info["projection_distances"][0] > 0
+    lifts += [start, P]
+    del hull_calls[:]
+    for Psi in lifts:
+        assert not ma._strictly_convex(Psi)
+        ma._lower_hull(t1, t2, Psi)
+    assert hull_calls == [MERGED] * len(lifts)
+
+
+@pytest.mark.parametrize("r", [64, 128])
+def test_the_smooth_family_is_built_without_the_merge(r, hull_calls):
+    t1, t2, _ = models.toric_p1p1(r).reference_potential
+    for seed in (301, 302):
+        rng = np.random.default_rng(seed)
+        for _ in range(2):  # perfbench's toric-measure inputs at these seeds
+            ma._lower_hull(t1, t2, _smooth(t1, t2, rng.uniform(0.2, 0.8, 2)))
+    assert hull_calls == [UNMERGED] * 4
+
+
+def _lower_triangles(hull):
+    return sorted(map(tuple, np.sort(hull.tris, axis=1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.sampled_from([16, 32]), c=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+       w=st.floats(0.0, 1.0), eig=st.tuples(st.floats(-6.0, 0.0), st.floats(-6.0, 0.0)),
+       angle=st.floats(0.0, np.pi), lin=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_unmerged_build_of_a_strictly_convex_lift_matches_the_merged(r, c, w, eig, angle, lin):
+    # the smooth family plus a quadratic with Hessian eigenvalues down to
+    # 1e-6 along a drawn axis; only lifts that pass the screen count
+    t1, t2, _ = models.toric_p1p1(r).reference_potential
+    T1, T2 = np.meshgrid(t1, t2, indexing="ij")
+    u = np.cos(angle) * T1 + np.sin(angle) * T2
+    v = np.cos(angle) * T2 - np.sin(angle) * T1
+    Psi = (w * _smooth(t1, t2, c) + (10.0 ** eig[0] * u ** 2 + 10.0 ** eig[1] * v ** 2) / 64
+           + lin[0] * T1 + lin[1] * T2)
+    assume(ma._strictly_convex(Psi))
+    options = []
+    real = ma.ConvexHull
+
+    def recording(*args, **kwargs):
+        options.append(kwargs["qhull_options"])
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ma, "ConvexHull", recording)
+        fast = ma._lower_hull(t1, t2, Psi)
+        mp.setattr(ma, "_strictly_convex", lambda Psi: False)
+        merged = ma._lower_hull(t1, t2, Psi)
+    assert options == [UNMERGED, MERGED]
+    assert _lower_triangles(fast) == _lower_triangles(merged)
+    (areas, mom, _), (ref_areas, ref_mom, _) = ma._hull_cells(fast), ma._hull_cells(merged)
+    assert np.abs(areas - ref_areas).max() <= TOL
+    assert np.abs(mom - ref_mom).max() <= TOL
 
 
 def test_measure_builds_one_hull(grid16, hull_calls):
