@@ -184,6 +184,9 @@ def _write_junit(path, reports):
 
 def cmd_verify(opts, outdir):
     model = model_from_descriptor(opts["model"])
+    if opts["checks"] == []:
+        raise MaLabError("the check list is empty; give no --checks or config 'checks' "
+                         "to run every check")
     corpus = verify.generate_corpus(opts["seed"], opts["size"])
     reports = verify.run_checks(corpus, model, opts["checks"])
     fields = ["check_id", "citation", "instances", "failures", "worst_margin"]

@@ -257,9 +257,7 @@ def _backends():
             ladder_ep=energy._radial_ladder_ep,
             gradient_energy=lambda m, phi: energy.gradient_energy_verdict(m, phi),
             solve=lambda m, target, p: solver.solve_radial(m, target, p),
-            target=("OneD", "node_mass", lambda m, d: solver.radial_target(
-                m, np.asarray(d["node_mass"], float), float(d.get("atom_fixed_point", 0.0)),
-                float(d.get("atom_divisor", 0.0)))),
+            target=("OneD", "node_mass", solver._radial_json_target),
             demo_target=lambda m, seed: ma.ma_measure(m, verify.seed_profile(seed)),
             solution=lambda m, psi: (psi.base.grid, psi.offset)),
         PRODUCT_P1P1: Backend(

@@ -74,6 +74,21 @@ def radial_target(model, node_mass, atom_a=0.0, atom_div=0.0):
     return ma.MaMeasure("OneD", g, node_mass, tuple(atoms), total, cdf_seq=c)
 
 
+def _radial_json_target(model, d):
+    """A radial target from its JSON object: node masses on the model grid
+    and the two end atoms, none of them negative."""
+    node_mass = np.asarray(d["node_mass"], dtype=float)
+    neg = np.flatnonzero(node_mass < 0)
+    if neg.size:
+        i = neg[0]
+        raise InvalidInput(f"target node_mass[{i}] = {float(node_mass.flat[i])!r} is negative")
+    atoms = {key: float(d.get(key, 0.0)) for key in ("atom_fixed_point", "atom_divisor")}
+    for key, a in atoms.items():
+        if a < 0:
+            raise InvalidInput(f"target {key} = {a!r} is negative")
+    return radial_target(model, node_mass, *atoms.values())
+
+
 def _toric_json_target(model, d):
     """A toric target from its JSON object, a density on the model grid."""
     t1, t2, _ = model.reference_potential

@@ -1,91 +1,38 @@
-"""The artifact ledger: the SHA-256 digest of every file that a fixed set
-of CLI commands writes, each command's exit code, and the environment
-they were recorded in.
+"""The artifact ledger: for each row of tests/command_table.py, its exit
+code, its stdout and stderr, and the SHA-256 digest of every file it
+writes; and the environment they were recorded in.
 
-Run as a script, this reruns COMMANDS in this one process and rewrites
-LEDGER:
+Run as a script, this runs the table in this one process, prints how the
+rows that both ledgers hold differ (nothing, if no artifact moved), and
+rewrites LEDGER:
 
     PYTHONPATH=src python tests/artifact_ledger.py
 
-tests/test_artifact_ledger.py reruns them and compares with LEDGER.  A
-file of up to FIELDS_MAX bytes is also kept as its lines, so that a
-mismatch names the first differing field with its relative difference,
-which tells last-digit drift from a verdict change.  A larger file is kept
-as the digests of its BLOCK_LINES-line blocks, so that a mismatch names
-its first differing block.
+tests/test_artifact_ledger.py compares the session's one run of the
+table with LEDGER.  A file of up to FIELDS_MAX bytes is also kept as its
+lines, so that a mismatch names the first differing field with its
+relative difference, which tells last-digit drift from a verdict change.
+A larger file is kept as the digests of its BLOCK_LINES-line blocks, so
+that a mismatch names its first differing block.
 """
 
-import ctypes
 import hashlib
 import json
 import math
-import os
-import platform
 import re
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-import scipy
-
-from ma_lab import cli
+import command_table
 
 LEDGER = Path(__file__).resolve().parent / "artifact_ledger.json"
 FIELDS_MAX = 16384
 BLOCK_LINES = 64
 
-# every subcommand at the seeds of the usual artifact set; verify at seed
-# 202 exits 1 on mollification-consistency
-COMMANDS = (
-    ("energy", "--seed", "0"),
-    ("energy", "--seed", "3"),
-    ("energy", "--seed", "17"),
-    ("capacity", "--seed", "0"),
-    ("capacity", "--seed", "3"),
-    ("solve", "--seed", "0"),
-    ("solve", "--seed", "3"),
-    ("verify", "--size", "60", "--seed", "0"),
-    ("verify", "--size", "60", "--seed", "5"),
-    ("verify", "--size", "60", "--seed", "202"),
-    ("examples",),
-    ("solve", "--model", "toric-p1p1:32", "--seed", "1"),
-)
-
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
-
-
-def openblas():
-    """Each OpenBLAS loaded in this process: its file name and its config
-    string, which names the kernel that OpenBLAS chose for this CPU."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.lower() and line.split()[-1].startswith("/")})
-    except OSError:  # no /proc: record nothing rather than guess
-        return []
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        info = {"library": Path(path).name}
-        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
-                     "openblas_get_config64_", "openblas_get_config"):
-            cfg = getattr(lib, name, None)
-            if cfg is not None:
-                cfg.restype = ctypes.c_char_p
-                info["config"] = cfg().decode()
-                break
-        found.append(info)
-    return found
-
-
-def environment():
-    """What the last digits of the artifacts may depend on."""
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "openblas": openblas(),
-            "machine": platform.machine(), "nproc": len(os.sched_getaffinity(0))}
 
 
 def file_record(path):
@@ -101,15 +48,12 @@ def file_record(path):
     return rec
 
 
-def record(outdir):
-    """Run COMMANDS with their output under outdir; the ledger of what they wrote."""
-    commands = []
-    for i, argv in enumerate(COMMANDS):
-        out = Path(outdir) / str(i)
-        rc = cli.main(list(argv) + ["--out", str(out)])
-        files = {p.name: file_record(p) for p in sorted(out.iterdir()) if p.is_file()}
-        commands.append({"argv": list(argv), "exit": rc, "files": files})
-    return {"environment": environment(), "commands": commands}
+def record(run):
+    """The ledger of a command_table.run: each row's outcome and the files it wrote."""
+    out = Path(run["out"])
+    commands = [dict(c, files={p.name: file_record(p) for p in sorted(out.glob(f"{i}/*"))})
+                for i, c in enumerate(run["commands"])]
+    return {"environment": run["environment"], "commands": commands}
 
 
 def _fields(lines):
@@ -147,15 +91,22 @@ def _first_difference(want, got):
 
 
 def compare(ledger, now):
-    """Each difference between two ledgers, in words; [] if they agree."""
+    """Each difference between two ledgers, in words; [] if they agree.
+    Rows are matched by argv; a stream is compared where the ledger holds it."""
     out = []
-    for want, got in zip(ledger["commands"], now["commands"]):
+    rows = {tuple(c["argv"]): c for c in now["commands"]}
+    for want in ledger["commands"]:
         cmd = " ".join(want["argv"])
-        if want["argv"] != got["argv"]:
-            out.append(f"command {cmd!r} is now {' '.join(got['argv'])!r}")
+        got = rows.pop(tuple(want["argv"]), None)
+        if got is None:
+            out.append(f"{cmd}: in the ledger, not run now")
             continue
         if want["exit"] != got["exit"]:
             out.append(f"{cmd}: exit code {want['exit']} in the ledger, {got['exit']} now")
+        for stream in ("stdout", "stderr"):
+            if stream in want and want[stream] != got[stream]:
+                out.append(f"{cmd}: {stream} {want[stream]!r} in the ledger, "
+                           f"{got[stream]!r} now")
         if set(want["files"]) != set(got["files"]):
             out.append(f"{cmd}: files {sorted(want['files'])} in the ledger, "
                        f"{sorted(got['files'])} now")
@@ -163,9 +114,7 @@ def compare(ledger, now):
             w, g = want["files"][name], got["files"][name]
             if w["sha256"] != g["sha256"]:
                 out.append(f"{cmd}: {name} differs at {_first_difference(w, g)}")
-    if len(ledger["commands"]) != len(now["commands"]):
-        out.append(f"{len(ledger['commands'])} commands in the ledger, "
-                   f"{len(now['commands'])} now")
+    out += [f"{' '.join(argv)}: run now, not in the ledger" for argv in rows]
     env = {k: (v, now["environment"].get(k)) for k, v in ledger["environment"].items()
            if now["environment"].get(k) != v}
     if out and env:
@@ -175,10 +124,19 @@ def compare(ledger, now):
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        ledger = record(tmp)
-    LEDGER.write_text(json.dumps(ledger, indent=1) + "\n")
-    print(f"wrote {LEDGER}: {len(ledger['commands'])} commands, "
-          f"{sum(len(c['files']) for c in ledger['commands'])} files", file=sys.stderr)
+        now = record(command_table.run(tmp))
+    old = json.loads(LEDGER.read_text())
+    held = {tuple(c["argv"]) for c in old["commands"]}
+    both = [c for c in now["commands"] if tuple(c["argv"]) in held]
+    diffs = compare(old, {**now, "commands": both})
+    print(f"{len(both)} rows that both ledgers hold, {sum(len(c['files']) for c in both)} "
+          f"files: {len(diffs) or 'no'} differences", *diffs, sep="\n")
+    for c in now["commands"]:
+        if tuple(c["argv"]) not in held:
+            print(f"new row: {' '.join(c['argv'])} (exit {c['exit']}, {len(c['files'])} files)")
+    LEDGER.write_text(json.dumps(now, indent=1) + "\n")
+    print(f"wrote {LEDGER}: {len(now['commands'])} commands, "
+          f"{sum(len(c['files']) for c in now['commands'])} files", file=sys.stderr)
 
 
 if __name__ == "__main__":

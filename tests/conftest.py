@@ -1,6 +1,14 @@
 import pytest
 
+import command_table
 from ma_lab import models, verify
+
+
+@pytest.fixture(scope="session")
+def table_run(tmp_path_factory):
+    # the command table, run once per session in a fresh process; the artifact
+    # ledger and the reachability guard both read this run
+    return command_table.fresh_run(tmp_path_factory.mktemp("table"))
 
 
 @pytest.fixture(scope="session")

@@ -3,13 +3,32 @@
 import json
 
 import artifact_ledger
+import command_table
+from ma_lab import cli, models
 
 
-def test_artifacts_match_the_ledger(tmp_path):
+def test_artifacts_match_the_ledger(table_run):
     ledger = json.loads(artifact_ledger.LEDGER.read_text())
-    assert [tuple(c["argv"]) for c in ledger["commands"]] == list(artifact_ledger.COMMANDS)
-    diffs = artifact_ledger.compare(ledger, artifact_ledger.record(tmp_path))
+    rows = [(tuple(c["argv"]), c["exit"], "stdout" in c and "stderr" in c)
+            for c in ledger["commands"]]
+    assert rows == [(r.argv, r.exit, True) for r in command_table.ROWS]
+    diffs = artifact_ledger.compare(ledger, artifact_ledger.record(table_run))
     assert not diffs, "artifacts differ from the ledger:\n" + "\n".join(diffs)
+
+
+def test_the_table_covers_the_cli():
+    rows = command_table.ROWS
+    assert len({r.argv for r in rows}) == len(rows), "a command is listed twice"
+    assert {r.argv[0] for r in rows} == set(cli.COMMANDS)
+    assert {"--config", "--p", "--checks"} <= {a for r in rows for a in r.argv}
+    # every --target schema, read from the input file the row writes
+    kinds = {r.inputs[r.argv[r.argv.index("--target") + 1].removeprefix("{out}/")]["kind"]
+             for r in rows if "--target" in r.argv}
+    assert kinds == {b.target[0] for b in models._backends().values() if b.target}
+    assert {0, 1, 2} == {r.exit for r in rows}
+    for r in rows:  # each {out}/ path a row reads is an input it writes
+        reads = {a.removeprefix("{out}/") for a in r.argv if a.startswith("{out}/")}
+        assert reads == set(r.inputs), r.argv
 
 
 def test_a_moved_digit_is_named_with_its_relative_difference():
@@ -33,9 +52,21 @@ def test_a_moved_digit_is_named_with_its_relative_difference():
     assert artifact_ledger.compare(ledger, ledger) == []
 
 
+def test_rows_are_matched_by_argv_and_their_streams_compared():
+    row = {"argv": ["capacity"], "exit": 0, "stdout": "", "stderr": "", "files": {}}
+    other = {**row, "argv": ["examples"]}
+    ledger = {"environment": {}, "commands": [row]}
+    now = {"environment": {}, "commands": [other, {**row, "stderr": "ma-lab: x\n"}]}
+    assert artifact_ledger.compare(ledger, now) == [
+        "capacity: stderr '' in the ledger, 'ma-lab: x\\n' now",
+        "examples: run now, not in the ledger"]
+    assert artifact_ledger.compare({**ledger, "commands": [row, other]}, ledger) == [
+        "examples: in the ledger, not run now"]
+
+
 def test_the_environment_names_the_blas_kernel():
     ledger = json.loads(artifact_ledger.LEDGER.read_text())
-    found = artifact_ledger.environment()["openblas"]
+    found = command_table.environment()["openblas"]
     if ledger["environment"]["openblas"]:
         assert found and all(b["config"].startswith("OpenBLAS") for b in found), found
     # a mismatch recorded under another kernel names the kernel first

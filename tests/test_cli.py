@@ -123,6 +123,20 @@ def test_toric_target_with_negative_mass_exits_2(tmp_path, capsys):
     assert "target density must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("atom_fixed_point", -0.25), ("atom_divisor", -0.25)])
+def test_radial_target_with_a_negative_atom_exits_2_naming_it(tmp_path, capsys, key, value):
+    # mass 1 and F in [0, 1] hold; only the atom's sign is wrong
+    from ma_lab import models
+
+    n = models.radial_p2().reference_potential.grid.size
+    w = np.zeros(n)
+    w[n // 2] = 1.0 - value
+    tpath = tmp_path / "target.json"
+    tpath.write_text(json.dumps({"kind": "OneD", "node_mass": w.tolist(), key: value}))
+    assert run(["solve", "--out", str(tmp_path), "--target", str(tpath)]) == 2
+    assert f"ma-lab: target {key} = -0.25 is negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("corners", [(0,), (0, 1, 2, 3)])
 def test_toric_target_on_the_corners_exits_0(tmp_path, corners):
     # the separable start of such a target is affine, whose lift qhull rejects
@@ -262,6 +276,15 @@ def test_csv_writes_floats_with_17_digits_and_the_rest_as_str(tmp_path):
 
 def test_verify_unknown_check(tmp_path):
     assert run(["verify", "--out", str(tmp_path), "--checks", "bogus"]) == 2
+
+
+def test_verify_with_an_empty_check_list_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"checks": []}))
+    for args in (["--checks", ""], ["--checks", ","], ["--config", str(cfg)]):
+        assert run(["verify", "--size", "4", "--out", str(tmp_path / "o"), *args]) == 2, args
+        assert "the check list is empty" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "verify.json").exists()
 
 
 def test_unknown_model(tmp_path):

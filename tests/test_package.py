@@ -2,14 +2,11 @@
 
 Every name listed in ma_lab.__all__ exists, once.  Every option of a
 function in src/ takes more than one value in the calls there, and every
-function in src/ runs in some command of tests/reachability.py, or is
-listed with the reason it stays."""
+function in src/ runs in the session's one run of the command table
+(tests/command_table.py, the `table_run` fixture), or is listed with the
+reason it stays."""
 
 import ast
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import ma_lab
@@ -133,8 +130,8 @@ def test_every_option_is_passed_or_listed():
     assert not stale, f"listed options that src/ now passes or lost: {stale}"
 
 
-# Functions of src/ that no command of reachability.COMMANDS runs, each
-# kept on purpose, by "module.qualified.name".
+# Functions of src/ that no row of tests/command_table.py runs, each kept
+# on purpose, by "module.qualified.name".
 UNREACHED = {
     "ma.toric_cells": "one-call cell kernel; tests and perfbench/layers.py call it",
     "ma.toric_hull_projection": "one-call projection kernel; tests and perfbench/layers.py "
@@ -146,16 +143,8 @@ UNREACHED = {
 }
 
 
-def test_every_function_is_reached_or_listed(tmp_path):
-    # a fresh process, so the lru-cached model functions run inside the commands
-    path = [str(reachability.SRC.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    run = subprocess.run([sys.executable, reachability.__file__, str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=600)
-    assert run.returncode == 0, run.stderr
-    got = json.loads((tmp_path / "reached.json").read_text())
-    assert got["exit"] == [code for _, code in reachability.COMMANDS], run.stderr
-    reached = {tuple(key) for key in got["reached"]}
+def test_every_function_is_reached_or_listed(table_run):
+    reached = {tuple(key) for key in table_run["reached"]}
     unreached = {name for key, name in reachability.defs().items() if key not in reached}
     dead = sorted(unreached - set(UNREACHED))
     assert not dead, f"functions in src/ that no command runs: {dead}"
