@@ -163,32 +163,33 @@ def capacity_curve(model, phi, thresholds):
         exponent = float(np.polyfit(np.log(ts[sel]), np.log(vals[sel]), 1)[0])
     else:
         exponent = float(np.nan)
-    ladder = _ladder(model, phi)
-    consts = {"C_phi": decay_constant(model, ladder)}
-    consts.update(_sandwich(model, phi, ladder))
+    limit = _limit(model, phi)
+    consts = {"C_phi": decay_constant(model, limit)}
+    consts.update(capacity_energy_sandwich(model, phi, limit))
     return CapacityCurve(ts, vals, exponent, consts)
 
 
-def _ladder(model, phi):
-    """The cutoff ladder of phi shifted down to sup <= 0, if needed."""
-    return energy.cutoffs(model, energy._nonpositive(model, phi)[0])
+def _limit(model, phi):
+    """limit(q, j): the (q, j) :func:`energy.ladder_limit` verdicts along
+    the cutoff ladder of phi shifted down to sup <= 0, if needed."""
+    phi = energy._nonpositive(model, phi)[0]
+    return partial(energy.ladder_limit, model, energy.cutoffs(model, phi))
 
 
-def decay_constant(model, ladder):
+def decay_constant(model, limit):
     """Explicit constant of the quadratic sublevel-capacity decay.
 
     C_phi = int phi^2 omega^2 + 4 int(-phi) omega ^ omega_phi + 2,
     the constant produced by the comparison-principle proof of the
-    decay Cap(phi < -t) <= C_phi / t^2, with the energies read off
-    ladder, an :func:`energy.cutoffs` ladder of phi.
+    decay Cap(phi < -t) <= C_phi / t^2, with the energies read from
+    limit(q, j), phi's (q, j) :func:`energy.ladder_limit` verdicts along
+    one :func:`energy.cutoffs` ladder.
     """
     require(model, RADIAL_P2, "decay_constant")
-    sq = energy.ladder_limit(model, ladder, 2.0, 0).value
-    lin = energy.ladder_limit(model, ladder, 1.0, 1).value
-    return sq + 4.0 * lin + 2.0
+    return limit(2.0, 0).value + 4.0 * limit(1.0, 1).value + 2.0
 
 
-def capacity_energy_sandwich(model, phi):
+def capacity_energy_sandwich(model, phi, limit=None):
     """Both sides of the capacity-energy sandwich at exponent p = 1.
 
     The middle quantity int (-phi)^3 dCap is evaluated from its
@@ -197,14 +198,12 @@ def capacity_energy_sandwich(model, phi):
     of the energy, int_1^inf m(t) dt with m the sublevel mass under
     omega_phi^2, which is the quantity the comparison-principle
     derivation actually dominates; the upper bound uses the full
-    combination 2^3 e_1 (energy.capacity_energy).
+    combination 2^3 e_1 (energy.capacity_energy), read from limit(q, j):
+    by default the verdicts along phi's own ladder (phi shifted down to
+    sup <= 0, if needed), or those of a caller that already holds them.
     """
     require(model, RADIAL_P2, "capacity_energy_sandwich")
-    return _sandwich(model, phi, _ladder(model, phi))
-
-
-def _sandwich(model, phi, ladder):
-    """The sandwich of phi, with e_1 read off ladder (:func:`_ladder`)."""
+    limit = limit or _limit(model, phi)
     depth = float(-phi.offset.min())
     # past the grid depth the discrete sublevels degenerate to the fixed
     # point and the mass/capacity pair is no longer faithful; stop there
@@ -218,6 +217,5 @@ def _sandwich(model, phi, ladder):
     return {
         "sandwich_lower": float(lower) * 3.0,
         "sandwich_mid": float(mid),
-        "sandwich_upper": 8.0 * energy.capacity_energy(
-            partial(energy.ladder_limit, model, ladder), 1.0),
+        "sandwich_upper": 8.0 * energy.capacity_energy(limit, 1.0),
     }

@@ -13,6 +13,7 @@ scale of the quantities involved.
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -193,7 +194,39 @@ def _bounded(corpus):
 
 def _monotone(corpus):
     """The members whose sublevels are sets {t <= T} (capacity.is_monotone)."""
-    return [e.phi for e in corpus.profiles if cap_mod.is_monotone(e.phi)]
+    return [corpus.profiles[i].phi for i in _monotone_members(corpus)]
+
+
+def _monotone_members(corpus):
+    """Indices in corpus.profiles of the monotone members (:func:`_monotone`)."""
+    return [i for i, e in enumerate(corpus.profiles) if cap_mod.is_monotone(e.phi)]
+
+
+def _tagged(corpus, tag):
+    """Indices in corpus.profiles of the members tagged tag."""
+    return [i for i, e in enumerate(corpus.profiles) if tag in e.tags]
+
+
+def _divisor_bounded(corpus):
+    """The divisor-bounded members."""
+    return _tagged(corpus, "divisor_bounded")
+
+
+def _singular(corpus):
+    """The alpha-family members, then the divisor-bounded ones."""
+    return _tagged(corpus, "alpha_family") + _divisor_bounded(corpus)
+
+
+def _sandwiched(corpus):
+    """The monotone members that the sandwich check reads: every (n // 40)-th
+    of the n monotone members, or all of them when n < 80."""
+    members = _monotone_members(corpus)
+    return members[::max(1, len(members) // 40)]
+
+
+def _paired_alpha(corpus):
+    """The alpha-family members that max-stable-in-ep pairs with a bounded one."""
+    return _tagged(corpus, "alpha_family")[:len(_tagged(corpus, "bounded"))]
 
 
 def _holder_exponent(p):
@@ -217,7 +250,7 @@ def _report(cid, margins, scale_hint=1.0, details=None):
     """Report of check cid, with its citation read from CHECKS."""
     margins = np.asarray(margins, dtype=float)
     tol = SLACK * max(scale_hint, 1.0)
-    failures = int(np.sum(margins < -tol))
+    failures = int(np.sum(~(margins >= -tol)))  # a NaN margin fails too
     worst = float(margins.min()) if margins.size else 0.0
     return CheckReport(cid, CHECKS[cid][0], int(margins.size), failures, worst,
                        details or {})
@@ -263,14 +296,15 @@ def check_chain_sobolev(corpus, model):
     return _report("chain-sobolev-convergence", margins, 10.0)
 
 
-def check_capacity_decay(corpus, model):
+def check_capacity_decay(corpus, model, limits=None):
+    limits = limits or member_limits(corpus, model, ["sublevel-capacity-decay"])
     margins = []
     ts = np.geomspace(1.0, 64.0, 25)
-    for phi in _monotone(corpus):
-        C = cap_mod.decay_constant(model, energy.cutoffs(model, phi))
+    for i in _monotone_members(corpus):
+        C = cap_mod.decay_constant(model, partial(limits, i))
         if not np.isfinite(C):
             continue
-        caps = cap_mod.sublevel_capacity(model, phi, ts)
+        caps = cap_mod.sublevel_capacity(model, corpus.profiles[i].phi, ts)
         margins.extend(C / ts ** 2 - caps)
     return _report("sublevel-capacity-decay", margins)
 
@@ -420,15 +454,17 @@ def check_weighted_chain(corpus, model):
     return _report("weighted-energy-chain", margins, 100.0)
 
 
-def check_truncation_free(corpus, model):
+def check_truncation_free(corpus, model, limits=None):
+    limits = limits or member_limits(corpus, model, ["cutoff-sequence-free"])
     margins = []
-    for e in corpus.with_tag("alpha_family") + corpus.with_tag("divisor_bounded"):
-        v2 = energy.ep_limit(model, e.phi, 1.0)
+    for i in _singular(corpus):
+        v2 = limits(i, 1.0, 2)
         if 0.9 <= v2.rho <= 1.02:
             continue  # inside the classifier's resolution band
 
         # a different cutoff subsequence must give the same verdict
-        alt = energy.ladder_limit(model, energy.cutoffs(model, e.phi, start=1.5), 1.0)
+        phi = corpus.profiles[i].phi
+        alt = energy.ladder_limit(model, energy.cutoffs(model, phi, start=1.5), 1.0)
         margins.append(1.0 if alt.finite == v2.finite else -1.0)
     return _report("cutoff-sequence-free", margins)
 
@@ -442,13 +478,12 @@ def check_convergence_in_capacity(corpus, model):
     return _report("truncation-capacity-convergence", margins)
 
 
-def check_max_in_ep(corpus, model):
+def check_max_in_ep(corpus, model, limits=None):
+    limits = limits or member_limits(corpus, model, ["max-stable-in-ep"])
     margins = []
-    members = corpus.with_tag("alpha_family")
-    bounded = corpus.with_tag("bounded")
-    for e, b in zip(members, bounded):
-        if energy.ep_limit(model, e.phi, 2.0).finite:
-            top = max_offsets(e.phi, b.phi)
+    for i, b in zip(_paired_alpha(corpus), corpus.with_tag("bounded")):
+        if limits(i, 2.0, 2).finite:
+            top = max_offsets(corpus.profiles[i].phi, b.phi)
             margins.append(1.0 if energy.ep_limit(model, top, 2.0).finite else -1.0)
     return _report("max-stable-in-ep", margins)
 
@@ -527,11 +562,12 @@ def check_comparison(corpus, model):
     return _report("comparison-principle", margins)
 
 
-def check_sandwich(corpus, model):
+def check_sandwich(corpus, model, limits=None):
+    limits = limits or member_limits(corpus, model, ["capacity-energy-sandwich"])
     margins = []
-    members = _monotone(corpus)
-    for phi in members[::max(1, len(members) // 40)]:
-        vals = cap_mod.capacity_energy_sandwich(model, phi)
+    for i in _sandwiched(corpus):
+        vals = cap_mod.capacity_energy_sandwich(model, corpus.profiles[i].phi,
+                                                partial(limits, i))
         if not np.isfinite(vals["sandwich_upper"]):
             continue
         margins.append(vals["sandwich_mid"] - vals["sandwich_lower"])
@@ -564,13 +600,13 @@ def check_eq7(corpus, model):
     return _report("capacity-split-bound", margins, 10.0)
 
 
-def check_divisor_integrability(corpus, model):
+def check_divisor_integrability(corpus, model, limits=None):
     # at p = 1: a finite E_1 must give a finite E_2 against the mixed wedge
+    limits = limits or member_limits(corpus, model, ["divisor-bounded-integrability"])
     margins = []
-    for e in corpus.with_tag("divisor_bounded"):
-        ladder = energy.cutoffs(model, e.phi)
-        if energy.ladder_limit(model, ladder, 1.0).finite:
-            margins.append(1.0 if energy.ladder_limit(model, ladder, 2.0, 1).finite else -1.0)
+    for i in _divisor_bounded(corpus):
+        if limits(i, 1.0, 2).finite:
+            margins.append(1.0 if limits(i, 2.0, 1).finite else -1.0)
     return _report("divisor-bounded-integrability", margins)
 
 
@@ -658,15 +694,57 @@ for _cid, (_cit, _) in CHECKS.items():
         raise ImportError(f"check {_cid} cites out-of-scope item {_cit}")
 
 
+# The verdicts that a check reads off the start-1 cutoff ladders of corpus
+# members: check id -> (its members, as indices into corpus.profiles, and
+# the (p, j) orders of ladder_limit it may read for each).
+LADDER_READS = {
+    "sublevel-capacity-decay": (_monotone_members, ((2.0, 0), (1.0, 1))),
+    "cutoff-sequence-free": (_singular, ((1.0, 2),)),
+    "max-stable-in-ep": (_paired_alpha, ((2.0, 2),)),
+    "capacity-energy-sandwich": (_sandwiched, ((1.0, 2), (2.0, 1), (3.0, 0))),
+    "divisor-bounded-integrability": (_divisor_bounded, ((1.0, 2), (2.0, 1))),
+}
+
+
+def member_limits(corpus, model, checks):
+    """limits(i, p, j): the (p, j) ladder_limit verdict of member i of
+    corpus along its start-1 cutoff ladder, for every verdict that the
+    checks read (LADDER_READS).  Corpus members have sup <= 0, so these
+    are also the verdicts along the ladder that
+    :func:`capacity.capacity_energy_sandwich` builds by default.
+
+    The first read of a member builds its ladder, takes every verdict the
+    checks read of it, and drops the ladder: each member's ladder is built
+    once, and one ladder is held at a time.  Nothing is kept past the
+    returned function.
+    """
+    orders = {}
+    for members, pjs in (LADDER_READS[cid] for cid in checks if cid in LADDER_READS):
+        for i in members(corpus):
+            orders.setdefault(i, {}).update(dict.fromkeys(pjs))
+    verdicts = {}
+
+    def limits(i, p, j):
+        if i not in verdicts:
+            ladder = energy.cutoffs(model, corpus.profiles[i].phi)
+            verdicts[i] = {pj: energy.ladder_limit(model, ladder, *pj) for pj in orders[i]}
+        return verdicts[i][p, j]
+
+    return limits
+
+
 def run_checks(corpus, model, checks=None):
-    """Run the registered checks; deterministic per (seed, model, list)."""
+    """Run the registered checks, each id once; deterministic per (seed,
+    model, list).  The checks share one :func:`member_limits`, so a run
+    builds each member's start-1 cutoff ladder at most once."""
     require(model, RADIAL_P2, "the verify checks")
-    if checks is None:
-        checks = list(CHECKS)
-    reports = []
+    checks = list(dict.fromkeys(CHECKS if checks is None else checks))
     for cid in checks:
         if cid not in CHECKS:
             raise InvalidInput(f"unknown check id {cid!r}")
-        citation, fn = CHECKS[cid]
-        reports.append(fn(corpus, model))
+    limits = member_limits(corpus, model, checks)
+    reports = []
+    for cid in checks:
+        fn = CHECKS[cid][1]
+        reports.append(fn(corpus, model, limits) if cid in LADDER_READS else fn(corpus, model))
     return sorted(reports, key=lambda r: r.check_id)

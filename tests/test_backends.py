@@ -6,6 +6,7 @@ and the model, never an AttributeError from deep inside an algorithm.
 """
 
 import ast
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,8 @@ WRONG = {
     "capacity_curve-product": lambda d: capacity.capacity_curve(
         d["product"], d["uv"], [2.0, 4.0]),
     "decay_constant-product": lambda d: capacity.decay_constant(
-        d["product"], energy.cutoffs(d["product"], d["uv"])),
+        d["product"], partial(energy.ladder_limit, d["product"],
+                              energy.cutoffs(d["product"], d["uv"]))),
     "sublevel_masses-product": lambda d: capacity.sublevel_masses(
         ma.ma_measure(d["product"], d["uv"]), d["uv"], [2.0]),
     "ep_limit-toric": lambda d: energy.ep_limit(d["toric"], d["grid"], 1.0),

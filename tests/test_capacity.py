@@ -1,5 +1,7 @@
 """Capacity: extremal profiles, decay, and competitor domination."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,8 @@ def test_capacity_curve_builds_one_ladder(radial, monkeypatch):
 def test_decay_bound(radial):
     base = radial.reference_potential
     phi = RelativeProfile(base, base.grid / 2 - base.values - 1.0)
-    C = cap_mod.decay_constant(radial, energy.cutoffs(radial, phi))
+    C = cap_mod.decay_constant(radial, partial(energy.ladder_limit, radial,
+                                               energy.cutoffs(radial, phi)))
     assert np.isfinite(C) and C > 2.0
     for t in (2.0, 8.0, 32.0):
         c = cap_mod.capacity(radial, cap_mod.sublevel_abscissae(phi, t))

@@ -274,6 +274,16 @@ def test_csv_writes_floats_with_17_digits_and_the_rest_as_str(tmp_path):
     assert (tmp_path / "b.csv").read_bytes() == b"x\n"
 
 
+def test_verify_runs_a_repeated_check_id_once(tmp_path):
+    out = tmp_path / "v"
+    assert run(["verify", "--out", str(out), "--size", "18",
+                "--checks", "max-stable,max-stable"]) == 0
+    assert [c["check_id"] for c in json.loads((out / "verify.json").read_text())["checks"]] \
+        == ["max-stable"]
+    assert len((out / "verify.csv").read_text().splitlines()) == 2
+    assert len(ET.parse(out / "verify.xml").getroot().findall("testcase")) == 1
+
+
 def test_verify_unknown_check(tmp_path):
     assert run(["verify", "--out", str(tmp_path), "--checks", "bogus"]) == 2
 

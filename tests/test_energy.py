@@ -4,6 +4,8 @@ Membership verdicts are checked against the analytic thresholds of the
 two power families; bounded cases against exact constants.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,7 +278,8 @@ def test_one_ladder_per_potential(radial, corpus36, monkeypatch):
         energy.energy_report(radial, phi, ps)
         assert sum(rows) == n, ps
     rows.clear()
-    capacity.decay_constant(radial, energy.cutoffs(radial, phi))
+    capacity.decay_constant(radial, partial(energy.ladder_limit, radial,
+                                            energy.cutoffs(radial, phi)))
     assert sum(rows) == n
     rows.clear()
     verify.check_divisor_integrability(corpus36, radial)

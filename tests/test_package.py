@@ -37,6 +37,11 @@ UNPASSED_OPTIONS = {
     ("uniqueness_check", "deviation_tol"): "tests loosen it for coarse toric solves",
     ("check_energy_holder", "p"): "the acceptance tests sweep the exponent",
     ("check_capacity_domination", "p"): "the acceptance tests sweep the exponent",
+} | {
+    (fn, "limits"): "run_checks passes the run's verify.member_limits; a direct call "
+                    "builds its own"
+    for fn in ("check_capacity_decay", "check_truncation_free", "check_max_in_ep",
+               "check_sandwich", "check_divisor_integrability")
 }
 
 

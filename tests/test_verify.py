@@ -1,9 +1,11 @@
 """Corpus generator and check harness plumbing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from ma_lab import verify
+from ma_lab import energy, verify
 from ma_lab.errors import InvalidInput
 from profile_reference import full_profile
 
@@ -93,3 +95,61 @@ def test_direct_check_call_reports_registered_citation(corpus36, radial):
         assert r.instances > 0 and r.failures == 0
         assert np.isfinite(r.worst_margin)
     assert "fitted_constant" in r.details
+
+
+def _spy_ladders(monkeypatch):
+    """Record (offset digest, start) of every cutoff ladder built."""
+    built = []
+
+    class Spy(energy.Ladder):
+        def __init__(self, model, phi, start):
+            built.append((hashlib.sha1(phi.offset.tobytes()).hexdigest(), start))
+            super().__init__(model, phi, start)
+
+    monkeypatch.setattr(energy, "Ladder", Spy)
+    return built
+
+
+def test_a_run_builds_each_member_ladder_once(radial, monkeypatch):
+    # the checks share one table of member verdicts: 40 start-1 member
+    # ladders, not 100; the other 59 are the 20 start-1.5 ladders of
+    # cutoff-sequence-free, 4 max tops of max-stable-in-ep and 35 radial
+    # solutions, none built twice
+    corpus = verify.generate_corpus(0, 60)
+    # sup <= 0 on every member: the sandwich's shift to sup <= 0 is none,
+    # so it reads the same ladder as the decay check
+    assert all(energy._nonpositive(radial, e.phi)[1] == 0.0 for e in corpus.profiles)
+    built = _spy_ladders(monkeypatch)
+    verify.run_checks(corpus, radial)
+    assert len(built) == len(set(built)) == 99
+    members = {hashlib.sha1(e.phi.offset.tobytes()).hexdigest() for e in corpus.profiles}
+    assert sum(h in members and start == 1.0 for h, start in built) == 40
+
+
+def test_a_check_subset_builds_only_its_ladders(corpus36, radial, monkeypatch):
+    built = _spy_ladders(monkeypatch)
+    verify.run_checks(corpus36, radial, ["comparison-principle"])
+    assert built == []
+    verify.run_checks(corpus36, radial, ["divisor-bounded-integrability"])
+    assert len(built) == len(corpus36.with_tag("divisor_bounded"))
+
+
+def test_a_check_reports_the_same_in_a_run_alone_and_called_directly(corpus36, radial):
+    full = verify.run_checks(corpus36, radial)
+    assert [r.check_id for r in full] == sorted(verify.CHECKS)
+    for r in full:
+        assert verify.run_checks(corpus36, radial, [r.check_id]) == [r], r.check_id
+        assert verify.CHECKS[r.check_id][1](corpus36, radial) == r, r.check_id
+
+
+def test_a_repeated_check_id_runs_once(corpus36, radial):
+    reports = verify.run_checks(corpus36, radial,
+                                ["max-stable", "comparison-principle", "max-stable"])
+    assert [r.check_id for r in reports] == ["comparison-principle", "max-stable"]
+
+
+def test_a_nan_margin_is_a_failure():
+    assert verify._report("max-stable", [1.0, 0.5]).failures == 0
+    r = verify._report("max-stable", [1.0, np.nan, -1.0])
+    assert (r.instances, r.failures) == (3, 2)
+    assert verify._report("max-stable", [np.nan]).failures == 1
