@@ -16,7 +16,8 @@ T = +inf); this closed form is the maximizer over all admissible
 competitors because any competitor's slope at T is dominated by the
 tangent slope.  :func:`exit_slope` and :func:`capacity` take a scalar
 T or an array of them; :func:`sublevel_capacity` gives Cap(phi < -t)
-per threshold t.
+per threshold t, and :func:`sublevel_capacities` the same for a list of
+potentials at once, with one exit-slope search.
 """
 
 from dataclasses import dataclass
@@ -117,6 +118,15 @@ def capacity(model, T):
 def sublevel_capacity(model, phi, ts):
     """Cap({phi < -t}) per threshold t, phi monotone."""
     return capacity(model, sublevel_abscissae(phi, ts))
+
+
+def sublevel_capacities(model, phis, ts):
+    """Cap({phi < -t}) per monotone phi of phis (one row each) and threshold
+    t of ts, from one exit-slope search over the stacked rows of abscissae.
+    The search treats each T on its own, so row i is bit for bit
+    sublevel_capacity(model, phis[i], ts)."""
+    rows = [sublevel_abscissae(phi, ts) for phi in phis]
+    return capacity(model, np.reshape(rows, (len(rows), np.size(ts))))
 
 
 def sublevel_masses(measure, phi, thresholds):

@@ -13,8 +13,8 @@ is the one classifier of such ladders, which every ladder in the package
 (other cutoff subsequences, factor measures) goes through.  A ladder is
 built and read in blocks of rungs: its cut rows are checked, slope-mapped
 and measured once per ladder, and each rung's energy is one weighted mass
-against moment weights computed a block at a time, with the same
-arithmetic per rung as :func:`ep_integral` of the cut potential.  The
+against moment weights whose powers are taken once per exponent, with the
+same values per rung as :func:`ep_integral` of the cut potential.  The
 gradient energy is handled the same way with per-octave contributions in
 t, sharing the ratio and tail step.
 
@@ -91,7 +91,7 @@ def _measure_for(model, phi, j):
 def _moment_weights(offset, limits, k):
     """The weights of the moment M_k: max(-offset, 0)^k at the nodes, for
     offset rows along a leading axis, and (|left|^k, |right|^k) of each
-    row's (left, right) limits, where inf**k is inf and inf**0 is 1.  A
+    (left, right) pair of limits, where inf**k is inf and inf**0 is 1.  A
     power past the float range is an InvalidInput naming the exponent k."""
     w = np.negative(offset)
     try:
@@ -243,7 +243,9 @@ class Ladder:
     are checked too, and their limits kept.  The j = 1 and j = 2 measures
     of every rung are built from the slope maps on first use, block by
     block, once per ladder (the backend's ``ladder_measures``); j = 0 is
-    the model's reference measure.  Every array is read-only.
+    the model's reference measure.  A one-factor ladder's moment weights
+    are built on first use once per exponent (:meth:`moment_weights`), and
+    the three wedges share them.  Every array is read-only.
     :meth:`cut` builds one rung's potential for a caller that needs it.
     """
 
@@ -256,6 +258,7 @@ class Ladder:
         self._step = max(1, LADDER_BLOCK // fs[0].offset.size)
         self._maps = [[] for _ in fs]  # per factor, blocks of normalized slope maps
         self._measures = {}
+        self._weights = {}
         self.limits = [[] for _ in fs]  # per factor, each rung's limit values
         self.shifts = []  # per rung, each factor's move
         for rows in self.blocks():
@@ -309,16 +312,35 @@ class Ladder:
                     model, [f.base.grid for f in self.factors], self._maps, j))
         return self._measures[j]
 
+    def moment_weights(self, p):
+        """The moment weights of exponent p of a one-factor ladder, built on
+        first use once per p: w = max(-cut, 0)^p at the nodes of its last
+        cut, min(k, depth)^p of each cutoff k, and each rung's limit
+        weights (:func:`_moment_weights`).  Rung i's weight at a node is
+        k_i^p where the factor lies at or below -k_i and w elsewhere, which
+        is max(-max(f, -k_i), 0)^p entry by entry; a cutoff past the depth
+        cuts nothing, so its power is that of the depth, a value of w."""
+        if p not in self._weights:
+            (f,), (limits,) = self.factors, self.limits
+            (w,), ends = _moment_weights(self.cut_rows(f, slice(-1, None)), limits, p)
+            kp, _ = _moment_weights(-np.minimum(self.ks, self.depth), (), p)
+            w.setflags(write=False)
+            kp.setflags(write=False)
+            self._weights[p] = w, kp, ends
+        return self._weights[p]
+
 
 def _radial_ladder_ep(ladder, p, j):
     """The radial E_p integral of every rung against its measure: the
-    moment weights of a block of rungs at a time, one np.dot per rung."""
+    weight rows of a block of rungs at a time, picked from the ladder's
+    moment weights at p, and one np.dot per rung."""
     ms = ladder.measures(j)
-    (f,), (limits,) = ladder.factors, ladder.limits
+    (f,), (w, kp, ends) = ladder.factors, ladder.moment_weights(p)
+    ks = np.array(ladder.ks)
     es = []
     for rows in ladder.blocks():
-        w, ends = _moment_weights(ladder.cut_rows(f, rows), limits[rows], p)
-        es += [ma.weighted_mass(m, wi, wl, wr) for m, wi, (wl, wr) in zip(ms[rows], w, ends)]
+        rw = np.where(f.offset <= -ks[rows, None], kp[rows, None], w)
+        es += [ma.weighted_mass(m, wi, wl, wr) for m, wi, (wl, wr) in zip(ms[rows], rw, ends[rows])]
     return es
 
 

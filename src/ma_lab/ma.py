@@ -477,12 +477,24 @@ def _strictly_convex(Psi):
     return all((g > tol).all() for g in gaps) and bool((np.abs(mixed) > tol).all())
 
 
+def _qhull(points, strict):
+    """qhull's hull of points: without the premerge ("Qt Q0") if strict,
+    and with it ("Qt") if not, or if the unmerged build raises."""
+    if strict:
+        try:
+            return ConvexHull(points, qhull_options="Qt Q0")
+        except QhullError:
+            pass
+    return ConvexHull(points, qhull_options="Qt")
+
+
 def _lower_hull(t1, t2, Psi):
     """The lower hull of (t1 x t2, Psi); Psi may be flat.  Z is a copy of
     Psi, so a caller mutating Psi afterwards cannot reach the hull.
 
-    qhull runs once.  By default ("Qt") it premerges nearly coplanar
-    facets to absorb its rounding.  A strictly convex lift
+    qhull runs once, unless its unmerged build raises (:func:`_qhull`).
+    By default ("Qt") it premerges nearly coplanar facets to absorb its
+    rounding.  A strictly convex lift
     (_strictly_convex) has no node on the hull surface and no coplanar
     grid cell, so the merge has nothing to change in its lower
     triangles; it is built without the merge ("Qt Q0"), which costs about
@@ -492,7 +504,10 @@ def _lower_hull(t1, t2, Psi):
     ruled potentials, a Newton iterate projected onto its hull), "Q0"
     makes such nodes vertices and moves their cells.  The screen rules
     out those lifts; it does not prove that the two builds agree, which
-    the tests check on drawn strictly convex lifts.
+    the tests check on drawn strictly convex lifts.  The screen certifies
+    the lower side only: on a nearly planar lift qhull's rounding on the
+    upper side can still make the unmerged build raise, and the lift is
+    then built again with the merge.
 
     qhull rejects an affine Psi (its initial simplex is flat); its lower
     hull is then its plane, two triangles on the four corners.  Any other
@@ -501,9 +516,8 @@ def _lower_hull(t1, t2, Psi):
     X, Y = np.meshgrid(np.asarray(t1, float), np.asarray(t2, float), indexing="ij")
     V = np.column_stack([X.ravel(), Y.ravel()])
     Z = np.array(Psi, float).ravel()
-    opts = "Qt Q0" if _strictly_convex(Z.reshape(X.shape)) else "Qt"
     try:
-        qh = ConvexHull(np.column_stack([V, Z]), qhull_options=opts)
+        qh = _qhull(np.column_stack([V, Z]), _strictly_convex(Z.reshape(X.shape)))
     except QhullError as exc:
         n = X.shape[1]
         c = [0, len(Z) - n, len(Z) - 1, n - 1]  # the corners, counter-clockwise

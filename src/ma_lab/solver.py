@@ -134,11 +134,10 @@ def dirac_preimages(model):
     return phi1, phi2
 
 
-def _solve_closed_form(model, factor_targets, target, p):
-    """Closed-form solve, factor by factor: slopes cap * F**(1/cdf_power)
-    from each factor target's distribution function F, sup psi = -1, and
-    the residual against target, the measure the factor targets describe."""
-    energy.check_exponent(p)
+def _closed_form(model, factor_targets):
+    """The closed-form solution, factor by factor: slopes cap *
+    F**(1/cdf_power) from each factor target's distribution function F,
+    and sup psi = -1."""
     fs = []
     for zero, m in zip(backend(model).factors(model.zero), factor_targets):
         base = zero.base
@@ -156,7 +155,15 @@ def _solve_closed_form(model, factor_targets, target, p):
         i0 = int(np.searchsorted(base.grid, 0.0))
         fs.append(RelativeProfile(base, integrate_slopes(base.grid, s[1:-1], i0) - base.values))
     shift = sum(f.sup_value for f in fs) + 1.0
-    psi = backend(model).join((fs[0].shifted(-shift),) + tuple(fs[1:]))
+    return backend(model).join((fs[0].shifted(-shift),) + tuple(fs[1:]))
+
+
+def _solve_closed_form(model, factor_targets, target, p):
+    """Closed-form solve (:func:`_closed_form`), with the residual against
+    target, the measure the factor targets describe, and the E_p verdict
+    of the solution."""
+    energy.check_exponent(p)
+    psi = _closed_form(model, factor_targets)
     residual = ma.cdf_sup_distance(ma.ma_measure(model, psi), target)
     e = energy.ep_limit(model, psi, p)
     return SolveResult(psi, residual, (e.value,), "solved" if e.finite else "not_in_Ep",
@@ -185,6 +192,14 @@ def solve_radial(model, target, p=1.0):
     """
     require(model, RADIAL_P2, "solve_radial")
     return _solve_closed_form(model, (target,), target, p)
+
+
+def radial_potential(model, target):
+    """The solution psi of :func:`solve_radial`, with the same checks and
+    errors on the target, without its residual or its E_p verdict, for a
+    caller that reads only psi."""
+    require(model, RADIAL_P2, "radial_potential")
+    return _closed_form(model, (target,))
 
 
 def solve_separable(model, factor_targets, p=1.0):

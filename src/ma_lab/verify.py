@@ -298,15 +298,11 @@ def check_chain_sobolev(corpus, model):
 
 def check_capacity_decay(corpus, model, limits=None):
     limits = limits or member_limits(corpus, model, ["sublevel-capacity-decay"])
-    margins = []
     ts = np.geomspace(1.0, 64.0, 25)
-    for i in _monotone_members(corpus):
-        C = cap_mod.decay_constant(model, partial(limits, i))
-        if not np.isfinite(C):
-            continue
-        caps = cap_mod.sublevel_capacity(model, corpus.profiles[i].phi, ts)
-        margins.extend(C / ts ** 2 - caps)
-    return _report("sublevel-capacity-decay", margins)
+    Cs = {i: cap_mod.decay_constant(model, partial(limits, i)) for i in _monotone_members(corpus)}
+    kept = [i for i, C in Cs.items() if np.isfinite(C)]
+    caps = cap_mod.sublevel_capacities(model, [corpus.profiles[i].phi for i in kept], ts)
+    return _report("sublevel-capacity-decay", [Cs[i] / ts ** 2 - row for i, row in zip(kept, caps)])
 
 
 def check_ma_continuity(corpus, model):
@@ -386,8 +382,8 @@ def check_gradient_self_bound(corpus, model):
 def check_uniqueness(corpus, model):
     margins = []
     for phi in _bounded(corpus):
-        res = solver.solve_radial(model, ma.ma_measure(model, phi))
-        rec = solver.uniqueness_check(model, res.psi, phi)
+        psi = solver.radial_potential(model, ma.ma_measure(model, phi))
+        rec = solver.uniqueness_check(model, psi, phi)
         margins.append(1e-5 - rec["deviation"])
     return _report("uniqueness-up-to-constant", margins)
 
@@ -470,12 +466,10 @@ def check_truncation_free(corpus, model, limits=None):
 
 
 def check_convergence_in_capacity(corpus, model):
-    margins = []
-    for e in corpus.with_tag("divisor_bounded"):
-        caps = cap_mod.sublevel_capacity(model, e.phi, [4.0, 16.0, 64.0])
-        margins.extend(-np.diff(caps))
-        margins.append(0.05 - caps[-1])
-    return _report("truncation-capacity-convergence", margins)
+    caps = cap_mod.sublevel_capacities(
+        model, [e.phi for e in corpus.with_tag("divisor_bounded")], [4.0, 16.0, 64.0])
+    return _report("truncation-capacity-convergence",
+                   np.column_stack([-np.diff(caps), 0.05 - caps[:, -1]]))
 
 
 def check_max_in_ep(corpus, model, limits=None):
@@ -516,8 +510,7 @@ def check_a_priori_energy(corpus, model):
         lhs_rhs = []
         for k in (2.0, 4.0, 8.0, 16.0, 32.0):
             mu = ma.ma_measure(model, truncate(phi, k))
-            res = solver.solve_radial(model, mu)
-            sol = res.psi
+            sol = solver.radial_potential(model, mu)
             lhs = energy.ep_integral(model, sol, 1.0, 2)
             rhs = energy._moment(mu, sol, 1.0)
             lhs_rhs.append((lhs, rhs))
@@ -578,9 +571,9 @@ def check_sandwich(corpus, model, limits=None):
 def check_eq6(corpus, model):
     margins = []
     ts = np.geomspace(1.0, 64.0, 15)
-    for phi in _monotone(corpus):
+    phis = _monotone(corpus)
+    for phi, caps in zip(phis, cap_mod.sublevel_capacities(model, phis, ts)):
         masses = cap_mod.sublevel_masses(ma.ma_measure(model, phi), phi, ts)
-        caps = cap_mod.sublevel_capacity(model, phi, ts)
         margins.extend(ts ** 2 * caps - masses)
     return _report("sublevel-mass-vs-capacity", margins, 100.0)
 
@@ -589,13 +582,13 @@ def check_eq7(corpus, model):
     margins = []
     ts = np.geomspace(1.0, 32.0, 10)
     m0 = ma.ma_measure(model, None)
-    for phi in _monotone(corpus):
+    phis = _monotone(corpus)
+    for phi, lhs in zip(phis, cap_mod.sublevel_capacities(model, phis, 2.0 * ts)):
         m1 = ma.mixed_measure(model, phi, None)
         m2 = ma.ma_measure(model, phi)
         rhs = cap_mod.sublevel_masses(m0, phi, ts) \
             + 2.0 / ts * cap_mod.sublevel_masses(m1, phi, ts) \
             + 1.0 / ts ** 2 * cap_mod.sublevel_masses(m2, phi, ts)
-        lhs = cap_mod.sublevel_capacity(model, phi, 2.0 * ts)
         margins.extend(rhs - lhs)
     return _report("capacity-split-bound", margins, 10.0)
 
@@ -633,9 +626,8 @@ def check_capacity_domination(corpus, model, p=2.0):
     mu = ma.ma_measure(model, _bounded(corpus)[0])
     data = []
     ts = np.geomspace(1.0, 32.0, 8)
-    for phi in singular:
+    for phi, caps in zip(singular, cap_mod.sublevel_capacities(model, singular, ts)):
         masses = cap_mod.sublevel_masses(mu, phi, ts)
-        caps = cap_mod.sublevel_capacity(model, phi, ts)
         data.extend(zip(masses, caps))
     A, margins = _fit_holdout(data, gamma)
     return _report("measure-capacity-domination", margins, 1.0,

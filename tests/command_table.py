@@ -117,10 +117,23 @@ def openblas():
     return found
 
 
+def numpy_power_target():
+    """The SIMD target of numpy's float64 power on this CPU, such as X86_V4
+    or baseline(X86_V2) (with AVX-512 disabled through
+    NPY_DISABLE_CPU_FEATURES); the two round some powers differently.
+    None where numpy cannot say (before numpy 2.0)."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    return opt_func_info(func_name="power").get("power", {}).get("ddd", {}).get("current")
+
+
 def environment():
     """What the last digits of the artifacts may depend on."""
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "openblas": openblas(),
+            "numpy_power_simd": numpy_power_target(),
             "machine": platform.machine(), "nproc": len(os.sched_getaffinity(0))}
 
 

@@ -1,10 +1,16 @@
 """CLI artifacts are pinned across commits by tests/artifact_ledger.json."""
 
 import json
+import os
+import subprocess
+import sys
 
 import artifact_ledger
 import command_table
 from ma_lab import cli, models
+
+# the CPU features whose absence sends numpy to its baseline SIMD target
+AVX512 = "X86_V4 AVX512F AVX512CD AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR"
 
 
 def test_artifacts_match_the_ledger(table_run):
@@ -75,3 +81,24 @@ def test_the_environment_names_the_blas_kernel():
     now = {"environment": env, "commands": [{**cmd, "exit": 1}]}
     diffs = artifact_ledger.compare({**ledger, "commands": [cmd]}, now)
     assert diffs[0].startswith("recorded in another environment (ledger, here): {'openblas':")
+
+
+
+def test_the_environment_names_numpys_simd_target():
+    ledger = json.loads(artifact_ledger.LEDGER.read_text())
+    assert ledger["environment"]["numpy_power_simd"]
+    # a mismatch recorded under another target of numpy's power names it first
+    env = dict(ledger["environment"], numpy_power_simd="another target")
+    cmd = {"argv": ["capacity"], "exit": 0, "files": {"capacity.csv": {"sha256": "a"}}}
+    now = {"environment": env, "commands": [{**cmd, "exit": 1}]}
+    diffs = artifact_ledger.compare({**ledger, "commands": [cmd]}, now)
+    assert diffs[0].startswith(
+        "recorded in another environment (ledger, here): {'numpy_power_simd':")
+    # with AVX-512 disabled, a child process reports the baseline target
+    if command_table.numpy_power_target() == "X86_V4":
+        code = "import command_table; print(command_table.numpy_power_target())"
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.startswith("baseline"), out

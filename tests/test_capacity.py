@@ -169,6 +169,26 @@ def test_array_capacities_match_scalar_calls_bitwise(radial):
             for t in ts] == caps.tolist()
 
 
+def test_batched_capacities_match_per_member_calls_bitwise(radial, corpus36):
+    base = radial.reference_potential
+    phis = [e.phi for e in corpus36.profiles if cap_mod.is_monotone(e.phi)]
+    # rows with empty, interior and covering sublevels, and a row of only
+    # -inf and +inf abscissae
+    point = RelativeProfile(base, base.grid / 2 - base.values - 1.0)
+    flat = zero_offset(base).shifted(-0.5)
+    phis += [point, flat]
+    ts = np.concatenate([[0.25, 1.0, 1e300], np.geomspace(1.0, 512.0, 41)])
+    T = cap_mod.sublevel_abscissae(point, ts)
+    assert np.isneginf(T).any() and np.isfinite(T).any() and np.isposinf(T).any()
+    assert not np.isfinite(cap_mod.sublevel_abscissae(flat, ts)).any()
+    rows = cap_mod.sublevel_capacities(radial, phis, ts)
+    assert rows.shape == (len(phis), ts.size) and len(phis) > 10
+    for phi, row in zip(phis, rows):
+        assert row.tobytes() == cap_mod.sublevel_capacity(radial, phi, ts).tobytes()
+    assert cap_mod.sublevel_capacities(radial, [], ts).shape == (0, ts.size)
+    assert cap_mod.sublevel_capacities(radial, [], []).shape == (0, 0)
+
+
 def _reference_abscissa(phi, t):
     """The per-threshold crossing the array code replaced."""
     off = phi.offset

@@ -515,6 +515,70 @@ def test_ladder_matches_the_per_rung_reference(radial):
     assert rungs["shallow"] == 1
 
 
+def _hitting(phi, k):
+    """phi shifted so that its offset is exactly -k at the node where it is
+    closest to -k.  That offset lies within a factor 2 of -k, so the shift
+    -k - offset is exact (Sterbenz), and so is offset + shift."""
+    i = int(np.argmin(np.abs(phi.offset + k)))
+    hit = phi.shifted(-k - phi.offset[i])
+    assert hit.offset[i] == -k
+    return hit
+
+
+def test_ladder_matches_the_per_rung_reference_where_a_cutoff_meets_the_offset(radial):
+    # a node at depth exactly k, where the cut row takes k^p and the uncut
+    # row max(-offset, 0)^p, both the same number: at a mid-ladder cutoff,
+    # at the first one, and on a plateau at the last one (the depth)
+    base = radial.reference_potential
+    phi = compose_weight(verify.point_seed(base), ("power", 0.4))
+    cases = [_hitting(phi, 2.0 ** i) for i in (0, 3, 5)]
+    cases += [truncate(phi, 16.0), _hitting(truncate(phi, 64.0), 4.0)]
+    for case in cases:
+        ladder = _assert_ladder_matches_reference(radial, case, LADDER_PS)
+        assert np.isin(-case.offset, ladder.ks).any()
+    assert -cases[3].offset.min() == 16.0 == energy.cutoffs(radial, cases[3]).ks[-1]
+
+
+def test_a_ladder_takes_its_powers_once_per_exponent(radial, corpus36, monkeypatch):
+    calls = []
+    moment_weights = energy._moment_weights
+
+    def spy(offset, limits, k):
+        calls.append(k)
+        return moment_weights(offset, limits, k)
+
+    monkeypatch.setattr(energy, "_moment_weights", spy)
+    for e in corpus36.profiles[::6]:
+        ladder = energy.cutoffs(radial, e.phi)
+        for p in LADDER_PS:
+            for j in range(3):
+                energy.ladder_limit(radial, ladder, p, j)
+        # one power of the deepest cut row, one of the cutoffs
+        assert sorted(calls) == sorted(2 * LADDER_PS)
+        assert all(not a.flags.writeable for w in ladder._weights.values() for a in w[:2])
+        del calls[:]
+
+
+def test_a_moment_overflow_raises_as_the_per_rung_reference_does(radial):
+    # a depth whose p-th power overflows raises InvalidInput for that p,
+    # as the per-rung reference does.  A cutoff past the depth takes no
+    # power: at depth 4e7 the last cutoff is 2^26, whose 40th power
+    # overflows while the depth's does not, and nothing raises
+    base = radial.reference_potential
+    deep = verify.point_seed(base)
+    ref = reference_cutoffs(radial, deep)
+    ladder = energy.cutoffs(radial, deep)
+    for p in (40.0, 1000.0):
+        with pytest.raises(InvalidInput, match=f"overflows at exponent p = {p!r}"):
+            reference_ladder_limit(radial, ref, p)
+        with pytest.raises(InvalidInput, match=f"overflows at exponent p = {p!r}"):
+            energy.ladder_limit(radial, ladder, p)
+    shallow = truncate(deep, 4e7)
+    assert energy.cutoffs(radial, shallow).ks[-1] == 2.0 ** 26
+    assert energy.ladder_limit(radial, energy.cutoffs(radial, shallow), 40.0) == \
+        reference_ladder_limit(radial, reference_cutoffs(radial, shallow), 40.0)
+
+
 def test_ladder_matches_the_per_rung_reference_on_the_corpus(radial, corpus36):
     for e in corpus36.profiles[::3]:
         _assert_ladder_matches_reference(radial, e.phi, LADDER_PS)

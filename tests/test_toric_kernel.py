@@ -210,6 +210,34 @@ def test_the_smooth_family_is_built_without_the_merge(r, hull_calls):
     assert hull_calls == [UNMERGED] * 4
 
 
+def test_a_strictly_convex_lift_the_unmerged_build_rejects_is_built_with_the_merge(
+        monkeypatch):
+    # qhull's unmerged build can raise on a nearly planar lift that passes
+    # the screen, from rounding on its upper side; the merged build of the
+    # same lift is the hull, bit for bit
+    t1, t2, _ = models.toric_p1p1(32).reference_potential
+    Psi = _smooth(t1, t2, (0.3, 0.6))
+    assert ma._strictly_convex(Psi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ma, "_strictly_convex", lambda Psi: False)
+        merged = ma._lower_hull(t1, t2, Psi)
+    options = []
+    real = ma.ConvexHull
+
+    def rejecting_unmerged(*args, **kwargs):
+        options.append(kwargs["qhull_options"])
+        if kwargs["qhull_options"] == UNMERGED:
+            raise ma.QhullError("QH6115 qhull precision error: f1 is concave to f13")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ma, "ConvexHull", rejecting_unmerged)
+    hull = ma._lower_hull(t1, t2, Psi)
+    assert options == [UNMERGED, MERGED]
+    for name, want in vars(merged).items():
+        got = getattr(hull, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def _lower_triangles(hull):
     return sorted(map(tuple, np.sort(hull.tris, axis=1)))
 

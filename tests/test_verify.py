@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from ma_lab import capacity as cap_mod
 from ma_lab import energy, verify
 from ma_lab.errors import InvalidInput
 from profile_reference import full_profile
@@ -112,18 +113,56 @@ def _spy_ladders(monkeypatch):
 
 def test_a_run_builds_each_member_ladder_once(radial, monkeypatch):
     # the checks share one table of member verdicts: 40 start-1 member
-    # ladders, not 100; the other 59 are the 20 start-1.5 ladders of
-    # cutoff-sequence-free, 4 max tops of max-stable-in-ep and 35 radial
-    # solutions, none built twice
+    # ladders, not 100; the other 24 are the 20 start-1.5 ladders of
+    # cutoff-sequence-free and 4 max tops of max-stable-in-ep, none built
+    # twice.  The 35 radial solutions of uniqueness-up-to-constant and
+    # solver-energy-a-priori build none: those checks read only psi.
     corpus = verify.generate_corpus(0, 60)
     # sup <= 0 on every member: the sandwich's shift to sup <= 0 is none,
     # so it reads the same ladder as the decay check
     assert all(energy._nonpositive(radial, e.phi)[1] == 0.0 for e in corpus.profiles)
     built = _spy_ladders(monkeypatch)
     verify.run_checks(corpus, radial)
-    assert len(built) == len(set(built)) == 99
+    assert len(built) == len(set(built)) == 64
     members = {hashlib.sha1(e.phi.offset.tobytes()).hexdigest() for e in corpus.profiles}
     assert sum(h in members and start == 1.0 for h, start in built) == 40
+
+
+# the checks that take every member's sublevel capacities with one call
+BATCHED_CAPACITY_CHECKS = ("sublevel-capacity-decay", "sublevel-mass-vs-capacity",
+                           "capacity-split-bound", "truncation-capacity-convergence",
+                           "measure-capacity-domination")
+
+
+def _spy_exit_slopes(monkeypatch):
+    """Record the shape of the abscissae of every exit_slope call."""
+    shapes = []
+    exit_slope = cap_mod.exit_slope
+
+    def spy(model, T):
+        shapes.append(np.shape(T))
+        return exit_slope(model, T)
+
+    monkeypatch.setattr(cap_mod, "exit_slope", spy)
+    return shapes
+
+
+def test_a_batched_capacity_check_makes_one_exit_slope_search(corpus36, radial, monkeypatch):
+    shapes = _spy_exit_slopes(monkeypatch)
+    for cid in BATCHED_CAPACITY_CHECKS:
+        del shapes[:]
+        verify.run_checks(corpus36, radial, [cid])
+        assert len(shapes) == 1 and len(shapes[0]) == 2, (cid, shapes)
+        assert shapes[0][0] > 1, cid  # one row per member
+
+
+def test_a_verify_run_makes_35_exit_slope_searches(radial, monkeypatch):
+    # one per batched check and 30 for the sandwich's per-member quadrature
+    # (140 when each batched check searched once per member)
+    corpus = verify.generate_corpus(7, 60)
+    shapes = _spy_exit_slopes(monkeypatch)
+    verify.run_checks(corpus, radial)
+    assert len(shapes) == len(verify._sandwiched(corpus)) + 5 == 35
 
 
 def test_a_check_subset_builds_only_its_ladders(corpus36, radial, monkeypatch):
