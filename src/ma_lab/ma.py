@@ -16,7 +16,8 @@ cell of a hull vertex is the polygon of the gradients of its incident
 lower facets, clipped to the square, the power-diagram picture of
 semi-discrete optimal transport.  Every edge of the cell diagram is
 dual to one hull edge, so areas, first moments and the area Jacobian
-come from one vectorized pass over the hull edges.  The hull is a value
+come from one vectorized pass over the hull edges; qhull's facet
+adjacency names the two lower facets of each edge.  The hull is a value
 its caller builds and holds: toric_measure reads its convexity check and
 its cells off one hull, and the Newton solver projects an accepted step
 onto the hull of that trial.
@@ -438,12 +439,15 @@ class _LowerHull:
     V, Z are the node positions and heights.  tris lists the lower
     facets, counter-clockwise in the plane, with gradients grad and
     values icpt at the origin (the facet plane is z = grad . v + icpt).
+    nbrs[f, j] is the lower facet across the edge of tris[f] opposite its
+    vertex j (int32), or -1 where the facet there is not a lower one.
     on_hull marks the nodes that are vertices of some lower facet.
     """
 
     V: np.ndarray
     Z: np.ndarray
     tris: np.ndarray
+    nbrs: np.ndarray
     grad: np.ndarray
     icpt: np.ndarray
     on_hull: np.ndarray
@@ -525,17 +529,25 @@ def _lower_hull(t1, t2, Psi):
         if not np.abs(V @ g[:2] + g[2] - Z).max() <= 1e-12 * max(1.0, np.abs(Z).max()):
             raise PreconditionViolated(f"qhull rejects the lifted toric grid: {exc}")
         tris = np.array([c[:3], [c[0], c[2], c[3]]], np.intp)
+        nbrs = np.array([[-1, 1, -1], [-1, -1, 0]], np.int32)  # they share c0-c2
         eq = np.tile([g[0], g[1], -1.0, g[2]], (2, 1))  # the plane z = g . v + h
     else:
-        lower = qh.equations[:, 2] < -LOWER_FACET_TOL
-        eq = qh.equations[lower]
-        tris = qh.simplices[lower].astype(np.intp)  # k * N + l overflows int32
-    a, b, c = V[tris[:, 0]], V[tris[:, 1]], V[tris[:, 2]]
-    cw = _cross(b - a, c - a) < 0
-    tris[cw] = tris[cw][:, [0, 2, 1]]
+        # row gathers by take: the same rows as fancy indexing, at less cost
+        lower = np.flatnonzero(qh.equations[:, 2] < -LOWER_FACET_TOL)
+        eq = qh.equations.take(lower, 0)
+        tris = qh.simplices.take(lower, 0).astype(np.intp)  # k * N + l overflows int32
+        index = np.full(len(qh.equations), -1, np.int32)  # qhull's facets -> lower facets
+        index[lower] = np.arange(len(lower), dtype=np.int32)
+        nbrs = index.take(qh.neighbors.take(lower, 0))
+        del qh, index
+    a, b, c = (V.take(tris[:, i], 0) for i in range(3))
+    cw = np.flatnonzero(_cross(b - a, c - a) < 0)
+    for arr in (tris, nbrs):
+        arr[cw, 1], arr[cw, 2] = arr[cw, 2], arr[cw, 1]
     on_hull = np.zeros(len(Z), bool)
     on_hull[tris.ravel()] = True
-    hull = _LowerHull(V, Z, tris, -eq[:, :2] / eq[:, 2:3], -eq[:, 3] / eq[:, 2], on_hull)
+    hull = _LowerHull(V, Z, tris, nbrs, -eq[:, :2] / eq[:, 2:3], -eq[:, 3] / eq[:, 2],
+                      on_hull)
     for arr in vars(hull).values():
         arr.setflags(write=False)
     return hull
@@ -554,39 +566,57 @@ def _dual_segments(hull):
     edge with one lower facet lies on the domain boundary (or next to a
     vertical facet); its dual is the ray from the facet's gradient along
     the edge's outward normal, away from the facet.  Sides come from the
-    facets' orientation in the plane, so the lower triangles must have
-    positive area (Qt may in principle emit zero-area ones; no grid
-    potential tried has produced one).
+    facets' orientation in the plane, which a zero-area triangle lacks;
+    qhull emits such triangles, and folds its lower facets (below), only
+    on some nearly planar lifts.  The shared edges come first,
+    sorted by the key k*N + l, then the single ones in half-edge order.
+
+    Half-edge q of facet f runs from tris[f, q] to tris[f, (q + 1) % 3],
+    and the facet across it is nbrs[f, (q + 2) % 3], qhull's adjacency.
+    A shared edge is taken once, from its half-edge with k -> l, whose
+    facet is L, so only these keys are sorted.  On a nearly planar lift
+    qhull can fold its lower facets: two of them then lie on one side of
+    a shared edge, and some key has two such half-edges or none.  Such a
+    hull pairs the half-edges by sorting every key stably, the lower
+    half-edge of a pair first: its facet is L if it lies left of k->l,
+    and R otherwise.
     """
-    V, tris = hull.V, hull.tris
+    V, tris, grad = hull.V, hull.tris, hull.grad
     N = len(V)
     src = tris.ravel()
-    dst = tris[:, [1, 2, 0]].ravel()
-    fac = np.repeat(np.arange(len(tris)), 3)
-    k, l = np.minimum(src, dst), np.maximum(src, dst)
-    left = src < dst  # the facet lies left of k->l
-    edge = k * N + l
-    # each key occurs once or twice, and both rows of a pair give the same
-    # (k, l, fL, fR), so any order of equal keys gives the same output
-    order = np.argsort(edge)
-    pair = edge[order][1:] == edge[order][:-1]
-    i1, i2 = order[:-1][pair], order[1:][pair]
-    single = np.ones(len(k), bool)
-    single[i1] = single[i2] = False
-    i0 = np.flatnonzero(single)
-
-    fL = np.where(left[i1], fac[i1], fac[i2])
-    fR = np.where(left[i1], fac[i2], fac[i1])
-    d = V[l[i0]] - V[k[i0]]
+    dst = tris.take([1, 2, 0], 1).ravel()
+    across = hull.nbrs.take([2, 0, 1], 1).ravel()
+    shared = across >= 0
+    i1 = np.flatnonzero(shared & (src < dst))
+    key = src.take(i1) * N + dst.take(i1)
+    order = np.argsort(key)
+    i1, key = i1.take(order), key.take(order)
+    if 2 * len(i1) == np.count_nonzero(shared) and not (key[1:] == key[:-1]).any():
+        k1, l1, fL, fR = src.take(i1), dst.take(i1), i1 // 3, across.take(i1)
+        i0 = np.flatnonzero(~shared)
+    else:  # a folded hull
+        edge = np.minimum(src, dst) * N + np.maximum(src, dst)
+        order = np.argsort(edge, kind="stable")
+        pair = edge[order][1:] == edge[order][:-1]
+        a, b = order[:-1][pair], order[1:][pair]
+        first_left = src[a] < dst[a]
+        k1, l1 = np.minimum(src[a], dst[a]), np.maximum(src[a], dst[a])
+        fL, fR = np.where(first_left, a, b) // 3, np.where(first_left, b, a) // 3
+        single = np.ones(len(src), bool)
+        single[a] = single[b] = False
+        i0 = np.flatnonzero(single)
+    s, t = src.take(i0), dst.take(i0)
+    k0, l0 = np.minimum(s, t), np.maximum(s, t)
+    d = V.take(l0, 0) - V.take(k0, 0)
     rot = np.column_stack([-d[:, 1], d[:, 0]])  # left normal of k->l
-    outgoing = ~left[i0]  # for k the ray leaves the facet's gradient
-    n_pair = len(i1)
-    B = np.concatenate([hull.grad[fR], hull.grad[fac[i0]]])
-    D = np.concatenate([hull.grad[fL] - hull.grad[fR], rot])
+    outgoing = s > t  # the facet lies right of k->l: for k the ray leaves its gradient
+    n_pair = len(k1)
+    gR = grad.take(fR, 0)
+    B = np.concatenate([gR, grad.take(i0 // 3, 0)])
+    D = np.concatenate([grad.take(fL, 0) - gR, rot])
     s0 = np.concatenate([np.zeros(n_pair), np.where(outgoing, 0.0, -np.inf)])
     s1 = np.concatenate([np.ones(n_pair), np.where(outgoing, np.inf, 0.0)])
-    return (np.concatenate([k[i1], k[i0]]), np.concatenate([l[i1], l[i0]]),
-            B, D, s0, s1)
+    return np.concatenate([k1, k0]), np.concatenate([l1, l0]), B, D, s0, s1
 
 
 def _clip_to_square(B, D, s0, s1):
@@ -716,12 +746,12 @@ def _hull_cells(hull, want_jac=False):
     inner = ((s0 == 0) & (s1 == 1)
              & ((ends > INTERIOR_MARGIN) & (ends < 1.0 - INTERIOR_MARGIN)).all(axis=1))
     cut = np.flatnonzero(~inner)
-    keep, Pc, Qc = _clip_to_square(P[cut], D[cut], s0[cut], s1[cut])
-    cut = cut[keep]
+    keep, Pc, Qc = _clip_to_square(P.take(cut, 0), D.take(cut, 0), s0.take(cut), s1.take(cut))
+    cut = cut.take(keep)
     P[cut], Q[cut] = Pc, Qc
     inner[cut] = True  # now every kept row, in ascending order
     rows = np.flatnonzero(inner)
-    k, l, P, Q = k[rows], l[rows], P[rows], Q[rows]
+    k, l, P, Q = k.take(rows), l.take(rows), P.take(rows, 0), Q.take(rows, 0)
     cr = _cross(P, Q)
     w = np.column_stack([cr, (P[:, 0] + Q[:, 0]) * cr, (P[:, 1] + Q[:, 1]) * cr])
     # an interior end adds no side term, and every end on a side is a clipped one
@@ -740,7 +770,7 @@ def _hull_cells(hull, want_jac=False):
     mom = S[1:].T / 6.0
     jac = None
     if want_jac:
-        dV = hull.V[l] - hull.V[k]
+        dV = hull.V.take(l, 0) - hull.V.take(k, 0)
         wt = np.hypot(*(Q - P).T) / np.hypot(*dV.T)
         # along a side of the square the area is not differentiable: one
         # way the edge leaves the square, so take the mean one-sided slope

@@ -270,7 +270,10 @@ def _newton_matrix(jac, act):
     the block negative definite, as _banded_solve needs.  It is built as
     a canonical CSC matrix, sorted and with no stored zeros, so its
     arrays are those of H[act][:, act].tocsc() - shift * eye for the CSR
-    matrix H of toric_cells, and the solve reads the same input.
+    matrix H of toric_cells, and the solve reads the same input.  Its
+    entries are placed in that order directly: each (row, col) occurs
+    once, so one argsort of col * n + row is the canonical order (a
+    stable one, which is faster here on the keys' ascending runs).
     """
     k, l, wt, diag = jac
     new = np.cumsum(act) - 1
@@ -280,14 +283,18 @@ def _newton_matrix(jac, act):
     n = len(d)
     shift = max(1e-14 * float(np.abs(d).max()), 1e-300)
     idx = np.arange(n)
-    return sp.csc_matrix((np.concatenate([wt, wt, d - shift]),
-                          (np.concatenate([k, l, idx]), np.concatenate([l, k, idx]))),
-                         shape=(n, n))
+    row, col = np.concatenate([k, l, idx]), np.concatenate([l, k, idx])
+    order = np.argsort(col * n + row, kind="stable")
+    indptr = np.zeros(n + 1, np.int32)
+    np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+    return sp.csc_matrix((np.concatenate([wt, wt, d - shift]).take(order),
+                          row.take(order).astype(np.int32), indptr), shape=(n, n))
 
 
 def _banded_solve(A, r):
-    """Solve A x = r for a symmetric negative definite sparse matrix A.
+    """Solve A x = r for a symmetric negative definite CSC matrix A.
 
+    Its entries are read off its index arrays, with no COO copy.
     Reverse Cuthill-McKee (on the pattern of both triangles) orders the
     nodes into a narrow band; a banded Cholesky factorization (LAPACK
     pbtrf/pbtrs) of the lower half of that band of -A then solves
@@ -295,15 +302,15 @@ def _banded_solve(A, r):
     numpy.linalg.LinAlgError.
     """
     perm = reverse_cuthill_mckee(A, symmetric_mode=True)
-    pos = np.argsort(perm)  # each node's place in the new order
-    coo = A.tocoo()
-    i, j = pos[coo.row], pos[coo.col]
+    pos = np.empty_like(perm)  # each node's place in the new order
+    pos[perm] = np.arange(len(perm), dtype=perm.dtype)
+    i, j = pos.take(A.indices), np.repeat(pos, np.diff(A.indptr))
     low = i >= j
-    i, j = i[low], j[low]
+    i, j = i.compress(low), j.compress(low)
     ab = np.zeros((int((i - j).max()) + 1, len(perm)))
-    ab[i - j, j] = -coo.data[low]
+    ab[i - j, j] = -A.data.compress(low)
     x = np.empty(len(perm))
-    x[perm] = solveh_banded(ab, -r[perm], lower=True, check_finite=False)
+    x[perm] = solveh_banded(ab, -r.take(perm), lower=True, check_finite=False)
     return x
 
 
@@ -437,8 +444,11 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
     residual decrease once it lies below -- or when itmax steps leave the
     residual above the level's tolerance.  Stagnation stops the schedule
     and yields a diverged verdict with the trace so far; otherwise the
-    verdict is solved.  There is no not_in_Ep verdict on this model:
-    nonnegative node masses summing to the square's area are a
+    verdict is solved.  A mollified level that stagnates where its cells
+    already match the unmollified target to the last level's tolerance
+    (an affine start of a target on the corners) goes on to the last
+    level instead, which stops on "tol" after no step.  There is no
+    not_in_Ep verdict on this model: nonnegative node masses summing to the square's area are a
     semi-discrete transport target, whose solution is a finite vector of
     node values, so no infinite energy can be certified.  diagnostics
     holds the last level's Newton info under "newton" and every level's
@@ -466,7 +476,10 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
     stops = []
     consistency = []
     prev_offset = None
-    for eps in list(widths) + [None]:
+    final_tol = 1e-11
+    levels = list(widths) + [None]
+    while levels:
+        eps = levels.pop(0)
         if eps is None:
             tgt = T
         else:
@@ -475,7 +488,7 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
             tgt = mix / mix.sum()
         # intermediate levels are warm starts; only the final level needs
         # the full tolerance
-        lvl_tol = 1e-9 if eps is not None else 1e-11
+        lvl_tol = 1e-9 if eps is not None else final_tol
         Psi, res, info = _newton(t1, t2, Psi, tgt.ravel(), itmax=itmax, tol=lvl_tol,
                                  evaluation=evaluation)
         stops.append(info.pop("stop"))
@@ -488,7 +501,12 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
                                             * tgt.ravel()) * model.volume))
         prev_offset = off
         if info["stalled"]:
-            break
+            # a mollified level stalled where its cells (evaluation[1])
+            # already match the target: the last level stops there on "tol"
+            if eps is None or evaluation is None or not (
+                    np.abs(evaluation[1] - T.ravel()).sum() < final_tol):
+                break
+            levels = [None]
     off = Psi - base
     psi = ToricGrid(t1, t2, Psi - off.max() - 1.0)
     got = ma.toric_measure(model, psi)

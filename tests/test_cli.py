@@ -139,7 +139,8 @@ def test_radial_target_with_a_negative_atom_exits_2_naming_it(tmp_path, capsys, 
 
 @pytest.mark.parametrize("corners", [(0,), (0, 1, 2, 3)])
 def test_toric_target_on_the_corners_exits_0(tmp_path, corners):
-    # the separable start of such a target is affine, whose lift qhull rejects
+    # the separable start of such a target is affine, whose lift qhull
+    # rejects, and it already solves the target
     d = np.zeros((17, 17))
     for c in corners:
         d[(0, -1, 0, -1)[c], (0, 0, -1, -1)[c]] = 2.0 / len(corners)
@@ -147,7 +148,8 @@ def test_toric_target_on_the_corners_exits_0(tmp_path, corners):
     tpath.write_text(json.dumps({"kind": "TwoD", "density": d.tolist()}))
     assert run(["solve", "--model", "toric-p1p1:16", "--out", str(tmp_path),
                 "--target", str(tpath)]) == 0
-    assert json.loads((tmp_path / "solve.json").read_text())["residual"] == "0"
+    out = json.loads((tmp_path / "solve.json").read_text())
+    assert out["residual"] == "0" and out["verdict"] == "solved"
 
 
 @pytest.mark.parametrize("model", ["radial-p2", "toric-p1p1:16"])

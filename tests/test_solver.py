@@ -396,6 +396,41 @@ def test_banded_solve_matches_superlu(toric32, name):
         assert np.abs(x - y).max() <= 1e-8 * np.abs(y).max()
 
 
+def test_a_newton_step_makes_no_coo_round_trip(toric32, monkeypatch):
+    # the matrix is filled in canonical CSC order and the banded solve
+    # reads its index arrays: no COO matrix is converted either way
+    conversions = []
+    for cls, name in ((sp.csc_matrix, "tocoo"), (sp.coo_matrix, "tocsc")):
+        def spy(self, *args, _real=getattr(cls, name), _name=name, **kwargs):
+            conversions.append(_name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, spy)
+    systems, _ = _newton_systems(toric32, "smooth")
+    assert len(systems) == 3
+    assert conversions == []
+
+
+@pytest.mark.parametrize("widths", [solver.DEFAULT_WIDTHS, (0.25, 0.125)])
+@pytest.mark.parametrize("corners", [(0,), (0, 1, 2, 3)])
+def test_a_target_its_start_solves_is_solved(corners, widths):
+    # a target on the corners has an affine separable start, which solves
+    # it; the first mollified level stalls there, the schedule goes on to
+    # the last level, and that level stops on "tol" after no step
+    model = models.toric_p1p1(16)
+    t1, t2, _ = model.reference_potential
+    dens = np.zeros((len(t1), len(t2)))
+    for c in corners:
+        dens[(0, -1, 0, -1)[c], (0, 0, -1, -1)[c]] = model.volume / len(corners)
+    res = solver.solve_newton_toric(model, ma.MaMeasure("TwoD", (t1, t2), dens, (), model.volume),
+                                    widths=widths)
+    assert res.verdict == "solved"
+    assert res.diagnostics["stop_reasons"] == ("line_search", "tol")
+    assert res.diagnostics["newton"]["iterations"] == 0
+    assert res.residual == 0.0 and res.diagnostics["l1_residual"] == 0.0
+    assert len(res.energy_trace) == 2
+
+
 @pytest.mark.parametrize("node, eps, verdict, stops, steps", [
     ("centre", 1e-3, "solved", ("tol", "tol"), 14),
     ("centre", 1e-4, "diverged", ("line_search",), 0),

@@ -10,7 +10,9 @@ solver's chord check, which rejects a trial before its hull is built,
 may flag only nodes that qhull leaves off the lower hull.  A strictly
 convex lift is built without qhull's premerge, and must give the lower
 triangles, cells and moments of the merged build; every other lift keeps
-the merge.
+the merge.  The kernel pairs the dual edges through qhull's facet
+adjacency (``_LowerHull.nbrs``), and must give the oracle's sort-based
+pairing on merged, affine, folded and nearly planar hulls.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ma_lab import ma, models, solver
 from ma_lab.errors import PreconditionViolated
 from ma_lab.models import ToricGrid
+from toric_reference import _dual_segments as reference_dual_segments
 from toric_reference import reference_cells, reference_hull_cells, reference_hull_projection
 
 TOL = 1e-12
@@ -119,6 +122,95 @@ def test_a_rejected_lift_off_the_corner_plane_raises(grid16, monkeypatch):
     with pytest.raises(PreconditionViolated, match="qhull rejects the lifted toric grid"):
         ma._lower_hull(t1, t2, base)
     assert ma._lower_hull(t1, t2, 0.5 * t1[:, None] - 0.1 * t2[None, :]).tris.shape == (2, 3)
+
+
+def assert_neighbours(hull):
+    """hull.nbrs is qhull's adjacency of the lower facets: the facet
+    across the edge opposite vertex j of a facet holds that edge and
+    names the facet back."""
+    nbrs, tris = hull.nbrs, hull.tris
+    assert nbrs.dtype == np.int32 and nbrs.shape == tris.shape
+    f, j = np.nonzero(nbrs >= 0)
+    g = nbrs[f, j]
+    for end in (tris[f, (j + 1) % 3], tris[f, (j + 2) % 3]):
+        assert (tris[g] == end[:, None]).any(axis=1).all()
+    assert (nbrs[g] == f[:, None]).any(axis=1).all()
+
+
+def _folded(hull):
+    """Whether the half-edges of hull.nbrs's shared edges fail to split
+    into one with k -> l per edge, so _dual_segments pairs by sorting."""
+    src, dst = hull.tris.ravel(), hull.tris[:, [1, 2, 0]].ravel()
+    shared = hull.nbrs[:, [2, 0, 1]].ravel() >= 0
+    key = np.sort((src * len(hull.V) + dst)[shared & (src < dst)])
+    return 2 * len(key) != shared.sum() or bool((key[1:] == key[:-1]).any())
+
+
+def _neighbour_case(name, t1, t2, base):
+    T1, T2 = np.meshgrid(t1, t2, indexing="ij")
+    if name == "separable":
+        return base
+    if name == "affine":  # qhull rejects it: the two-triangle fallback
+        return 0.3 * T1 - 0.2 * T2 + 1.0
+    if name == "two planes":  # they meet on the diagonal
+        return np.maximum(0.3 * T1 + 0.1 * T2, 0.1 * T1 + 0.3 * T2)
+    if name == "quantized":
+        return np.round(8.0 * base) / 8.0
+    # nearly planar: qhull folds its lower facets
+    return T1 + 0.5 * T2 + 1e-13 * (T1 ** 2 + T2 ** 2)
+
+
+@pytest.mark.parametrize("r", [16, 32])
+@pytest.mark.parametrize("name", ["separable", "affine", "two planes", "quantized", "folded"])
+def test_dual_edges_pair_through_the_neighbour_table(r, name):
+    # merged builds and the affine fallback; a folded hull pairs by the
+    # stable sort of every key, as the oracle does
+    t1, t2, base = models.toric_p1p1(r).reference_potential
+    hull = ma._lower_hull(t1, t2, _neighbour_case(name, t1, t2, base))
+    assert_neighbours(hull)
+    assert _folded(hull) == (name == "folded")
+    if name == "affine":
+        assert hull.tris.shape == (2, 3)
+    for got, want in zip(ma._dual_segments(hull), reference_dual_segments(hull)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert_bit_identical(hull)
+
+
+def test_dual_edges_sort_one_key_per_shared_edge(monkeypatch):
+    # qhull's adjacency pairs the half-edges: only the shared edges'
+    # keys are sorted, at most half as many as there are half-edges
+    t1, t2, _ = models.toric_p1p1(32).reference_potential
+    hull = ma._lower_hull(t1, t2, _smooth(t1, t2, (0.3, 0.6)))
+    assert_neighbours(hull)
+    sizes = []
+    real = np.argsort
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return real(a, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "argsort", counting)
+        ma._dual_segments(hull)
+    assert 0 < sum(sizes) <= hull.tris.size // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.sampled_from([16, 32]),
+       plane=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(-2.0, 2.0)),
+       eps=st.floats(-13.0, -6.0), bump=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_nearly_planar_lifts_build_and_match_the_oracle(r, plane, eps, bump, seed):
+    # a plane plus noise of relative size 10**eps, or plus a convex bump
+    # of that size with a tenth of the noise: the hull builds, and its
+    # cells are the oracle's, folded or not
+    t1, t2, _ = models.toric_p1p1(r).reference_potential
+    T1, T2 = np.meshgrid(t1, t2, indexing="ij")
+    flat = plane[0] * T1 + plane[1] * T2 + plane[2]
+    lift = np.random.default_rng(seed).uniform(-1.0, 1.0, flat.shape)
+    if bump:
+        lift = 0.1 * lift + (T1 ** 2 + T2 ** 2) / (T1 ** 2 + T2 ** 2).max()
+    hull = ma._lower_hull(t1, t2, flat + 10.0 ** eps * max(1.0, np.abs(flat).max()) * lift)
+    assert_bit_identical(hull)
 
 
 @pytest.mark.parametrize("r", [64, 128])

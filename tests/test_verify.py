@@ -30,6 +30,14 @@ def test_seed_profile_is_the_first_bounded_corpus_member():
         assert np.array_equal(phi.offset, member.offset), seed
 
 
+def test_a_corpus_of_7_draws_the_first_divisor_bounded_member_of_a_larger_one():
+    # ma-lab examples 1.4.2 reads this member from generate_corpus(5, 7)
+    got, want = (verify.generate_corpus(5, size).with_tag("divisor_bounded")[0]
+                 for size in (7, 24))
+    assert got.tags == want.tags
+    assert got.phi.offset.tobytes() == want.phi.offset.tobytes()
+
+
 def test_tag_coverage():
     corpus = verify.generate_corpus(0, 90)
     for tag in TAGS:
