@@ -173,17 +173,12 @@ def capacity_curve(model, phi, thresholds):
         exponent = float(np.polyfit(np.log(ts[sel]), np.log(vals[sel]), 1)[0])
     else:
         exponent = float(np.nan)
-    limit = _limit(model, phi)
+    # the verdicts along the ladder of phi shifted down to sup <= 0, if needed
+    limit = partial(energy.ladder_limit, model,
+                    energy.cutoffs(model, energy._nonpositive(model, phi)[0]))
     consts = {"C_phi": decay_constant(model, limit)}
     consts.update(capacity_energy_sandwich(model, phi, limit))
     return CapacityCurve(ts, vals, exponent, consts)
-
-
-def _limit(model, phi):
-    """limit(q, j): the (q, j) :func:`energy.ladder_limit` verdicts along
-    the cutoff ladder of phi shifted down to sup <= 0, if needed."""
-    phi = energy._nonpositive(model, phi)[0]
-    return partial(energy.ladder_limit, model, energy.cutoffs(model, phi))
 
 
 def decay_constant(model, limit):
@@ -199,7 +194,7 @@ def decay_constant(model, limit):
     return limit(2.0, 0).value + 4.0 * limit(1.0, 1).value + 2.0
 
 
-def capacity_energy_sandwich(model, phi, limit=None):
+def capacity_energy_sandwich(model, phi, limit):
     """Both sides of the capacity-energy sandwich at exponent p = 1.
 
     The middle quantity int (-phi)^3 dCap is evaluated from its
@@ -208,12 +203,11 @@ def capacity_energy_sandwich(model, phi, limit=None):
     of the energy, int_1^inf m(t) dt with m the sublevel mass under
     omega_phi^2, which is the quantity the comparison-principle
     derivation actually dominates; the upper bound uses the full
-    combination 2^3 e_1 (energy.capacity_energy), read from limit(q, j):
-    by default the verdicts along phi's own ladder (phi shifted down to
-    sup <= 0, if needed), or those of a caller that already holds them.
+    combination 2^3 e_1 (energy.capacity_energy), read from limit(q, j),
+    phi's (q, j) :func:`energy.ladder_limit` verdicts along one
+    :func:`energy.cutoffs` ladder.
     """
     require(model, RADIAL_P2, "capacity_energy_sandwich")
-    limit = limit or _limit(model, phi)
     depth = float(-phi.offset.min())
     # past the grid depth the discrete sublevels degenerate to the fixed
     # point and the mass/capacity pair is no longer faithful; stop there

@@ -10,13 +10,15 @@ geometric tail rho/(1-rho) turns the last partial sum into a limit
 estimate.  :func:`cutoffs` builds a potential's :class:`Ladder` once and
 :func:`ladder_limit` reads any (p, j) energy off it; :func:`ladder_verdict`
 is the one classifier of such ladders, which every ladder in the package
-(other cutoff subsequences, factor measures) goes through.  A ladder is
-built and read in blocks of rungs: its cut rows are checked, slope-mapped
-and measured once per ladder, and each rung's energy is one weighted mass
-against moment weights whose powers are taken once per exponent, with the
-same values per rung as :func:`ep_integral` of the cut potential.  The
-gradient energy is handled the same way with per-octave contributions in
-t, sharing the ratio and tail step.
+(other cutoff subsequences, factor measures) goes through.  A product
+ladder's energies are :func:`ep_integral` of each rung's cut, each cut and
+its measures built once per ladder.  A radial ladder is built and read in
+blocks of rungs: its cut rows are checked, slope-mapped and measured once
+per ladder, and each rung's energy is one weighted mass against moment
+weights whose powers are taken once per exponent, with the same values
+per rung as :func:`ep_integral` of the cut.  The gradient energy is
+handled the same way with per-octave contributions in t, sharing the
+ratio and tail step.
 
 Default exponent sweep: p in {1, 1.5, 2, 3}.
 """
@@ -198,26 +200,6 @@ def ladder_verdict(ks, es, depth):
     return DivergenceVerdict(True, float(es[-1]) + rest, rho, trace)
 
 
-@dataclass(frozen=True)
-class _Cut:
-    """One factor of one ladder rung, as the product E_p integral reads
-    it: the offset max(f, -k) + shift, rebuilt on each read so that a
-    ladder holds no offset rows, and the limit values of that offset."""
-
-    factor: object
-    k: float
-    shift: float
-    limits: tuple
-
-    @property
-    def offset(self):
-        off = np.maximum(self.factor.offset, -self.k)
-        return off + self.shift if self.shift else off
-
-    def limit_values(self):
-        return self.limits
-
-
 def _checked_rows(base, off):
     """The full cell slopes of the offset rows off, checked as
     RelativeProfile construction checks a potential, and each row's limit
@@ -233,20 +215,17 @@ class Ladder:
     max(phi, -k), factor by factor (a factor no deeper than k is its own
     cut).
 
-    The ladder holds no potential and no offset row per rung.  It builds
-    the cut rows of each factor a block of rungs at a time, LADDER_BLOCK
-    entries at most, checks each row as RelativeProfile construction
-    checks a potential (:func:`profiles.relative_slopes`), and keeps the
-    rows' normalized slope maps and limit values.  A rung of several
-    factors moves each factor but the last to sup 0 and the last by the
-    opposite constant, as the product E_p integral moves them; those rows
-    are checked too, and their limits kept.  The j = 1 and j = 2 measures
-    of every rung are built from the slope maps on first use, block by
-    block, once per ladder (the backend's ``ladder_measures``); j = 0 is
-    the model's reference measure.  A one-factor ladder's moment weights
-    are built on first use once per exponent (:meth:`moment_weights`), and
-    the three wedges share them.  Every array is read-only.
-    :meth:`cut` builds one rung's potential for a caller that needs it.
+    :meth:`cut` builds a rung's potential once.  A product ladder is read
+    rung by rung, as :func:`ep_integral` reads a potential: :meth:`measures`
+    measures each cut once per j.  A radial ladder reads no cut.  On the
+    first read of its measures or moment weights it builds its cut rows a
+    block of rungs at a time, LADDER_BLOCK entries at most, checks each row
+    as RelativeProfile construction checks a potential
+    (:func:`profiles.relative_slopes`), and keeps the rows' limit values
+    and normalized slope maps, from which its j = 1 and j = 2 measures are
+    built.  Its moment weights are built once per exponent
+    (:meth:`moment_weights`), and the three wedges share them.  j = 0 is
+    the model's reference measure.  Every array is read-only.
     """
 
     def __init__(self, model, phi, start):
@@ -255,74 +234,66 @@ class Ladder:
         self.depths = [-f.offset.min() for f in fs]
         self.depth = max(self.depths)
         self.ks = cutoff_ladder(self.depth, start)
-        self._step = max(1, LADDER_BLOCK // fs[0].offset.size)
-        self._maps = [[] for _ in fs]  # per factor, blocks of normalized slope maps
-        self._measures = {}
-        self._weights = {}
-        self.limits = [[] for _ in fs]  # per factor, each rung's limit values
-        self.shifts = []  # per rung, each factor's move
-        for rows in self.blocks():
-            offs = [self.cut_rows(f, rows) for f in fs]
-            for f, off, maps, lims in zip(fs, offs, self._maps, self.limits):
-                s, lim = _checked_rows(f.base, off)
-                ns = ma.slope_rows(s, f.base.slope_cap)
-                ns.setflags(write=False)
-                maps.append(ns)
-                lims += lim
-            tops = [off.max(axis=1) for off in offs[:-1]]
-            moves = [-t for t in tops] + [sum(tops, np.zeros(len(offs[0])))]
-            self.shifts += zip(*moves)
-            moved = np.flatnonzero(np.any(tops, axis=0)) if tops else ()
-            if len(moved):
-                for f, off, c, lims in zip(fs, offs, moves, self.limits):
-                    _, lim = _checked_rows(f.base, off[moved] + c[moved, None])
-                    for r, x in zip(moved, lim):
-                        lims[rows.start + r] = x
+        self._cuts, self._measures, self._weights = {}, {}, {}
 
     @cached_property
-    def rungs(self):
-        """Every rung as the backend's E_p integral reads a potential: its
-        factors as :class:`_Cut` rows, joined."""
-        join = backend(self.model).join
-        return [join(tuple(_Cut(f, k, c, lims[i])
-                           for f, c, lims in zip(self.factors, sh, self.limits)))
-                for i, (k, sh) in enumerate(zip(self.ks, self.shifts))]
+    def _rows(self):
+        """The radial block rows: each block's normalized slope maps, and
+        each rung's limit values."""
+        (f,) = self.factors
+        maps, limits = [], []
+        for rows in self.blocks():
+            s, lim = _checked_rows(f.base, self.cut_rows(rows))
+            ns = ma.slope_rows(s, f.base.slope_cap)
+            ns.setflags(write=False)
+            maps.append(ns)
+            limits += lim
+        return maps, limits
 
     def blocks(self):
-        """The slices of rungs that the ladder builds and reads together."""
-        return [slice(a, a + self._step) for a in range(0, len(self.ks), self._step)]
+        """The slices of rungs that a radial ladder builds and reads together."""
+        step = max(1, LADDER_BLOCK // self.factors[0].offset.size)
+        return [slice(a, a + step) for a in range(0, len(self.ks), step)]
 
-    def cut_rows(self, f, rows):
-        """The offset rows max(f, -k) of factor f at the rungs rows."""
+    def cut_rows(self, rows):
+        """The offset rows max(phi, -k) of a radial ladder at the rungs rows."""
+        (f,) = self.factors
         return np.maximum(f.offset, -np.array(self.ks[rows], dtype=float)[:, None])
 
     def cut(self, i):
         """Rung i's potential, with :func:`truncate` on each factor deeper
-        than its cutoff."""
-        k = self.ks[i]
-        return backend(self.model).join(tuple(truncate(f, k) if d > k else f
-                                              for f, d in zip(self.factors, self.depths)))
+        than its cutoff, built on first use and kept."""
+        if i not in self._cuts:
+            k = self.ks[i]
+            self._cuts[i] = backend(self.model).join(tuple(
+                truncate(f, k) if d > k else f for f, d in zip(self.factors, self.depths)))
+        return self._cuts[i]
 
     def measures(self, j):
-        """Every rung's measure omega^{2-j} ^ omega_cut^j."""
+        """Every rung's measure omega^{2-j} ^ omega_cut^j, built once per j."""
         if _wedge(j) not in self._measures:
-            model = self.model
-            self._measures[j] = [model.reference_measure] * len(self.ks) if j == 0 else (
-                entry(model, "ladder_measures", "ep_limit")(
-                    model, [f.base.grid for f in self.factors], self._maps, j))
+            model, n = self.model, len(self.ks)
+            if j == 0:
+                ms = [model.reference_measure] * n
+            elif model.kind == RADIAL_P2:
+                ms = ma._slope_ladder(model, self.factors[0].base.grid, self._rows[0], j)
+            else:
+                ms = [_measure_for(model, self.cut(i), j).frozen() for i in range(n)]
+            self._measures[j] = ms
         return self._measures[j]
 
     def moment_weights(self, p):
-        """The moment weights of exponent p of a one-factor ladder, built on
+        """The moment weights of exponent p of a radial ladder, built on
         first use once per p: w = max(-cut, 0)^p at the nodes of its last
         cut, min(k, depth)^p of each cutoff k, and each rung's limit
         weights (:func:`_moment_weights`).  Rung i's weight at a node is
-        k_i^p where the factor lies at or below -k_i and w elsewhere, which
-        is max(-max(f, -k_i), 0)^p entry by entry; a cutoff past the depth
-        cuts nothing, so its power is that of the depth, a value of w."""
+        k_i^p where the potential lies at or below -k_i and w elsewhere,
+        which is max(-max(phi, -k_i), 0)^p entry by entry; a cutoff past
+        the depth cuts nothing, so its power is that of the depth, a value
+        of w."""
         if p not in self._weights:
-            (f,), (limits,) = self.factors, self.limits
-            (w,), ends = _moment_weights(self.cut_rows(f, slice(-1, None)), limits, p)
+            _, limits = self._rows
+            (w,), ends = _moment_weights(self.cut_rows(slice(-1, None)), limits, p)
             kp, _ = _moment_weights(-np.minimum(self.ks, self.depth), (), p)
             w.setflags(write=False)
             kp.setflags(write=False)
@@ -345,8 +316,8 @@ def _radial_ladder_ep(ladder, p, j):
 
 
 def _product_ladder_ep(ladder, p, j):
-    """The product E_p integral of every rung against its measure."""
-    return [_product_ep(m, cut, p) for m, cut in zip(ladder.measures(j), ladder.rungs)]
+    """The product E_p integral of every rung's cut against its measure."""
+    return [_product_ep(m, ladder.cut(i), p) for i, m in enumerate(ladder.measures(j))]
 
 
 def cutoffs(model, phi, start=1.0):
@@ -483,7 +454,7 @@ def energy_report(model, phi, ps):
     return {p: report(p) for p in ps}
 
 
-def energy_concavity_data(model, phi, psi, p=1.0):
+def energy_concavity_data(model, phi, psi, p):
     """Proof-constant margins of the mixed cross energies.
 
     M is the larger of the self-energies of phi and psi, the integrals of

@@ -215,23 +215,12 @@ def _product_mixed(model, phi, psi):
     return product_wedge(tuple(map(factor_measure, phi)), tuple(map(factor_measure, psi)))
 
 
-def _slope_ladder(model, grids, maps, j):
+def _slope_ladder(model, grid, blocks, j):
     """Every cutoff rung's radial measure of order j = 1 or 2 from the
     blocks of the rungs' slope maps: the product of a rung's map with
     itself (j = 2) or with the zero potential's (j = 1)."""
-    (grid,), (blocks,) = grids, maps
     return [m for ns in blocks for m in row_measures(
         grid, *pair_rows(ns, ns if j == 2 else model.zero_slopes))]
-
-
-def _product_ladder(model, grids, maps, j):
-    """Every cutoff rung's product measure of order j = 1 or 2 from the
-    blocks of its factors' slope maps, wedged as :func:`_product_measure`
-    (j = 2) and :func:`_product_mixed` with the zero potential (j = 1) do."""
-    fs = [[m for ns in blocks for m in row_measures(g, *factor_rows(ns))]
-          for g, blocks in zip(grids, maps)]
-    zero = model.reference_measure.factors[0][1:]
-    return [product_wedge(a, a if j == 2 else zero) for a in zip(*fs)]
 
 
 def product_wedge(a, b):

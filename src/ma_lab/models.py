@@ -9,11 +9,12 @@ with the measure realized as an Aleksandrov subgradient measure.
 Each kind has one :class:`Backend` record, looked up by :func:`backend`
 and nowhere else, through which every kind-dependent operation goes:
 potential type, zero potential, factor view ((phi,) radial, (u, v)
-product, none toric), measures, E_p integral, the measures and E_p
-integrals of a cutoff ladder, gradient energy, and the
-solver with the solve command's target schema.  An operation the kind
-lacks, or one written for another kind, raises InvalidInput naming the
-operation and the model.
+product, none toric), measures, E_p integral, the E_p integrals of a
+cutoff ladder, gradient energy, and the solver with the solve command's
+target schema.  The one exception is a cutoff ladder's measures, which
+energy.Ladder builds from row blocks on the radial kind only.  An
+operation the kind lacks, or one written for another kind, raises
+InvalidInput naming the operation and the model.
 """
 
 from dataclasses import dataclass
@@ -145,7 +146,7 @@ def product_p1p1():
 
 
 @lru_cache(maxsize=None)
-def toric_p1p1(resolution=64):
+def toric_p1p1(resolution):
     """2-D toric backend on the box [-TORIC_BOX, TORIC_BOX]^2 in log-coordinates.
 
     Parameters
@@ -232,7 +233,6 @@ class Backend:
     measure: object = None  # (model, phi) -> MaMeasure
     mixed: object = None  # (model, phi, psi) -> MaMeasure
     ep: object = None  # (measure, phi, p) -> raw E_p integral of phi against it
-    ladder_measures: object = None  # (model, grids, slope-map blocks, j) -> cutoff measures
     ladder_ep: object = None  # (ladder, p, j) -> raw E_p integral of every cutoff
     gradient_energy: object = None  # (model, phi) -> DivergenceVerdict
     solve: object = None  # (model, target, p) -> SolveResult
@@ -253,8 +253,7 @@ def _backends():
             RelativeProfile, lambda m: zero_offset(m.reference_potential),
             factors=lambda phi: (phi,), join=lambda fs: fs[0],
             measure=lambda m, phi: ma._slope_measure(m, phi, phi), mixed=ma._slope_measure,
-            ep=energy._moment, ladder_measures=ma._slope_ladder,
-            ladder_ep=energy._radial_ladder_ep,
+            ep=energy._moment, ladder_ep=energy._radial_ladder_ep,
             gradient_energy=lambda m, phi: energy.gradient_energy_verdict(m, phi),
             solve=lambda m, target, p: solver.solve_radial(m, target, p),
             target=("OneD", "node_mass", solver._radial_json_target),
@@ -263,8 +262,7 @@ def _backends():
         PRODUCT_P1P1: Backend(
             tuple, lambda m: tuple(map(zero_offset, m.reference_potential)),
             factors=tuple, join=tuple, measure=ma._product_measure, mixed=ma._product_mixed,
-            ep=energy._product_ep, ladder_measures=ma._product_ladder,
-            ladder_ep=energy._product_ladder_ep,
+            ep=energy._product_ep, ladder_ep=energy._product_ladder_ep,
             gradient_energy=energy._product_gradient),
         TORIC_P1P1: Backend(
             ToricGrid, lambda m: ToricGrid(*m.reference_potential),

@@ -193,7 +193,7 @@ class RelativeProfile:
     def shifted(self, c):
         return RelativeProfile(self.base, self.offset + c)
 
-    def normalized(self, sup=-1.0):
+    def normalized(self, sup):
         """Additive renormalization to the requested supremum."""
         return self.shifted(sup - self.sup_value)
 

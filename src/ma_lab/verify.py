@@ -296,8 +296,7 @@ def check_chain_sobolev(corpus, model):
     return _report("chain-sobolev-convergence", margins, 10.0)
 
 
-def check_capacity_decay(corpus, model, limits=None):
-    limits = limits or member_limits(corpus, model, ["sublevel-capacity-decay"])
+def check_capacity_decay(corpus, model, limits):
     ts = np.geomspace(1.0, 64.0, 25)
     Cs = {i: cap_mod.decay_constant(model, partial(limits, i)) for i in _monotone_members(corpus)}
     kept = [i for i, C in Cs.items() if np.isfinite(C)]
@@ -450,8 +449,7 @@ def check_weighted_chain(corpus, model):
     return _report("weighted-energy-chain", margins, 100.0)
 
 
-def check_truncation_free(corpus, model, limits=None):
-    limits = limits or member_limits(corpus, model, ["cutoff-sequence-free"])
+def check_truncation_free(corpus, model, limits):
     margins = []
     for i in _singular(corpus):
         v2 = limits(i, 1.0, 2)
@@ -472,8 +470,7 @@ def check_convergence_in_capacity(corpus, model):
                    np.column_stack([-np.diff(caps), 0.05 - caps[:, -1]]))
 
 
-def check_max_in_ep(corpus, model, limits=None):
-    limits = limits or member_limits(corpus, model, ["max-stable-in-ep"])
+def check_max_in_ep(corpus, model, limits):
     margins = []
     for i, b in zip(_paired_alpha(corpus), corpus.with_tag("bounded")):
         if limits(i, 2.0, 2).finite:
@@ -555,8 +552,7 @@ def check_comparison(corpus, model):
     return _report("comparison-principle", margins)
 
 
-def check_sandwich(corpus, model, limits=None):
-    limits = limits or member_limits(corpus, model, ["capacity-energy-sandwich"])
+def check_sandwich(corpus, model, limits):
     margins = []
     for i in _sandwiched(corpus):
         vals = cap_mod.capacity_energy_sandwich(model, corpus.profiles[i].phi,
@@ -593,9 +589,8 @@ def check_eq7(corpus, model):
     return _report("capacity-split-bound", margins, 10.0)
 
 
-def check_divisor_integrability(corpus, model, limits=None):
+def check_divisor_integrability(corpus, model, limits):
     # at p = 1: a finite E_1 must give a finite E_2 against the mixed wedge
-    limits = limits or member_limits(corpus, model, ["divisor-bounded-integrability"])
     margins = []
     for i in _divisor_bounded(corpus):
         if limits(i, 1.0, 2).finite:
@@ -701,9 +696,9 @@ LADDER_READS = {
 def member_limits(corpus, model, checks):
     """limits(i, p, j): the (p, j) ladder_limit verdict of member i of
     corpus along its start-1 cutoff ladder, for every verdict that the
-    checks read (LADDER_READS).  Corpus members have sup <= 0, so these
-    are also the verdicts along the ladder that
-    :func:`capacity.capacity_energy_sandwich` builds by default.
+    checks read (LADDER_READS).  Corpus members have sup <= 0, so
+    partial(limits, i) is the limit that
+    :func:`capacity.capacity_energy_sandwich` reads of member i.
 
     The first read of a member builds its ladder, takes every verdict the
     checks read of it, and drops the ladder: each member's ladder is built

@@ -1,10 +1,12 @@
-"""The cutoff ladder as it was built one rung at a time, kept as an oracle.
+"""The cutoff ladder built one rung at a time, kept as an oracle.
 
 Every rung is a RelativeProfile cut with ``truncate`` (a factor no deeper
 than the cutoff is its own cut), and every energy along it is
 ``energy.ep_integral`` of that cut, which builds the cut's measure anew.
-``energy.cutoffs`` and ``energy.ladder_limit`` build the same ladder in row
-blocks; they must give equal verdicts, bit for bit.
+This is the product ladder's own path, which ``energy.Ladder`` follows
+with each cut and measure built once per ladder; a radial
+``energy.cutoffs`` ladder is built in row blocks instead.  Both must give
+the verdicts of this one, bit for bit.
 """
 
 from ma_lab import energy

@@ -67,7 +67,8 @@ def test_capacity_decay_law(radial):
     assert abs(curve.fitted_exponent + 2.0) <= 0.1
     # explicit decay constant: no violation across a 200-profile corpus
     corpus = verify.generate_corpus(0, 200)
-    rep = verify.check_capacity_decay(corpus, radial)
+    rep = verify.check_capacity_decay(
+        corpus, radial, verify.member_limits(corpus, radial, ["sublevel-capacity-decay"]))
     assert rep.instances > 0
     assert rep.failures == 0, rep.worst_margin
 

@@ -120,7 +120,8 @@ def test_decay_bound(radial):
 def test_sandwich_order(radial):
     base = radial.reference_potential
     phi = RelativeProfile(base, base.grid / 2 - base.values - 1.0)
-    vals = cap_mod.capacity_energy_sandwich(radial, phi)
+    vals = cap_mod.capacity_energy_sandwich(
+        radial, phi, partial(energy.ladder_limit, radial, energy.cutoffs(radial, phi)))
     assert vals["sandwich_lower"] <= vals["sandwich_mid"] * (1 + 1e-6) + 1e-9
     assert vals["sandwich_mid"] <= vals["sandwich_upper"] * (1 + 1e-6) + 1e-9
 
@@ -266,7 +267,8 @@ def test_non_monotone_offset_is_a_precondition_violation(radial):
     with pytest.raises(PreconditionViolated):
         cap_mod.sublevel_abscissae(shifted, [1.0, 2.0])
     with pytest.raises(PreconditionViolated):
-        cap_mod.capacity_energy_sandwich(radial, shifted)
+        cap_mod.capacity_energy_sandwich(
+            radial, shifted, partial(energy.ladder_limit, radial, energy.cutoffs(radial, shifted)))
     m = ma.ma_measure(radial, None)
     with pytest.raises(PreconditionViolated):
         cap_mod.sublevel_masses(m, shifted, [1.0])

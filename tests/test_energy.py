@@ -232,7 +232,8 @@ def test_ladder_classifier_is_shared(radial, corpus36, monkeypatch, tmp_path):
         return v
 
     monkeypatch.setattr(energy, "ladder_verdict", spy)
-    rep = verify.check_truncation_free(corpus36, radial)
+    rep = verify.check_truncation_free(
+        corpus36, radial, verify.member_limits(corpus36, radial, ["cutoff-sequence-free"]))
     alt = [v for ks, v in calls if ks[0] == 1.5]
     assert rep.instances > 0 and len(alt) == rep.instances
 
@@ -282,18 +283,17 @@ def test_one_ladder_per_potential(radial, corpus36, monkeypatch):
                                             energy.cutoffs(radial, phi)))
     assert sum(rows) == n
     rows.clear()
-    verify.check_divisor_integrability(corpus36, radial)
+    verify.check_divisor_integrability(corpus36, radial, verify.member_limits(
+        corpus36, radial, ["divisor-bounded-integrability"]))
     assert sum(rows) == sum(len(energy.cutoff_ladder(-f.offset.min())) for f in singular)
     assert truncated == []
 
 
 def test_energy_report_counts_its_ladder_work(radial, product, corpus36, monkeypatch):
-    # one energy_report builds no RelativeProfile per rung, checks its rows
-    # in blocks of at most LADDER_BLOCK entries, and builds the j = 1 and
-    # j = 2 measure rows of its one ladder once each, whatever the exponents
-    b1, b2 = product.reference_potential
-    uv = (zero_offset(b1),
-          compose_weight(RelativeProfile(b2, -b2.values - 1.0), ("power", 0.4)))
+    # a radial energy_report builds no RelativeProfile per rung, checks its
+    # rows in blocks of at most LADDER_BLOCK entries, and builds the j = 1
+    # and j = 2 measure rows of its one ladder once each, whatever the
+    # exponents
     phi = corpus36.with_tag("divisor_bounded")[0].phi
     profiles_built, measure_rows = [], []
     post_init = RelativeProfile.__post_init__
@@ -310,17 +310,47 @@ def test_energy_report_counts_its_ladder_work(radial, product, corpus36, monkeyp
     monkeypatch.setattr(RelativeProfile, "__post_init__", build_spy)
     monkeypatch.setattr(ma, "measure_rows", measure_spy)
     rows = _spy_checked_rows(monkeypatch)
-    for model, pot, ps, n_factors in ((radial, phi, energy.P_SWEEP, 1),
-                                      (product, uv, (1.0, 3.0), 2)):
-        n = len(energy.cutoffs(model, pot).ks)
-        assert n >= 10
-        block = max(1, energy.LADDER_BLOCK // b1.grid.size)
-        profiles_built.clear(), measure_rows.clear(), rows.clear()
-        energy.energy_report(model, pot, ps)
-        assert profiles_built == []
-        assert sum(rows) == n * n_factors and max(rows) <= block
-        # j = 1 and j = 2, each once per rung (and per factor)
-        assert sum(measure_rows) == 2 * n * n_factors and max(measure_rows) <= block
+    n = len(energy.cutoffs(radial, phi).ks)
+    assert n >= 10
+    block = max(1, energy.LADDER_BLOCK // phi.base.grid.size)
+    energy.energy_report(radial, phi, energy.P_SWEEP)
+    assert profiles_built == []
+    assert sum(rows) == n and max(rows) <= block
+    assert sum(measure_rows) == 2 * n and max(measure_rows) <= block
+
+    # a product energy_report reads its ladder rung by rung: one truncate
+    # per factor deeper than the cutoff, per rung, and each cut's j = 1 and
+    # j = 2 measures built once, whatever the exponents; no block rows, and
+    # every measure it keeps read-only
+    b1, b2 = product.reference_potential
+    uv = (zero_offset(b1).shifted(-3.0),
+          compose_weight(RelativeProfile(b2, -b2.values - 1.0), ("power", 0.4)))
+    truncated, built = [], []
+    real_truncate, measure_for = energy.truncate, energy._measure_for
+
+    def truncate_spy(f, k):
+        truncated.append((id(f), k))
+        return real_truncate(f, k)
+
+    def measure_for_spy(model, cut, j):
+        built.append((j, measure_for(model, cut, j)))
+        return built[-1][1]
+
+    monkeypatch.setattr(energy, "truncate", truncate_spy)
+    monkeypatch.setattr(energy, "_measure_for", measure_for_spy)
+    ks = energy.cutoffs(product, uv).ks
+    assert len(ks) >= 10
+    deeper = sorted((id(f), k) for k in ks for f in uv if -f.offset.min() > k)
+    assert 0 < sum(i == id(uv[0]) for i, _ in deeper) < len(ks)
+    for ps in ((1.0,), (1.0, 2.0, 3.0)):
+        truncated.clear(), built.clear(), rows.clear()
+        energy.energy_report(product, uv, ps)
+        assert sorted(truncated) == deeper
+        assert sorted(j for j, _ in built) == [1] * len(ks) + [2] * len(ks)
+        assert rows == []
+        for _, m in built:
+            for _, *fs in m.factors:
+                assert all(not a.flags.writeable for f in fs for a in (f.density, f.cdf_seq))
 
 
 def test_energy_report_matches_ep_limit(radial, product, corpus36):
@@ -595,7 +625,8 @@ def test_product_ladder_matches_the_per_rung_reference(product):
     u, v = zero_offset(b1), compose_weight(RelativeProfile(b2, -b2.values - 1.0), ("power", 0.4))
     # the first factor's sup is not 0 on any rung: each rung's constant moves
     shifted = (RelativeProfile(b1, np.minimum(-0.5 * b1.values, 0.0) - 0.25), v.shifted(-2.0))
-    assert all(u_k.shift == 0.25 for u_k, _ in energy.cutoffs(product, shifted).rungs)
+    ladder = energy.cutoffs(product, shifted)
+    assert all(ladder.cut(i)[0].sup_value == -0.25 for i in range(len(ladder.ks)))
     # a fixed-point atom at the infinite limit of the second factor
     atom = (u.shifted(-0.5), RelativeProfile(b2, 0.25 * b2.grid - 0.25 * b2.values - 1.0))
     # a fixed-point atom at a finite limit: the second factor's tail slope
@@ -619,5 +650,5 @@ def test_ladder_arrays_are_read_only(radial, product, corpus36):
                 for d in ([m.density] if m.density is not None else
                           [f.density for _, *fs in m.factors for f in fs]):
                     assert not d.flags.writeable
-        for maps in ladder._maps:
-            assert all(not ns.flags.writeable for ns in maps)
+        if model is radial:  # a product ladder keeps no slope maps
+            assert all(not ns.flags.writeable for ns in ladder._rows[0])

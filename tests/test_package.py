@@ -1,12 +1,14 @@
 """The public API and the guards on dead code in src/.
 
 Every name listed in ma_lab.__all__ exists, once.  Every option of a
-function in src/ takes more than one value in the calls there, and every
-function in src/ runs in the session's one run of the command table
-(tests/command_table.py, the `table_run` fixture), or is listed with the
-reason it stays."""
+function in src/ takes more than one value in the calls there, every
+default of one is left to it by some use in src/, tests/ or perfbench/,
+and every function in src/ runs in the session's one run of the command
+table (tests/command_table.py, the `table_run` fixture), or is listed
+with the reason it stays."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import ma_lab
@@ -37,11 +39,6 @@ UNPASSED_OPTIONS = {
     ("uniqueness_check", "deviation_tol"): "tests loosen it for coarse toric solves",
     ("check_energy_holder", "p"): "the acceptance tests sweep the exponent",
     ("check_capacity_domination", "p"): "the acceptance tests sweep the exponent",
-} | {
-    (fn, "limits"): "run_checks passes the run's verify.member_limits; a direct call "
-                    "builds its own"
-    for fn in ("check_capacity_decay", "check_truncation_free", "check_max_in_ep",
-               "check_sandwich", "check_divisor_integrability")
 }
 
 
@@ -87,6 +84,11 @@ def _literal(node):
     return True
 
 
+def _name(node):
+    """The name that a Name or an Attribute node gives, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
 def one_value_options(sources):
     """(function, parameter) of each defaulted parameter that its calls in
     the sources give one value only: no call passes it, or every call
@@ -97,9 +99,7 @@ def one_value_options(sources):
     calls = {}
     for node in (n for t in trees for n in ast.walk(t)):
         if isinstance(node, ast.Call):
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            calls.setdefault(name, []).append(node)
+            calls.setdefault(_name(node.func), []).append(node)
     found = set()
     for fn, param, index, default in (d for t in trees for d in _defaulted_params(t)):
         given = [_given(c, param, index) for c in calls.get(fn, ())]
@@ -135,13 +135,74 @@ def test_every_option_is_passed_or_listed():
     assert not stale, f"listed options that src/ now passes or lost: {stale}"
 
 
+# Defaulted parameters of src/ that every call in src/, tests/ and
+# perfbench/ passes, each kept on purpose (none today).
+ALWAYS_PASSED_OPTIONS = {}
+
+
+def always_passed_options(defs, uses):
+    """(function, parameter) of each defaulted parameter of the sources
+    defs that every call in the sources uses (defs among them) passes, so
+    that its default is never taken.  A function that no call reaches, or
+    that is named other than as a call's callee (a CHECKS value, a
+    partial's argument, a monkeypatch target), may run with its defaults,
+    and a starred argument may leave one.  A name in any other string (an
+    __all__ entry, an operation named in an error) is no use."""
+    nodes = [n for s in uses for n in ast.walk(ast.parse(s))]
+    calls, named = {}, Counter(map(_name, nodes))
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            calls.setdefault(_name(node.func), []).append(node)
+            if _name(node.func) == "setattr":  # a monkeypatch target names it
+                named.update(a.value for a in node.args if isinstance(a, ast.Constant))
+    found = set()
+    for fn, param, index, _ in (d for s in defs for d in _defaulted_params(ast.parse(s))):
+        cs = calls.get(fn, [])
+        given = [_given(c, param, index) for c in cs]
+        if cs and named[fn] == len(cs) and all(
+                g is not None and not isinstance(g, ast.Starred) for g in given):
+            found.add((fn, param))
+    return found
+
+
+def test_always_passed_option_finder():
+    src = ("def f(a, b=1, *, c=2): pass\n"
+           "class K:\n    def m(self, x=0): pass\n"
+           "f(0, 2, c=3)\nK().m(1)\n")
+    assert always_passed_options([src], [src]) == {("f", "b"), ("f", "c"), ("m", "x")}
+    # a call that leaves a default, in src/ or elsewhere
+    assert always_passed_options([src], [src, "f(0, c=4)\nk.m()"]) == {("f", "c")}
+    assert always_passed_options([src], [src, "f(*xs, c=4)\nk.m(**kw)"]) == {("f", "c")}
+    # a function no call reaches is the other guard's case
+    assert always_passed_options(["def g(a=1): pass"], ["def g(a=1): pass"]) == set()
+    # a function named other than as a callee may run with its defaults
+    for use in ("CHECKS = {'f': ('Lemma 1', f)}", "partial(f, 0)",
+                "monkeypatch.setattr(mod, 'f', spy)", "g = mod.f"):
+        assert always_passed_options([src], [src, use]) == {("m", "x")}, use
+    assert always_passed_options([src], [src, "__all__ = ['f', 'm']\nrequire(k, 'f')"]) == \
+        {("f", "b"), ("f", "c"), ("m", "x")}
+
+
+def test_every_default_is_taken_or_listed():
+    here = Path(__file__).parent
+    defs = [p.read_text() for p in sorted(Path(ma_lab.__file__).parent.glob("*.py"))]
+    uses = defs + [p.read_text() for d in (here, here.parent / "perfbench")
+                   for p in sorted(d.rglob("*.py"))]
+    found = always_passed_options(defs, uses)
+    dead = sorted(found - set(ALWAYS_PASSED_OPTIONS))
+    assert not dead, f"defaulted parameters that every call passes: {dead}"
+    stale = sorted(set(ALWAYS_PASSED_OPTIONS) - found)
+    assert not stale, f"listed defaults that some use now takes, or lost: {stale}"
+
+
 # Functions of src/ that no row of tests/command_table.py runs, each kept
 # on purpose, by "module.qualified.name".
 UNREACHED = {
     "ma.toric_cells": "one-call cell kernel; tests and perfbench/layers.py call it",
     "ma.toric_hull_projection": "one-call projection kernel; tests and perfbench/layers.py "
                                 "call it",
-    "ma._product_mixed": "product backend's mixed measure, in README's backend table",
+    "ma._product_mixed": "the product ladder's j = 1 measure; no command reads a product "
+                         "j = 1 energy",
     "ma._toric_mixed": "toric backend's mixed measure, in README's backend table",
     "energy._product_gradient": "product backend's gradient energy, in README's backend table",
     "solver.solve_separable": "product backend's solver, in README's backend table",
