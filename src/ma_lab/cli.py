@@ -317,12 +317,13 @@ def _ex_separable_integrability(outdir):
     v = compose_weight(verify.divisor_seed(b2), ("power", alpha))
     payload = {}
     ok = True
-    # joint and factor-side verdicts on the joint potential's one cutoff ladder
+    # joint and factor-side verdicts on the joint potential's one cutoff
+    # ladder; each rung's j = 2 measure holds its singular factor's measure
     ladder = energy.cutoffs(model, (u, v))
-    cuts = [ladder.cut(i) for i in range(len(ladder.ks))]
     for p in (1.0, 3.0):
         joint = energy.ladder_limit(model, ladder, p)
-        es = [energy._moment(ma.factor_measure(vk), vk, p) for _, vk in cuts]
+        es = [energy._moment(m.factors[0][2], ladder.cut(i)[1], p)
+              for i, m in enumerate(ladder.measures(2))]
         factor = energy.ladder_verdict(ladder.ks, es, ladder.depth)
         payload[f"p={p}"] = {"joint_finite": joint.finite,
                              "factor_finite": factor.finite,

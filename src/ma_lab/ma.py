@@ -110,31 +110,6 @@ def pair_rows(ns1, ns2):
             np.minimum(1.0 - ns1[..., -1], 1.0 - ns2[..., -1]) > ATOM_SLOPE_TOL)
 
 
-def factor_rows(ns):
-    """Sublevel masses and end-atom flags of line-factor measures, one per
-    row of the normalized slope maps ns: the slope is the sublevel mass, and
-    each end's atom follows the factor's own slope deficit."""
-    return ns, ns[..., 0] > ATOM_SLOPE_TOL, 1.0 - ns[..., -1] > ATOM_SLOPE_TOL
-
-
-def measure_1d_pair(grid, ns1, ns2):
-    """Measure whose sublevel mass is the product of two normalized slope maps.
-
-    Parameters
-    ----------
-    grid : ndarray
-    ns1, ns2 : ndarray
-        Extended normalized slope sequences (length N+1) of the two
-        wedge factors.
-
-    Returns
-    -------
-    MaMeasure
-        Total mass exactly 1.
-    """
-    return _measure_1d(grid, *pair_rows(ns1, ns2))
-
-
 def measure_rows(c, fixed_point_atom, divisor_atom):
     """Node masses and end atoms of the 1-D measures with sublevel masses
     c, one per row of c: each end's mass is an atom where the row's flag is
@@ -154,15 +129,6 @@ def measure_rows(c, fixed_point_atom, divisor_atom):
             mass[-1] += 1.0 - row[-1]
         atoms.append(ends)
     return node_mass, atoms
-
-
-def row_measures(grid, c, fixed_point_atom, divisor_atom):
-    """The 1-D measures of :func:`measure_rows`, one per row of c, with
-    read-only node masses and no cdf_seq: a cutoff ladder reads only their
-    masses and atoms."""
-    node_mass, atoms = measure_rows(c, fixed_point_atom, divisor_atom)
-    node_mass.setflags(write=False)
-    return [MaMeasure("OneD", grid, d, a, 1.0) for d, a in zip(node_mass, atoms)]
 
 
 def _measure_1d(grid, c, fixed_point_atom, divisor_atom):
@@ -203,7 +169,7 @@ def _slope_measure(model, phi, psi):
     """Radial measure of phi and psi: the product of their slope maps."""
     ns1 = _slope_map(model, phi)
     ns2 = ns1 if psi is phi else _slope_map(model, psi)
-    return measure_1d_pair(phi.base.grid, ns1, ns2)
+    return _measure_1d(phi.base.grid, *pair_rows(ns1, ns2))
 
 
 def _product_measure(model, phi):
@@ -218,9 +184,15 @@ def _product_mixed(model, phi, psi):
 def _slope_ladder(model, grid, blocks, j):
     """Every cutoff rung's radial measure of order j = 1 or 2 from the
     blocks of the rungs' slope maps: the product of a rung's map with
-    itself (j = 2) or with the zero potential's (j = 1)."""
-    return [m for ns in blocks for m in row_measures(
-        grid, *pair_rows(ns, ns if j == 2 else model.zero_slopes))]
+    itself (j = 2) or with the zero potential's (j = 1), each with
+    read-only node masses and no cdf_seq: a cutoff ladder reads only
+    their masses and atoms."""
+    out = []
+    for ns in blocks:
+        node_mass, atoms = measure_rows(*pair_rows(ns, ns if j == 2 else model.zero_slopes))
+        node_mass.setflags(write=False)
+        out += [MaMeasure("OneD", grid, d, a, 1.0) for d, a in zip(node_mass, atoms)]
+    return out
 
 
 def product_wedge(a, b):
@@ -247,7 +219,8 @@ def _toric_mixed(model, phi, psi):
 def factor_measure(u):
     """Measure of one line factor (normalized slope is the sublevel mass);
     its end atoms follow its own slope deficits."""
-    return _measure_1d(u.base.grid, *factor_rows(_normalized_ext_slopes(u, u.base.slope_cap)))
+    ns = _normalized_ext_slopes(u, u.base.slope_cap)
+    return _measure_1d(u.base.grid, ns, ns[0] > ATOM_SLOPE_TOL, 1.0 - ns[-1] > ATOM_SLOPE_TOL)
 
 
 def product_measure(factor_pairs):

@@ -17,14 +17,14 @@ area residual instead, as in the damped Newton scheme of Kitagawa,
 Merigot and Thibert for semi-discrete optimal transport, so no step is
 judged by rounding noise.  A trial step that lifts a target node above
 the chord of two grid neighbours empties that node's cell, so it fails
-the floor; it is rejected before its lower hull is built.  The Newton
-matrix is assembled once per step, on the active nodes, from the
-edge-form Jacobian of the accepted evaluation, and each level hands its
-last evaluation (hull, cells and Jacobian) to the next.  The matrix is a
-weighted graph Laplacian with its diagonal shifted down, so it is
-symmetric negative definite: each step is solved by a banded Cholesky
-factorization after a reverse Cuthill-McKee ordering, which at
-resolution 32 narrows the band from up to 609 to 33-74.
+the floor; it is rejected before its lower hull is built.  Each Newton
+step is solved once, on the active nodes, from the edge-form Jacobian
+of the accepted evaluation, kept as (row, col, value) triplets, and each
+level hands its last evaluation (hull, cells and Jacobian) to the next.
+The matrix is a weighted graph Laplacian with its diagonal shifted
+down, so it is symmetric negative definite: each step is solved by a
+banded Cholesky factorization after a reverse Cuthill-McKee ordering,
+which at resolution 32 narrows the band from up to 609 to 33-74.
 """
 
 from dataclasses import dataclass, field
@@ -259,21 +259,23 @@ def _above_a_chord(Psi):
     return above
 
 
-def _newton_matrix(jac, act):
-    """The Newton system's matrix from the edge-form Jacobian of _hull_cells.
+def _newton_step(jac, act, r):
+    """The Newton step on the active nodes act, from the edge-form
+    Jacobian of _hull_cells and the residual r; it is 0 off act.
 
-    It is the Jacobian's block on the active nodes, its diagonal lowered
-    by 1e-14 * max|diag| (at least 1e-300) so that the graph Laplacian's
-    constant null vector does not make it singular.  The Jacobian is
-    symmetric, with nonnegative dual-edge weights off the diagonal and
-    rows summing to zero, so it is negative semidefinite; the shift makes
-    the block negative definite, as _banded_solve needs.  It is built as
-    a canonical CSC matrix, sorted and with no stored zeros, so its
-    arrays are those of H[act][:, act].tocsc() - shift * eye for the CSR
-    matrix H of toric_cells, and the solve reads the same input.  Its
-    entries are placed in that order directly: each (row, col) occurs
-    once, so one argsort of col * n + row is the canonical order (a
-    stable one, which is faster here on the keys' ascending runs).
+    The matrix A is the Jacobian's block on the active nodes, its
+    diagonal lowered by 1e-14 * max|diag| (at least 1e-300) so that the
+    graph Laplacian's constant null vector does not make it singular.
+    The Jacobian is symmetric, with nonnegative dual-edge weights off the
+    diagonal and rows summing to zero, so it is negative semidefinite;
+    the shift makes the block negative definite.  A stays in triplets:
+    the renumbered edges (k, l, wt) with wt != 0, and the diagonal.
+    Reverse Cuthill-McKee reads their pattern, both triangles as one
+    canonical CSR matrix, and orders the nodes into a narrow band; the
+    lower half of that band of -A, filled from the same triplets, goes to
+    a banded Cholesky factorization (LAPACK pbtrf/pbtrs), which solves
+    -A x = -r.  A -A that is not positive definite raises
+    numpy.linalg.LinAlgError.
     """
     k, l, wt, diag = jac
     new = np.cumsum(act) - 1
@@ -281,37 +283,23 @@ def _newton_matrix(jac, act):
     k, l, wt = new[k[e]], new[l[e]], wt[e]
     d = diag[act]
     n = len(d)
-    shift = max(1e-14 * float(np.abs(d).max()), 1e-300)
+    d = d - max(1e-14 * float(np.abs(d).max()), 1e-300)
     idx = np.arange(n)
-    row, col = np.concatenate([k, l, idx]), np.concatenate([l, k, idx])
-    order = np.argsort(col * n + row, kind="stable")
-    indptr = np.zeros(n + 1, np.int32)
-    np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
-    return sp.csc_matrix((np.concatenate([wt, wt, d - shift]).take(order),
-                          row.take(order).astype(np.int32), indptr), shape=(n, n))
-
-
-def _banded_solve(A, r):
-    """Solve A x = r for a symmetric negative definite CSC matrix A.
-
-    Its entries are read off its index arrays, with no COO copy.
-    Reverse Cuthill-McKee (on the pattern of both triangles) orders the
-    nodes into a narrow band; a banded Cholesky factorization (LAPACK
-    pbtrf/pbtrs) of the lower half of that band of -A then solves
-    -A x = -r.  A -A that is not positive definite raises
-    numpy.linalg.LinAlgError.
-    """
-    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    pattern = sp.csr_matrix((np.concatenate([wt, wt, d]),
+                             (np.concatenate([k, l, idx]), np.concatenate([l, k, idx]))),
+                            shape=(n, n))
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
     pos = np.empty_like(perm)  # each node's place in the new order
-    pos[perm] = np.arange(len(perm), dtype=perm.dtype)
-    i, j = pos.take(A.indices), np.repeat(pos, np.diff(A.indptr))
-    low = i >= j
-    i, j = i.compress(low), j.compress(low)
-    ab = np.zeros((int((i - j).max()) + 1, len(perm)))
-    ab[i - j, j] = -A.data.compress(low)
-    x = np.empty(len(perm))
-    x[perm] = solveh_banded(ab, -r.take(perm), lower=True, check_finite=False)
-    return x
+    pos[perm] = np.arange(n, dtype=perm.dtype)
+    i, j = pos.take(k), pos.take(l)
+    below, col = np.abs(i - j), np.minimum(i, j)  # each edge's lower entry
+    ab = np.zeros((int(below.max(initial=0)) + 1, n))
+    ab[below, col] = -wt
+    ab[0, pos] = -d
+    step = np.zeros(act.size)
+    step[np.flatnonzero(act).take(perm)] = solveh_banded(ab, -r[act].take(perm), lower=True,
+                                                         check_finite=False)
+    return step
 
 
 def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, evaluation=None):
@@ -330,11 +318,10 @@ def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, evaluation=None):
     neighbours (_above_a_chord) empties that node's cell, so with a
     positive floor it fails the floor; it is rejected before its hull is
     built.  Every other trial builds one lower hull and its cells; an
-    accepted step is projected onto its trial's hull.  The Newton matrix
-    is assembled once per step, from the accepted evaluation's edge-form
-    Jacobian (_newton_matrix), a graph Laplacian whose shifted diagonal
-    makes it negative definite, and the step is its banded Cholesky
-    solve in reverse Cuthill-McKee order (_banded_solve).  Along the
+    accepted step is projected onto its trial's hull.  Each step comes
+    from the accepted evaluation's edge-form Jacobian (_newton_step), a
+    graph Laplacian whose shifted diagonal makes it negative definite,
+    solved by banded Cholesky in reverse Cuthill-McKee order.  Along the
     constant vector, which only the shift keeps out of the null space,
     rounding sets the step.
 
@@ -365,8 +352,7 @@ def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, evaluation=None):
             break
         r = tgt - areas
         act = (areas > 0) | supp
-        d = np.zeros(tgt.size)
-        d[act] = _banded_solve(_newton_matrix(jac, act), r[act])
+        d = _newton_step(jac, act, r)
         gd = float(np.dot(r, d))
         tau, ok = 1.0, False
         while tau > 2.0 ** -20:
@@ -495,7 +481,8 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
         evaluation = info.pop("evaluation")
         off = Psi - base
         off = off - off.max() - 1.0
-        trace.append(float(np.sum(tgt.ravel() * (-off.ravel()) ** p) * model.volume))
+        w, _ = energy._moment_weights(off.ravel(), (), p)
+        trace.append(float(np.sum(tgt.ravel() * w) * model.volume))
         if prev_offset is not None:
             consistency.append(float(np.sum(np.abs(off - prev_offset).ravel()
                                             * tgt.ravel()) * model.volume))

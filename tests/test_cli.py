@@ -189,6 +189,17 @@ def test_overflowing_exponent_exits_2_naming_it(tmp_path, capsys):
     assert err == "ma-lab: the moment (-phi)^p overflows at exponent p = 1e+308\n"
 
 
+def test_overflowing_exponent_exits_2_on_a_toric_solve(tmp_path, capsys):
+    # the toric energy trace takes its moment weights as every moment does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["solve", "--model", "toric-p1p1:16", "--p", "1e300",
+                    "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "ma-lab: the moment (-phi)^p overflows at exponent p = 1e+300\n"
+    assert not (tmp_path / "solve.json").exists()
+
+
 def test_huge_integer_exponent_exits_2(tmp_path, capsys):
     # a JSON integer beyond the float range is no finite exponent; the
     # message does not spell its digits

@@ -28,7 +28,7 @@ def test_measure_pair_telescopes(radial):
     g = radial.reference_potential.grid
     ns = np.clip((np.tanh(np.linspace(-3, 3, g.size + 1)) + 1) / 2, 0, 1)
     ns = np.sort(ns)
-    m = ma.measure_1d_pair(g, ns, ns)
+    m = ma._measure_1d(g, *ma.pair_rows(ns, ns))
     assert m.total_mass == 1.0
     # cdf_seq is exact: density plus atoms telescope back to it
     cum = m.atom_mass(ma.FIXED_POINT) + np.cumsum(m.density)
@@ -236,7 +236,7 @@ def test_cdf_sup_distance_product_matches_dense(monkeypatch):
 
     def line_measure():
         ns = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, g.size - 1)), [1.0]])
-        return ma.measure_1d_pair(g, ns, np.ones_like(ns))
+        return ma._measure_1d(g, *ma.pair_rows(ns, np.ones_like(ns)))
 
     a = ma.product_measure(((2.0, line_measure(), line_measure()),))
     b = ma.product_measure(((1.0, line_measure(), line_measure()),

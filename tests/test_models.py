@@ -151,8 +151,8 @@ def test_reparameterization_invariance(radial):
         return np.clip(extended_slopes(full_profile(RelativeProfile(b, off))) / cap,
                        0.0, 1.0)
 
-    m1 = ma.measure_1d_pair(base.grid, ns(base, 0.5), ns(base, 0.5))
-    m2 = ma.measure_1d_pair(g2, ns(base2, 0.25), ns(base2, 0.25))
+    m1 = ma._measure_1d(base.grid, *ma.pair_rows(ns(base, 0.5), ns(base, 0.5)))
+    m2 = ma._measure_1d(g2, *ma.pair_rows(ns(base2, 0.25), ns(base2, 0.25)))
     assert np.abs(m1.cdf_seq - m2.cdf_seq).max() < 1e-12
 
 

@@ -8,6 +8,9 @@ table (tests/command_table.py, the `table_run` fixture), or is listed
 with the reason it stays."""
 
 import ast
+import importlib
+import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -21,6 +24,38 @@ def test_all_names_resolve_once():
     missing = [n for n in names if not hasattr(ma_lab, n)]
     assert not missing, f"__all__ names missing from the package: {missing}"
     assert "sublevel_abscissae" in names
+
+
+def readme_references(text):
+    """The backticked dotted names of text that start at a module of
+    ma_lab (`energy.cutoffs`, `ma_lab.models.Backend`), with the path
+    inside that module; fenced blocks and file names such as
+    `capacity.json` are no references."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    modules = {m.name for m in pkgutil.iter_modules(ma_lab.__path__)}
+    refs = []
+    for ref in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text):
+        parts = ref.split(".")
+        if parts[0] == "ma_lab":
+            parts = parts[1:]
+        if parts[0] in modules and parts[-1] not in ("json", "csv", "xml"):
+            refs.append((ref, parts[0], parts[1:]))
+    return refs
+
+
+def test_readme_references_resolve():
+    # prose that outlives a rename names a function that is gone
+    readme = Path(__file__).parent.parent / "README.md"
+    refs = readme_references(readme.read_text())
+    assert refs
+    missing = []
+    for ref, module, path in refs:
+        obj = importlib.import_module(f"ma_lab.{module}")
+        for name in path:
+            obj = getattr(obj, name, None)
+        if obj is None:
+            missing.append(ref)
+    assert not missing, f"README names what the package lacks: {missing}"
 
 
 # Defaulted parameters that no call in src/ passes, each kept on purpose:

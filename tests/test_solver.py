@@ -1,11 +1,15 @@
 """Solver round trips and failure modes on the three backends."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from radial_strategies import radial_profiles
+from toric_reference import reference_newton_matrix, reference_newton_step
 
 from ma_lab import energy, ma, models, solver
 from ma_lab.errors import InvalidInput, NotSolvableInModel, PreconditionViolated
@@ -212,6 +216,17 @@ def test_toric_direct_solve(toric32):
     assert np.abs(d - d.mean()).max() <= 1e-5
 
 
+@pytest.mark.parametrize("p", [1e300, 400.0])
+def test_toric_energy_trace_overflow_names_the_exponent(p):
+    # the trace's moment (-off)^p past the float range is an InvalidInput
+    # naming p, as every other moment's is, and no warning
+    model = models.toric_p1p1(16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match=re.escape(f"overflows at exponent p = {p!r}")):
+            solver.solve_newton_toric(model, solver._toric_demo_target(model, 0), p=p)
+
+
 def _solve_counting_hulls(model, target, **options):
     """solve_newton_toric, with the lower hulls it builds and each
     level's Newton iterations counted."""
@@ -328,10 +343,10 @@ def test_toric_zero_mass_region_needs_the_hull_projection(toric32):
 
 
 def _newton_systems(model, name):
-    """The (A, r, Z, areas) of the 3 Newton systems _newton solves first
-    on the smooth or the emptied R = 32 target: the matrix and right-hand side
-    _banded_solve receives, and the hull heights and cell areas of the
-    evaluation they come from."""
+    """The (jac, act, r, Z, areas) of the 3 Newton systems _newton solves
+    first on the smooth or the emptied target: the edge-form Jacobian,
+    active nodes and residual _newton_step receives, and the hull heights
+    and cell areas of the evaluation they come from."""
     t1, t2, _ = model.reference_potential
     if name == "smooth":
         target, _ = smooth_toric_target(model, 0)
@@ -339,44 +354,51 @@ def _newton_systems(model, name):
         target = _emptied_demo_target(model)
     tgt = target.density.ravel() / model.volume
     last, systems = {}, []
-    real_cells, real_solve = ma._hull_cells, solver._banded_solve
+    real_cells, real_step = ma._hull_cells, solver._newton_step
 
     def recording_cells(hull, want_jac=False):
         out = real_cells(hull, want_jac)
         last.update(Z=hull.Z, areas=out[0])
         return out
 
-    def recording_solve(A, r):
-        systems.append((A, r, last["Z"], last["areas"]))
-        return real_solve(A, r)
+    def recording_step(jac, act, r):
+        systems.append((jac, act, r, last["Z"], last["areas"]))
+        return real_step(jac, act, r)
 
     Psi0 = solver._separable_init(t1, t2, tgt.reshape(len(t1), len(t2)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ma, "_hull_cells", recording_cells)
-        mp.setattr(solver, "_banded_solve", recording_solve)
+        mp.setattr(solver, "_newton_step", recording_step)
         solver._newton(t1, t2, Psi0, tgt, itmax=3)
     return systems, tgt
 
 
-@pytest.mark.parametrize("name", ["smooth", "emptied"])
-def test_newton_matrix_is_the_sliced_shifted_jacobian(toric32, name):
-    # every Newton system solved holds the arrays of the full Jacobian's
-    # active block, shifted, from the one-call cell kernel: the banded
-    # solve reads the same input whichever way the matrix is assembled
-    t1, t2, _ = toric32.reference_potential
-    systems, tgt = _newton_systems(toric32, name)
+NEWTON_SYSTEMS = [pytest.param(32, "smooth", id="smooth"),
+                  pytest.param(32, "emptied", id="emptied"),
+                  pytest.param(16, "smooth", id="smooth-R16"),
+                  pytest.param(64, "smooth", id="smooth-R64")]
+
+
+@pytest.mark.parametrize("resolution, name", NEWTON_SYSTEMS)
+def test_newton_matrix_is_the_sliced_shifted_jacobian(resolution, name):
+    # every Newton step is, to the bit, the banded solve of the full
+    # Jacobian's shifted active block from the one-call cell kernel, in
+    # that CSC matrix's own Cuthill-McKee order: the step is the same
+    # whichever form the matrix is kept in
+    model = models.toric_p1p1(resolution)
+    t1, t2, _ = model.reference_potential
+    systems, tgt = _newton_systems(model, name)
     assert len(systems) == 3
     sizes = []
-    for A, _, Z, areas in systems:
+    for jac, act, r, Z, areas in systems:
+        assert np.array_equal(act, (areas > 0) | (tgt > 0))
         _, _, H = ma.toric_cells(t1, t2, Z.reshape(len(t1), len(t2)), want_jac=True)
-        act = (areas > 0) | (tgt > 0)
-        Ha = H[act][:, act].tocsc()
-        ref = Ha - sp.eye(Ha.shape[0]) * max(1e-14 * np.abs(Ha.diagonal()).max(), 1e-300)
-        assert A.format == "csc"
-        for arr in ("indptr", "indices", "data"):
-            got, want = getattr(A, arr), getattr(ref, arr)
-            assert got.dtype == want.dtype and np.array_equal(got, want), arr
-        sizes.append(A.shape[0])
+        d = solver._newton_step(jac, act, r)
+        assert not d[~act].any()
+        assert d[act].tobytes() == reference_newton_step(H, act, r).tobytes()
+        sizes.append(int(act.sum()))
+    # the separable start's hull has zero-weight edges, which the matrix drops
+    assert (systems[0][0][2] == 0).any()
     if name == "smooth":
         assert sizes == [tgt.size] * 3
     else:
@@ -388,17 +410,21 @@ def test_banded_solve_matches_superlu(toric32, name):
     # the banded Cholesky step in Cuthill-McKee order is SuperLU's step up
     # to rounding, on the part Newton moves by; the constant part is the
     # shifted null vector's, set by rounding / 1e-14 in either solver
+    t1, t2, _ = toric32.reference_potential
     systems, _ = _newton_systems(toric32, name)
     assert len(systems) == 3
-    for A, r, _, _ in systems:
-        x, y = solver._banded_solve(A, r), spla.spsolve(A, r)
+    for jac, act, r, Z, _ in systems:
+        _, _, H = ma.toric_cells(t1, t2, Z.reshape(len(t1), len(t2)), want_jac=True)
+        x = solver._newton_step(jac, act, r)[act]
+        y = spla.spsolve(reference_newton_matrix(H, act), r[act])
         x, y = x - x.mean(), y - y.mean()
         assert np.abs(x - y).max() <= 1e-8 * np.abs(y).max()
 
 
 def test_a_newton_step_makes_no_coo_round_trip(toric32, monkeypatch):
-    # the matrix is filled in canonical CSC order and the banded solve
-    # reads its index arrays: no COO matrix is converted either way
+    # a step keeps its matrix in triplets and builds one CSR pattern from
+    # them for the ordering: no compressed matrix is turned into a COO one,
+    # and no COO matrix into a CSC one
     conversions = []
     for cls, name in ((sp.csc_matrix, "tocoo"), (sp.coo_matrix, "tocsc")):
         def spy(self, *args, _real=getattr(cls, name), _name=name, **kwargs):

@@ -13,11 +13,20 @@ before it skipped the clip of interior dual segments: every dual edge
 goes through one Liang-Barsky clip and one side-term pass, and the edge
 keys are sorted stably.  It reads a hull built by ``ma._lower_hull`` and
 must agree with the package kernel bit for bit.
+
+``reference_newton_step`` is the solver's Newton step as it was while
+the step's matrix was a compressed one: the banded Cholesky solve, in
+its reverse Cuthill-McKee order, of the shifted active block of the
+whole CSR Jacobian of ``ma.toric_cells``, its band read off the CSC
+matrix's index arrays.  ``solver._newton_step`` must agree with it bit
+for bit.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import LinearNDInterpolator
+from scipy.linalg import solveh_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.spatial import ConvexHull
 
 
@@ -207,3 +216,30 @@ def reference_hull_cells(hull, want_jac=False):
         wt[on_side] *= 0.5
         jac = (k, l, wt, -(np.bincount(k, wt, N) + np.bincount(l, wt, N)))
     return areas, mom, jac
+
+
+def reference_newton_matrix(H, act):
+    """The Newton matrix on the active nodes act of the Jacobian H from
+    ma.toric_cells: H[act][:, act] as a CSC matrix, its diagonal lowered
+    by 1e-14 * max|diag| (at least 1e-300), explicit zeros dropped."""
+    Ha = H[act][:, act].tocsc()
+    return Ha - sp.eye(Ha.shape[0]) * max(1e-14 * np.abs(Ha.diagonal()).max(), 1e-300)
+
+
+def reference_newton_step(H, act, r):
+    """The Newton step on the active nodes, one entry per active node: the
+    banded Cholesky solve of A x = r[act] for A = reference_newton_matrix,
+    with the band of -A in A's reverse Cuthill-McKee order read off its
+    CSC index arrays."""
+    A = reference_newton_matrix(H, act)
+    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(len(perm), dtype=perm.dtype)
+    i, j = pos.take(A.indices), np.repeat(pos, np.diff(A.indptr))
+    low = i >= j
+    i, j = i.compress(low), j.compress(low)
+    ab = np.zeros((int((i - j).max()) + 1, len(perm)))
+    ab[i - j, j] = -A.data.compress(low)
+    x = np.empty(len(perm))
+    x[perm] = solveh_banded(ab, -r[act].take(perm), lower=True, check_finite=False)
+    return x
