@@ -389,7 +389,7 @@ def demailly_margin(model, phi, psi):
 # ----------------------------------------------------------------------
 
 LOWER_FACET_TOL = 1e-12  # facets whose unit normal has z below -this are lower
-PROJECTION_BLOCK = 1 << 20  # facet-plane evaluations per block of off-hull nodes
+PROJECTION_BLOCK = 1 << 16  # facet-plane evaluations (512 kB) per block of off-hull nodes
 INTERIOR_MARGIN = 1e-9  # dual segments with both ends this far inside skip the clip
 STRICT_MARGIN = 1e-12  # chord and coplanarity gaps, relative to max(1, max|Psi|)
 

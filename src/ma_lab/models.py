@@ -32,6 +32,9 @@ TORIC_P1P1 = "ToricP1P1"
 # subgradient cells are always clipped to the full moment square; 8 keeps
 # the smallest boundary cell masses well above rounding
 TORIC_BOX = 8.0
+# the coarsest toric grid: toric_p1p1 builds no coarser one, and the toric
+# solver's coarse-to-fine recursion stops there
+MIN_TORIC_RESOLUTION = 16
 
 
 def psi_fs(t):
@@ -157,10 +160,10 @@ def toric_p1p1(resolution):
     Raises
     ------
     InvalidInput
-        If resolution < 16.
+        If resolution < MIN_TORIC_RESOLUTION.
     """
-    if resolution < 16:
-        raise InvalidInput("toric resolution must be >= 16")
+    if resolution < MIN_TORIC_RESOLUTION:
+        raise InvalidInput(f"toric resolution must be >= {MIN_TORIC_RESOLUTION}")
     t1 = _frozen(np.linspace(-TORIC_BOX, TORIC_BOX, resolution + 1))
     t2 = _frozen(t1.copy())
     Psi = _frozen(psi_line(t1)[:, None] + psi_line(t2)[None, :])

@@ -6,25 +6,31 @@ s = cap * sqrt(F) cell by cell, and one cumulative sum recovers the
 potential.  The separable product backend runs the same routine per
 factor with s = F.  The toric backend runs a damped Newton method on the
 Aleksandrov cell areas, with a convex dual merit function and an
-active-set reduced Jacobian.  By default it warm-starts from one level,
-the target mollified at width 1/8: at resolution 32 the narrower widths
-smoothed nothing (the Gaussian weight one node away is at most 1.3e-14)
-and only mixed in the reference measure, at the cost of Newton steps.
-The line search keeps every target cell above a mass floor and asks for
-an Armijo decrease of the merit; once the predicted decrease falls below
-the merit's computed rounding bound it asks for a decrease of the L1
-area residual instead, as in the damped Newton scheme of Kitagawa,
-Merigot and Thibert for semi-discrete optimal transport, so no step is
-judged by rounding noise.  A trial step that lifts a target node above
-the chord of two grid neighbours empties that node's cell, so it fails
-the floor; it is rejected before its lower hull is built.  Each Newton
-step is solved once, on the active nodes, from the edge-form Jacobian
-of the accepted evaluation, kept as (row, col, value) triplets, and each
-level hands its last evaluation (hull, cells and Jacobian) to the next.
-The matrix is a weighted graph Laplacian with its diagonal shifted
-down, so it is symmetric negative definite: each step is solved by a
-banded Cholesky factorization after a reverse Cuthill-McKee ordering,
-which at resolution 32 narrows the band from up to 609 to 33-74.
+active-set reduced Jacobian, coarse to fine: the target is restricted to
+the grid of half the resolution by full weighting and solved there, down
+to the coarsest grid (models.MIN_TORIC_RESOLUTION); each solution is
+prolonged to the next grid, lowered where a target cell is empty, and
+finished by one Newton level there.  On the coarsest grid, and wherever
+a coarse start is abandoned, Newton warm-starts from a mollification
+schedule, by default one level, the target mollified at width 1/8: at
+resolution 32 the narrower widths smoothed nothing (the Gaussian weight
+one node away is at most 1.3e-14) and only mixed in the reference
+measure, at the cost of Newton steps.  The line search keeps every
+target cell above a mass floor and asks for an Armijo decrease of the
+merit; once the predicted decrease falls below the merit's computed
+rounding bound it asks for a decrease of the L1 area residual instead,
+as in the damped Newton scheme of Kitagawa, Merigot and Thibert for
+semi-discrete optimal transport, so no step is judged by rounding noise.
+A trial step that lifts a target node above the chord of two grid
+neighbours empties that node's cell, so it fails the floor; it is
+rejected before its lower hull is built.  Each Newton step is solved
+once, on the active nodes, from the edge-form Jacobian of the accepted
+evaluation, kept as (row, col, value) triplets, and each level hands its
+last evaluation (hull, cells and Jacobian) to the next.  The matrix is a
+weighted graph Laplacian with its diagonal shifted down, so it is
+symmetric negative definite: each step is solved by a banded Cholesky
+factorization after a reverse Cuthill-McKee ordering, which at
+resolution 32 narrows the band from up to 609 to 33-74.
 """
 
 from dataclasses import dataclass, field
@@ -37,11 +43,15 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import energy, ma
 from .errors import InvalidInput, NotSolvableInModel, PreconditionViolated
-from .models import (PRODUCT_P1P1, RADIAL_P2, TORIC_P1P1, ToricGrid, backend,
-                     require)
+from .models import (MIN_TORIC_RESOLUTION, PRODUCT_P1P1, RADIAL_P2, TORIC_P1P1, ToricGrid,
+                     backend, require, toric_p1p1)
 from .profiles import RelativeProfile, integrate_slopes
 
 DEFAULT_WIDTHS = (0.125,)
+FINAL_TOL = 1e-11  # L1 area residual at which the unmollified level stops
+ADMISSIBLE_ROUNDS = 8  # lowering rounds of _admissible_start before it gives up
+LOWERED_AREA = 1e-6  # a lowered node's cell over its target area (_admissible_start)
+LEVEL_KEYS = ("energy_trace", "stop_reasons", "level_resolutions", "mollification_consistency")
 
 
 @dataclass(frozen=True)
@@ -411,18 +421,195 @@ def _gauss_smooth(T, h, eps):
     return core
 
 
+def _restrict(T):
+    """Node masses on a grid of 2n + 1 nodes per axis, moved by full
+    weighting onto the n + 1 nodes of even index: a node of even index
+    keeps its mass, and one of odd index gives half of it to each
+    neighbour on its axis, so in 2-D the weights are 1, 1/2 and 1/4.  The
+    total mass is kept, up to the rounding of the sums, and no mass turns
+    negative."""
+    def rows(A):
+        half = 0.5 * A[1::2]
+        out = A[::2].copy()
+        out[:-1] += half
+        out[1:] += half
+        return out
+
+    return rows(rows(T).T).T
+
+
+def _prolong(Psi):
+    """A grid potential on n + 1 nodes per axis, on the 2n + 1 nodes of
+    the grid of half the spacing: its nodes are copied bit for bit, each
+    midpoint takes the 4-point cubic (-a + 9b + 9c - d) / 16 of the nodes
+    around it on its axis, and the two end midpoints the mean of their
+    two nodes.  Both passes keep affine potentials affine."""
+    def rows(A):
+        out = np.empty((2 * len(A) - 1,) + A.shape[1:])
+        out[::2] = A
+        mid = 0.5 * (A[:-1] + A[1:])
+        mid[1:-1] = (9.0 * (A[1:-2] + A[2:-1]) - A[:-3] - A[3:]) / 16.0
+        out[1::2] = mid
+        return out
+
+    return rows(rows(Psi).T).T
+
+
+def _admissible_start(t1, t2, Psi, tgt):
+    """Psi with every target node whose cell is empty lowered below its
+    lower hull, and the evaluation (hull, areas, mom, jac) of the result;
+    (None, None) if ADMISSIBLE_ROUNDS rounds leave a target cell empty,
+    or as soon as a round leaves the same target cells empty as the round
+    before.
+
+    A round projects Psi onto its hull (ma._hull_projection) and lowers
+    each target node of empty cell to h * sqrt(LOWERED_AREA * tgt / 2)
+    below its hull value, h the grid spacing.  A node lowered by d below
+    a plane through its 8 grid neighbours becomes a hull vertex whose
+    cell is the square of diagonals 2d/h, of area 2 (d/h)**2: the
+    fraction LOWERED_AREA of its target.  The chord through a neighbour
+    drops by d/2, so a neighbour whose own cell is the same picture at
+    its target area keeps its depth to within sqrt(LOWERED_AREA)/2 and
+    its area to about sqrt(LOWERED_AREA), far inside what the prolonged
+    start misses by.  A lowered node can still empty a neighbour's cell,
+    or stay empty where its cell is clipped to a corner of the square;
+    the next round lowers those again.  Lowering by one depth leaves a
+    plane region of equal targets plane (a near-Dirac target's flat
+    cone faces), so its cells stay empty round after round.
+    """
+    supp = tgt > 0
+    depth = float(t1[1] - t1[0]) * np.sqrt(0.5 * LOWERED_AREA * tgt)
+    P = Psi.ravel()
+    before = None
+    for _ in range(ADMISSIBLE_ROUNDS):
+        hull = ma._lower_hull(t1, t2, P)
+        evaluation = (hull,) + ma._hull_cells(hull, want_jac=True)
+        empty = supp & (evaluation[1] == 0)
+        if not empty.any():
+            return P.reshape(Psi.shape), evaluation
+        if np.array_equal(empty, before):
+            break
+        before = empty
+        P, _ = ma._hull_projection(hull)
+        P[empty] -= depth[empty]
+    return None, None
+
+
+def _add_level(levels, model, Psi, tgt, p, stop):
+    """Append one level's energy, stop reason and grid resolution to
+    levels, and its mollification consistency with the level before, if
+    there is one.  A level on a finer grid than the one before is compared
+    with it on the nodes the two grids share, weighted by its target
+    restricted to the coarser grid (_restrict)."""
+    off = Psi - model.reference_potential[2]
+    off = off - off.max() - 1.0
+    w, _ = energy._moment_weights(off.ravel(), (), p)
+    levels["energy_trace"].append(float(np.sum(tgt.ravel() * w) * model.volume))
+    prev = levels.pop("offset", None)
+    if prev is not None:
+        shared, weight = off, tgt
+        if prev.shape != off.shape:
+            shared, weight = off[::2, ::2], _restrict(tgt)
+        levels["mollification_consistency"].append(
+            float(np.sum(np.abs(shared - prev).ravel() * weight.ravel()) * model.volume))
+    levels["offset"] = off
+    levels["stop_reasons"].append(stop)
+    levels["level_resolutions"].append(model.resolution)
+
+
+def _schedule(model, T, p, widths, itmax):
+    """The mollification schedule on the model's own grid, from
+    _separable_init: one Newton level per width, then the target T
+    (cell areas, sum 1).  Returns the last level's Psi, Newton info and
+    evaluation, and the levels' diagnostics (_add_level)."""
+    t1, t2, _ = model.reference_potential
+    ref = model.reference_measure.density / model.volume
+    h = float(t1[1] - t1[0])
+    Psi = _separable_init(t1, t2, T)
+    evaluation = None
+    levels = {key: [] for key in LEVEL_KEYS}
+    schedule = list(widths) + [None]
+    while schedule:
+        eps = schedule.pop(0)
+        if eps is None:
+            tgt = T
+        else:
+            sm = _gauss_smooth(T, h, eps)
+            mix = sm + eps * ref
+            tgt = mix / mix.sum()
+        # intermediate levels are warm starts; only the final level needs
+        # the full tolerance
+        lvl_tol = 1e-9 if eps is not None else FINAL_TOL
+        Psi, res, info = _newton(t1, t2, Psi, tgt.ravel(), itmax=itmax, tol=lvl_tol,
+                                 evaluation=evaluation)
+        evaluation = info.pop("evaluation")
+        _add_level(levels, model, Psi, tgt, p, info.pop("stop"))
+        if info["stalled"]:
+            # a mollified level stalled where its cells (evaluation[1])
+            # already match the target: the last level stops there on "tol"
+            if eps is None or evaluation is None or not (
+                    np.abs(evaluation[1] - T.ravel()).sum() < FINAL_TOL):
+                break
+            schedule = [None]
+    return Psi, info, evaluation, levels
+
+
+def _coarse_to_fine(model, T, p, widths, itmax):
+    """Psi, the last level's Newton info and evaluation, and the levels'
+    diagnostics of the toric solve of T (cell areas, sum 1) on the
+    model's grid: coarse to fine where the grid has a coarser half, and
+    the schedule (_schedule) where it has not, or where the coarse start
+    is abandoned, with the reason under "coarse_start_abandoned"."""
+    R = model.resolution
+    if R % 2 or R // 2 < MIN_TORIC_RESOLUTION:
+        return _schedule(model, T, p, widths, itmax)
+    Psi, info, _, levels = _coarse_to_fine(toric_p1p1(R // 2), _restrict(T), p, widths,
+                                           itmax)
+    levels.pop("coarse_start_abandoned", None)
+    why = f"the solve at R = {R // 2} diverged"
+    if not info["stalled"]:
+        t1, t2, _ = model.reference_potential
+        Psi, evaluation = _admissible_start(t1, t2, _prolong(Psi), T.ravel())
+        why = f"no admissible start at R = {R}"
+        if Psi is not None:
+            Psi, _, info = _newton(t1, t2, Psi, T.ravel(), itmax=itmax, tol=FINAL_TOL,
+                                   evaluation=evaluation)
+            evaluation = info.pop("evaluation")
+            stop = info.pop("stop")
+            if not info["stalled"]:
+                _add_level(levels, model, Psi, T, p, stop)
+                return Psi, info, evaluation, levels
+            why = f"the level at R = {R} stopped on {stop!r}"
+    Psi, info, evaluation, levels = _schedule(model, T, p, widths, itmax)
+    levels["coarse_start_abandoned"] = why
+    return Psi, info, evaluation, levels
+
+
 def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
     """Damped Newton solve of the 2-D discrete measure equation.
 
-    The target is approximated by a decreasing-width schedule
+    Coarse to fine (Merigot, "A multiscale approach to optimal
+    transport", 2011): on a grid of even resolution R whose half is at
+    least MIN_TORIC_RESOLUTION, the target is restricted to R/2 by full
+    weighting (_restrict) and solved there the same way, recursively.
+    The coarse solution is prolonged to R (_prolong), every target node
+    whose cell is empty is lowered below its hull (_admissible_start),
+    and one unmollified Newton level at R runs from there.  So the
+    mollification schedule runs on the coarsest grid only.  If the coarse
+    solve diverges, no admissible start is found, or the level at R stops
+    short of its tolerance, R is solved by the schedule alone, as on the
+    coarsest grid, and diagnostics["coarse_start_abandoned"] says why; the
+    result is otherwise the schedule's to the bit.  A verdict of the
+    coarse path is therefore "diverged" only where the schedule's is.
+
+    The schedule approximates the target by decreasing widths,
     mu_j = c_j * (G_{eps_j} * mu + eps_j * reference), each level solved
-    by warm-started Newton, then the unmollified target is solved last.
-    The default schedule is the one width 1/8.  Narrower widths smooth
-    nothing on a grid of node spacing h once eps <= h/8 (the Gaussian
-    weight one node away is at most 1.3e-14), which at resolution 32
-    (h = 1/2) is every width from 1/16 down: such a level only mixes in
-    the reference measure, yet costs Newton steps.  The energy trace
-    holds one entry per level.
+    by warm-started Newton from _separable_init, then the unmollified
+    target is solved last.  The default schedule is the one width 1/8.
+    Narrower widths smooth nothing on a grid of node spacing h once
+    eps <= h/8 (the Gaussian weight one node away is at most 1.3e-14),
+    which at resolution 32 (h = 1/2) is every width from 1/16 down: such
+    a level only mixes in the reference measure, yet costs Newton steps.
 
     A level stagnates when its line search is exhausted -- no step passes
     the mass floor and the Armijo test while the predicted merit decrease
@@ -436,9 +623,16 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
     level instead, which stops on "tol" after no step.  There is no
     not_in_Ep verdict on this model: nonnegative node masses summing to the square's area are a
     semi-discrete transport target, whose solution is a finite vector of
-    node values, so no infinite energy can be certified.  diagnostics
-    holds the last level's Newton info under "newton" and every level's
-    stop reason ("tol", "line_search" or "itmax") under "stop_reasons".
+    node values, so no infinite energy can be certified.
+
+    diagnostics holds the last level's Newton info under "newton" and,
+    one entry per level, coarsest first: the energy trace's grid
+    resolutions under "level_resolutions" and the stop reasons ("tol",
+    "line_search" or "itmax") under "stop_reasons";
+    "mollification_consistency" compares each pair of consecutive levels
+    (_add_level).  The measure of the solution is read off the last
+    level's evaluation when that level made a step and its last
+    projection moved no node, and is built by ma.toric_measure otherwise.
     """
     require(model, TORIC_P1P1, "solve_newton_toric")
     energy.check_exponent(p)
@@ -450,59 +644,26 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
         raise InvalidInput("target mass must equal the model volume")
     if (target.density < 0).any():
         raise InvalidInput("target density must be nonnegative")
-    T = target.density / model.volume  # cell areas, sum 1
-    ref = model.reference_measure.density / model.volume
-    h = float(t1[1] - t1[0])
     widths = tuple(widths)
     if len(widths) > 1 and not all(b < a for a, b in zip(widths, widths[1:])):
         raise InvalidInput("mollification widths must decrease strictly")
-    Psi = _separable_init(t1, t2, T)
-    evaluation = None
-    trace = []
-    stops = []
-    consistency = []
-    prev_offset = None
-    final_tol = 1e-11
-    levels = list(widths) + [None]
-    while levels:
-        eps = levels.pop(0)
-        if eps is None:
-            tgt = T
-        else:
-            sm = _gauss_smooth(T, h, eps)
-            mix = sm + eps * ref
-            tgt = mix / mix.sum()
-        # intermediate levels are warm starts; only the final level needs
-        # the full tolerance
-        lvl_tol = 1e-9 if eps is not None else final_tol
-        Psi, res, info = _newton(t1, t2, Psi, tgt.ravel(), itmax=itmax, tol=lvl_tol,
-                                 evaluation=evaluation)
-        stops.append(info.pop("stop"))
-        evaluation = info.pop("evaluation")
-        off = Psi - base
-        off = off - off.max() - 1.0
-        w, _ = energy._moment_weights(off.ravel(), (), p)
-        trace.append(float(np.sum(tgt.ravel() * w) * model.volume))
-        if prev_offset is not None:
-            consistency.append(float(np.sum(np.abs(off - prev_offset).ravel()
-                                            * tgt.ravel()) * model.volume))
-        prev_offset = off
-        if info["stalled"]:
-            # a mollified level stalled where its cells (evaluation[1])
-            # already match the target: the last level stops there on "tol"
-            if eps is None or evaluation is None or not (
-                    np.abs(evaluation[1] - T.ravel()).sum() < final_tol):
-                break
-            levels = [None]
+    T = target.density / model.volume  # cell areas, sum 1
+    Psi, info, evaluation, levels = _coarse_to_fine(model, T, p, widths, itmax)
     off = Psi - base
     psi = ToricGrid(t1, t2, Psi - off.max() - 1.0)
-    got = ma.toric_measure(model, psi)
+    if info["iterations"] and evaluation is not None:
+        # Psi is the last accepted trial's lift, on its hull: the cells are psi's
+        dens = 2.0 * evaluation[1].reshape(T.shape)
+        got = ma.MaMeasure("TwoD", (t1, t2), dens, (), float(dens.sum()))
+    else:
+        got = ma.toric_measure(model, psi)
     residual = ma.cdf_sup_distance(got, target)
     verdict = "diverged" if info["stalled"] else "solved"
-    return SolveResult(psi, residual, tuple(trace), verdict,
-                       {"newton": info, "stop_reasons": tuple(stops),
-                        "mollification_consistency": tuple(consistency),
-                        "l1_residual": float(np.abs(got.density - target.density).sum())})
+    diagnostics = {"newton": info, **{k: tuple(levels[k]) for k in LEVEL_KEYS[1:]},
+                   "l1_residual": float(np.abs(got.density - target.density).sum())}
+    if "coarse_start_abandoned" in levels:
+        diagnostics["coarse_start_abandoned"] = levels["coarse_start_abandoned"]
+    return SolveResult(psi, residual, tuple(levels["energy_trace"]), verdict, diagnostics)
 
 
 def uniqueness_check(model, psi1, psi2, measure_tol=1e-7, deviation_tol=1e-5):

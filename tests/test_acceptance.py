@@ -160,6 +160,8 @@ def smooth_toric_target(model, seed):
 
 
 def test_toric_round_trip_64(radial):
+    # solved coarse to fine: the schedule at R = 16, then one level at
+    # R = 32 and one at R = 64
     toric = models.toric_p1p1(64)
     for seed in range(10):
         target = smooth_toric_target(toric, seed)
@@ -167,6 +169,7 @@ def test_toric_round_trip_64(radial):
         why = (seed, res.diagnostics["stop_reasons"], res.diagnostics["l1_residual"])
         assert res.verdict == "solved", why
         assert res.residual <= 1e-5, (seed, res.residual)
+        assert res.diagnostics["level_resolutions"] == (16, 16, 16, 32, 64), why
 
 
 # refinement study: a fixed smooth continuum density solved at three

@@ -228,8 +228,9 @@ def test_toric_energy_trace_overflow_names_the_exponent(p):
 
 
 def _solve_counting_hulls(model, target, **options):
-    """solve_newton_toric, with the lower hulls it builds and each
-    level's Newton iterations counted."""
+    """solve_newton_toric, with the lower hulls it builds counted, and
+    the Newton iterations of each level of the result (an abandoned
+    coarse start's levels left out), coarsest first."""
     hulls, iterations = [], []
     real_hull, real_newton = ma._lower_hull, solver._newton
 
@@ -246,7 +247,17 @@ def _solve_counting_hulls(model, target, **options):
         mp.setattr(ma, "_lower_hull", counting_hull)
         mp.setattr(solver, "_newton", counting_newton)
         res = solver.solve_newton_toric(model, target, **options)
-    return res, len(hulls), tuple(iterations)
+    # the result's levels are the last ones run: a fallback runs after
+    # the coarse start it abandons
+    return res, len(hulls), tuple(iterations[-len(res.energy_trace):])
+
+
+def _schedule_only(model, target, **options):
+    """solve_newton_toric with the coarse-to-fine recursion switched off:
+    the mollification schedule on the model's own grid."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "MIN_TORIC_RESOLUTION", 1 << 30)
+        return solver.solve_newton_toric(model, target, **options)
 
 
 def _bits(x):
@@ -271,7 +282,10 @@ def test_toric_schedule_boundary_target(toric32):
         stops = res.diagnostics["stop_reasons"]
         assert res.verdict == "solved", (name, stops, res.diagnostics["l1_residual"])
         assert res.residual <= 1e-5, (name, res.residual)
-        assert len(res.energy_trace) == len(solver.DEFAULT_WIDTHS) + 1
+        # the schedule and the last level at R = 16, then one level at R = 32
+        assert len(res.energy_trace) == len(solver.DEFAULT_WIDTHS) + 2
+        coarse = len(solver.DEFAULT_WIDTHS) + 1
+        assert res.diagnostics["level_resolutions"] == (16,) * coarse + (32,)
         assert stops == ("tol",) * len(res.energy_trace), (name, stops)
     # rejecting trials by the chord check before their hull is built
     # moves no bit of the solve, and builds fewer hulls
@@ -305,7 +319,8 @@ def _near_dirac_target(model, node, eps):
                                        ("centre", 1e-3), ("corner", 1e-2)])
 def test_one_width_schedule_matches_eight_in_fewer_steps(toric32, kind, arg):
     # the default one-level warm start solves what the eight-width
-    # schedule solves, to the same potential and energy, in fewer steps
+    # schedule solves, to the same potential and energy; where the
+    # schedules run, on the coarsest grid of the solve, it takes fewer steps
     if kind == "cli":  # arg is the CLI seed
         target = solver._toric_demo_target(toric32, arg)
     else:
@@ -315,12 +330,19 @@ def test_one_width_schedule_matches_eight_in_fewer_steps(toric32, kind, arg):
     res, _, iterations = _solve_counting_hulls(toric32, target)
     old, _, old_iterations = _solve_counting_hulls(toric32, target, widths=EIGHT_WIDTHS)
     assert res.verdict == "solved" and old.verdict == "solved"
-    assert res.diagnostics["stop_reasons"] == ("tol", "tol")
+    assert res.diagnostics["stop_reasons"] == ("tol",) * len(res.energy_trace)
     d = res.psi.values - old.psi.values
     assert np.abs(d - d.mean()).max() <= 1e-9
     e, old_e = res.energy_trace[-1], old.energy_trace[-1]
     assert abs(e - old_e) <= 1e-10 * abs(old_e)
-    assert sum(iterations) < sum(old_iterations), (iterations, old_iterations)
+
+    def on_the_coarsest_grid(res, iterations):
+        grids = res.diagnostics["level_resolutions"]
+        return sum(i for i, r in zip(iterations, grids) if r == grids[0])
+
+    assert res.diagnostics["level_resolutions"][0] == old.diagnostics["level_resolutions"][0]
+    assert (on_the_coarsest_grid(res, iterations)
+            < on_the_coarsest_grid(old, old_iterations)), (iterations, old_iterations)
 
 
 def _emptied_demo_target(model):
@@ -460,7 +482,7 @@ def test_a_target_its_start_solves_is_solved(corners, widths):
 @pytest.mark.parametrize("node, eps, verdict, stops, steps", [
     ("centre", 1e-3, "solved", ("tol", "tol"), 14),
     ("centre", 1e-4, "diverged", ("line_search",), 0),
-    ("corner", 1e-2, "solved", ("tol", "tol"), 9),
+    ("corner", 1e-2, "solved", ("tol", "tol", "tol"), 13),
     ("corner", 1e-3, "diverged", ("line_search",), 2),
 ])
 def test_near_dirac_targets_keep_their_newton_run(toric32, node, eps, verdict, stops, steps):
@@ -468,7 +490,11 @@ def test_near_dirac_targets_keep_their_newton_run(toric32, node, eps, verdict, s
     # solves keep their verdicts, stop reasons and last-level steps, and
     # no factorization fails on them.  The centre target's step count is
     # rounding's: it took 13 steps under SuperLU's step and with qhull's
-    # premerge on every hull, and it moves with the BLAS kernel
+    # premerge on every hull, and it moves with the BLAS kernel.  Only
+    # the corner target of mass 0.99 is solved coarse to fine (three
+    # levels, the last at R = 32); the centre one finds no admissible
+    # start at R = 32, and both diverged ones diverge at R = 16, so
+    # those three are the schedule's runs at R = 32
     n = len(toric32.reference_potential[0])
     idx = (n // 2, n // 2) if node == "centre" else (0, 0)
     res = solver.solve_newton_toric(toric32, _near_dirac_target(toric32, idx, eps))
@@ -543,3 +569,163 @@ def test_uniqueness_toric(toric32):
     rec = solver.uniqueness_check(toric32, res.psi, gen, measure_tol=1e-5,
                                   deviation_tol=1e-4)
     assert rec["passed"]
+
+
+@pytest.mark.parametrize("resolution", [32, 64])
+def test_restriction_keeps_mass_and_prolongation_keeps_the_coarse_nodes(resolution):
+    # full weighting moves every fine node's mass onto the coarse nodes
+    # around it, none of it lost and none turned negative; prolongation
+    # copies the coarse nodes bit for bit and keeps affine potentials affine
+    rng = np.random.default_rng(resolution)
+    n = resolution + 1
+    model = models.toric_p1p1(resolution)
+    holes = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+    for dens in (holes, solver._toric_demo_target(model, 0).density,
+                 _near_dirac_target(model, (0, 0), 1e-3).density):
+        T = dens / dens.sum()
+        Tc = solver._restrict(T)
+        assert Tc.shape == (resolution // 2 + 1,) * 2
+        assert abs(Tc.sum() - 1.0) <= 1e-15
+        assert (Tc >= 0).all()
+    Psi = (models.toric_p1p1(resolution // 2).reference_potential[2]
+           + rng.normal(size=(resolution // 2 + 1,) * 2))
+    fine = solver._prolong(Psi)
+    assert fine.shape == (n, n)
+    assert fine[::2, ::2].tobytes() == Psi.tobytes()
+    t1, t2, _ = model.reference_potential
+    affine = 0.3 * t1[:, None] - 0.7 * t2[None, :] + 2.0
+    assert np.abs(solver._prolong(affine[::2, ::2]) - affine).max() <= 1e-13
+
+
+def test_a_stalled_level_at_r_gives_the_schedules_bytes(toric32):
+    # the level at R = 32, forced to stall (no step allowed), abandons the
+    # coarse start: the result is the schedule's on R = 32 to the bit, plus
+    # the reason it was abandoned
+    target = solver._toric_demo_target(toric32, 1)
+    real = solver._newton
+
+    def stalling(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, evaluation=None):
+        if len(t1) == 33 and evaluation is not None and not stalled:
+            stalled.append(1)  # the first level at R = 32 with an evaluation: the coarse start's
+            itmax = 0
+        return real(t1, t2, Psi0, tgt, itmax=itmax, tol=tol, evaluation=evaluation)
+
+    stalled = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_newton", stalling)
+        res = solver.solve_newton_toric(toric32, target)
+    assert stalled
+    old = _schedule_only(toric32, target)
+    why = res.diagnostics.pop("coarse_start_abandoned")
+    assert why == "the level at R = 32 stopped on 'itmax'"
+    assert "coarse_start_abandoned" not in old.diagnostics
+    assert res.verdict == old.verdict == "solved"
+    assert _bits(res.psi.values) == _bits(old.psi.values)
+    assert _bits(res.energy_trace) == _bits(old.energy_trace)
+    assert _bits(res.residual) == _bits(old.residual)
+    assert res.diagnostics == old.diagnostics
+    assert old.diagnostics["level_resolutions"] == (32, 32)
+
+
+def _verdict_family(model):
+    """The targets of the verdict test at the model's resolution: the CLI
+    demo targets of seeds 0-7, the four near-Dirac targets, the emptied
+    demo target, and the targets on one corner and on the four corners."""
+    n = len(model.reference_potential[0])
+    out = [(f"cli {seed}", solver._toric_demo_target(model, seed)) for seed in range(8)]
+    out += [(f"{node} {eps}", _near_dirac_target(model, idx, eps))
+            for node, idx in (("centre", (n // 2, n // 2)), ("corner", (0, 0)))
+            for eps in (1e-3, 1e-4 if node == "centre" else 1e-2)]
+    out.append(("emptied", _emptied_demo_target(model)))
+    t1, t2, _ = model.reference_potential
+    for corners in ((0,), (0, 1, 2, 3)):
+        dens = np.zeros((n, n))
+        for c in corners:
+            dens[(0, -1, 0, -1)[c], (0, 0, -1, -1)[c]] = model.volume / len(corners)
+        out.append((f"corners {corners}", ma.MaMeasure("TwoD", (t1, t2), dens, (), model.volume)))
+    return out
+
+
+def test_the_coarse_start_moves_no_verdict(toric32):
+    # no target of the families is diverged coarse to fine where the
+    # schedule alone solves it; on these none moves the other way either
+    moved = []
+    for name, target in _verdict_family(toric32):
+        res, old = solver.solve_newton_toric(toric32, target), _schedule_only(toric32, target)
+        assert not (res.verdict == "diverged" and old.verdict == "solved"), name
+        if res.verdict != old.verdict:
+            moved.append(name)
+        if res.verdict == "diverged":  # then it is the schedule's run
+            assert res.diagnostics["stop_reasons"] == old.diagnostics["stop_reasons"], name
+    assert moved == []
+    # the family's R = 64 members, the 10 acceptance targets, are solved
+    # coarse to fine by tests/test_acceptance.py::test_toric_round_trip_64,
+    # so none of them is diverged where the schedule solves it
+
+
+def test_cli_solves_count_their_r32_hulls_and_steps(tmp_path):
+    # one pass of the toric-solve benchmark's calls, `ma-lab solve --model
+    # toric-p1p1:32 --seed {0,1,2}`: lower hulls and Newton steps at R = 32
+    # (90 and 75 from the schedule alone, with a hull for each final
+    # measure); 3 of the hulls at R = 32 are the demo targets' own
+    from ma_lab import cli
+
+    hulls, steps = [], []
+    real_hull, real_step = ma._lower_hull, solver._newton_step
+    for resolution in (16, 32):  # built once per process, so not counted
+        assert models.toric_p1p1(resolution).reference_measure is not None
+
+    def counting_hull(t1, t2, Psi):
+        hulls.append(len(t1))
+        return real_hull(t1, t2, Psi)
+
+    def counting_step(jac, act, r):
+        steps.append(act.size)
+        return real_step(jac, act, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ma, "_lower_hull", counting_hull)
+        mp.setattr(solver, "_newton_step", counting_step)
+        for seed in range(3):
+            assert cli.main(["solve", "--model", "toric-p1p1:32", "--seed", str(seed),
+                             "--out", str(tmp_path / str(seed))]) == 0
+    assert (hulls.count(33), steps.count(33 * 33)) == (33, 20)
+    assert (hulls.count(17), steps.count(17 * 17)) == (77, 70)
+
+
+def test_the_held_evaluation_is_the_measure_of_the_solution(toric32):
+    # the final measure read off the last level's cells is toric_measure's
+    # of the returned potential, which differs from the level's by a constant
+    for seed in range(3):
+        target = solver._toric_demo_target(toric32, seed)
+        res = solver.solve_newton_toric(toric32, target)
+        got = ma.toric_measure(toric32, res.psi)
+        assert abs(ma.cdf_sup_distance(got, target) - res.residual) <= 1e-15
+        l1 = float(np.abs(got.density - target.density).sum())
+        assert abs(l1 - res.diagnostics["l1_residual"]) <= 1e-14
+
+
+def test_an_admissible_start_stops_when_a_round_changes_nothing(toric32):
+    # lowering a plane region of equal targets by one depth leaves it
+    # plane: on the centre near-Dirac target the prolonged R = 16 solution
+    # has the same 1,080 empty cells after a round as before it, and the
+    # search stops there, after two hulls, not after ADMISSIBLE_ROUNDS
+    n = len(toric32.reference_potential[0])
+    T = _near_dirac_target(toric32, (n // 2, n // 2), 1e-3).density / toric32.volume
+    Psi, info, _, _ = solver._coarse_to_fine(models.toric_p1p1(16), solver._restrict(T), 1.0,
+                                             solver.DEFAULT_WIDTHS, 40)
+    assert not info["stalled"]
+    t1, t2, _ = toric32.reference_potential
+    hulls = []
+    real = ma._lower_hull
+
+    def counting(*args):
+        hulls.append(1)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ma, "_lower_hull", counting)
+        assert solver._admissible_start(t1, t2, solver._prolong(Psi), T.ravel()) == (None, None)
+    assert len(hulls) == 2 < solver.ADMISSIBLE_ROUNDS
+    res = solver.solve_newton_toric(toric32, _near_dirac_target(toric32, (n // 2, n // 2), 1e-3))
+    assert res.diagnostics["coarse_start_abandoned"] == "no admissible start at R = 32"

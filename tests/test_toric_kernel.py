@@ -22,6 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ma_lab import ma, models, solver
 from ma_lab.errors import PreconditionViolated
 from ma_lab.models import ToricGrid
+from test_solver import _emptied_demo_target
 from toric_reference import _dual_segments as reference_dual_segments
 from toric_reference import reference_cells, reference_hull_cells, reference_hull_projection
 
@@ -435,9 +436,9 @@ def assert_flagged_nodes_are_off_hull(t1, t2, Psi):
 
 def test_chord_check_on_newton_trials():
     # every trial potential that the solves of the CLI's R = 32 demo
-    # targets (seeds 0-2) send to the check
+    # targets (seeds 0-2) send to the check, each on its own grid: the
+    # coarse levels' trials are on the 17 x 17 grid of R = 16
     model = models.toric_p1p1(32)
-    t1, t2, _ = model.reference_potential
     trials = []
     real = solver._above_a_chord
 
@@ -449,7 +450,9 @@ def test_chord_check_on_newton_trials():
         mp.setattr(solver, "_above_a_chord", recording)
         for seed in range(3):
             solver.solve_newton_toric(model, solver._toric_demo_target(model, seed))
-    flagged = [assert_flagged_nodes_are_off_hull(t1, t2, Psi) for Psi in trials]
+    flagged = [assert_flagged_nodes_are_off_hull(
+        *models.toric_p1p1(len(Psi) - 1).reference_potential[:2], Psi) for Psi in trials]
+    assert {len(Psi) for Psi in trials} == {17, 33}
     assert sum(n > 0 for n in flagged) >= 50, (len(trials), flagged)
 
 
@@ -468,3 +471,31 @@ def test_chord_check_on_bumped_convex_grids(grid16, w, q, lin, bumps):
     for i, j, sign, exponent in bumps:
         Psi[i, j] += sign * 10.0 ** exponent
     assert_flagged_nodes_are_off_hull(t1, t2, Psi)
+
+
+@pytest.mark.parametrize("resolution", [16, 32, 64])
+def test_the_projection_block_moves_no_bit(resolution):
+    # PROJECTION_BLOCK bounds the facet-plane values held at once (1 << 16,
+    # 512 kB); the projections are those of the former 1 << 20 block to
+    # the bit, on a lift with about half its nodes pushed off the hull and
+    # through the whole Newton run of the emptied target, which moves nodes
+    model = models.toric_p1p1(resolution)
+    t1, t2, base = model.reference_potential
+    rng = np.random.default_rng(resolution)
+    hull = ma._lower_hull(t1, t2, base + rng.uniform(0, 0.3, base.shape)
+                          * (rng.random(base.shape) < 0.5))
+    assert (~hull.on_hull).sum() > base.size // 5
+    low, dist = ma._hull_projection(hull)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ma, "PROJECTION_BLOCK", 1 << 20)
+        wide, wide_dist = ma._hull_projection(hull)
+    assert low.tobytes() == wide.tobytes() and dist == wide_dist
+    if resolution == 32:
+        emptied = _emptied_demo_target(model)
+        res = solver.solve_newton_toric(model, emptied)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ma, "PROJECTION_BLOCK", 1 << 20)
+            wide = solver.solve_newton_toric(model, emptied)
+        assert max(res.diagnostics["newton"]["projection_distances"]) > 0
+        assert res.psi.values.tobytes() == wide.psi.values.tobytes()
+        assert res.diagnostics == wide.diagnostics
