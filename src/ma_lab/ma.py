@@ -756,14 +756,19 @@ def _hull_projection(hull):
     value there, the max over the lower-facet planes, which is exact for
     the convex envelope and costs nothing when every node is a vertex.
 
+    The off-hull nodes go in near-equal blocks of about PROJECTION_BLOCK
+    plane evaluations, each of two or more nodes unless only one node is
+    off the hull: numpy computes a one-row block by a matrix-vector
+    product, which can round differently from the matrix-matrix product
+    of a larger block, so the values do not depend on PROJECTION_BLOCK.
+
     Returns the projected values, flat like hull.Z, and the sup
     projection distance, which is 0 exactly when no node moves.
     """
     low = hull.Z.copy()
     off = np.flatnonzero(~hull.on_hull)
     step = max(1, PROJECTION_BLOCK // len(hull.icpt))
-    for i in range(0, len(off), step):
-        idx = off[i:i + step]
+    for idx in np.array_split(off, max(1, min(-(-len(off) // step), len(off) // 2))):
         planes = hull.V[idx] @ hull.grad.T + hull.icpt
         low[idx] = np.minimum(planes.max(axis=1), low[idx])
     return low, float((hull.Z - low).max())

@@ -32,8 +32,8 @@ TORIC_P1P1 = "ToricP1P1"
 # subgradient cells are always clipped to the full moment square; 8 keeps
 # the smallest boundary cell masses well above rounding
 TORIC_BOX = 8.0
-# the coarsest toric grid: toric_p1p1 builds no coarser one, and the toric
-# solver's coarse-to-fine recursion stops there
+# the coarsest toric grid that toric_p1p1 builds; the toric solver's
+# coarse-to-fine recursion slices coarser grids of its own
 MIN_TORIC_RESOLUTION = 16
 
 

@@ -6,16 +6,14 @@ s = cap * sqrt(F) cell by cell, and one cumulative sum recovers the
 potential.  The separable product backend runs the same routine per
 factor with s = F.  The toric backend runs a damped Newton method on the
 Aleksandrov cell areas, with a convex dual merit function and an
-active-set reduced Jacobian, coarse to fine: the target is restricted to
-the grid of half the resolution by full weighting and solved there, down
-to the coarsest grid (models.MIN_TORIC_RESOLUTION); each solution is
-prolonged to the next grid, lowered where a target cell is empty, and
-finished by one Newton level there.  On the coarsest grid, and wherever
-a coarse start is abandoned, Newton warm-starts from a mollification
-schedule, by default one level, the target mollified at width 1/8: at
-resolution 32 the narrower widths smoothed nothing (the Gaussian weight
-one node away is at most 1.3e-14) and only mixed in the reference
-measure, at the cost of Newton steps.  The line search keeps every
+active-set reduced Jacobian, by one rule on every grid of a hierarchy:
+the target is restricted to the grid of every other node by full
+weighting and solved there, down to a grid of COARSEST_RESOLUTION = 8
+cells per axis, below the model floor (models.MIN_TORIC_RESOLUTION);
+each solution is prolonged to the next grid, lowered where a target cell
+is empty, and finished by one Newton level there.  The coarsest grid,
+and a grid whose coarse start is abandoned, get one Newton level from
+the separable start.  No level is mollified.  The line search keeps every
 target cell above a mass floor and asks for an Armijo decrease of the
 merit; once the predicted decrease falls below the merit's computed
 rounding bound it asks for a decrease of the L1 area residual instead,
@@ -25,8 +23,9 @@ A trial step that lifts a target node above the chord of two grid
 neighbours empties that node's cell, so it fails the floor; it is
 rejected before its lower hull is built.  Each Newton step is solved
 once, on the active nodes, from the edge-form Jacobian of the accepted
-evaluation, kept as (row, col, value) triplets, and each level hands its
-last evaluation (hull, cells and Jacobian) to the next.  The matrix is a
+evaluation, kept as (row, col, value) triplets, and a level on a finer
+grid starts from the evaluation (hull, cells and Jacobian) that its
+admissible start built.  The matrix is a
 weighted graph Laplacian with its diagonal shifted down, so it is
 symmetric negative definite: each step is solved by a banded Cholesky
 factorization after a reverse Cuthill-McKee ordering, which at
@@ -43,12 +42,11 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import energy, ma
 from .errors import InvalidInput, NotSolvableInModel, PreconditionViolated
-from .models import (MIN_TORIC_RESOLUTION, PRODUCT_P1P1, RADIAL_P2, TORIC_P1P1, ToricGrid,
-                     backend, require, toric_p1p1)
+from .models import PRODUCT_P1P1, RADIAL_P2, TORIC_P1P1, ToricGrid, backend, require
 from .profiles import RelativeProfile, integrate_slopes
 
-DEFAULT_WIDTHS = (0.125,)
-FINAL_TOL = 1e-11  # L1 area residual at which the unmollified level stops
+FINAL_TOL = 1e-11  # L1 area residual at which a Newton level stops
+COARSEST_RESOLUTION = 8  # cells per axis of the coarsest grid of a toric solve's hierarchy
 ADMISSIBLE_ROUNDS = 8  # lowering rounds of _admissible_start before it gives up
 LOWERED_AREA = 1e-6  # a lowered node's cell over its target area (_admissible_start)
 LEVEL_KEYS = ("energy_trace", "stop_reasons", "level_resolutions", "mollification_consistency")
@@ -312,7 +310,7 @@ def _newton_step(jac, act, r):
     return step
 
 
-def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, evaluation=None):
+def _newton(t1, t2, Psi0, tgt, itmax=40, evaluation=None):
     """Damped Newton on cell areas; returns (Psi, residual, info).
 
     A trial step P + tau*d must keep every target cell above the mass
@@ -340,7 +338,7 @@ def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, evaluation=None):
 
     residual is the L1 distance of the cell areas from tgt.  info holds
     the accepted step count, the hull projection distances, the stop
-    reason -- "tol" (residual below tol), "line_search" (no tau
+    reason -- "tol" (residual below FINAL_TOL), "line_search" (no tau
     accepted) or "itmax" --, stalled, true unless the stop is "tol", and
     the returned Psi's evaluation (None if the last projection moved a
     node).
@@ -358,7 +356,7 @@ def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, evaluation=None):
     iters = 0
     stop = None
     for _ in range(itmax):
-        if res < tol:
+        if res < FINAL_TOL:
             break
         r = tgt - areas
         act = (areas > 0) | supp
@@ -393,7 +391,7 @@ def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, evaluation=None):
         proj_dists.append(dist)
         res = float(np.abs(areas - tgt).sum())
     if stop is None:
-        stop = "tol" if res < tol else "itmax"
+        stop = "tol" if res < FINAL_TOL else "itmax"
     # a P that the last projection moved needs a new hull
     last = None if proj_dists and proj_dists[-1] > 0 else (hull, areas, mom, jac)
     return P.reshape(Psi0.shape), res, {"iterations": iters,
@@ -401,24 +399,6 @@ def _newton(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, evaluation=None):
                                         "stop": stop,
                                         "projection_distances": tuple(proj_dists),
                                         "evaluation": last}
-
-
-def _gauss_smooth(T, h, eps):
-    """Discrete Gaussian mollification of node masses, mass preserving."""
-    half = int(np.ceil(4 * eps / h))
-    if half == 0:
-        return T
-    x = np.arange(-half, half + 1) * h
-    k = np.exp(-0.5 * (x / eps) ** 2)
-    k /= k.sum()
-    pad = np.pad(T, half, mode="constant")
-    # separable convolution; mass leaking off the box is renormalized back
-    for axis in (0, 1):
-        pad = np.apply_along_axis(lambda m: np.convolve(m, k, mode="same"), axis, pad)
-    core = pad[half:pad.shape[0] - half, half:pad.shape[1] - half].copy()
-    if core.sum() > 0:
-        core *= T.sum() / core.sum()
-    return core
 
 
 def _restrict(T):
@@ -495,135 +475,102 @@ def _admissible_start(t1, t2, Psi, tgt):
     return None, None
 
 
-def _add_level(levels, model, Psi, tgt, p, stop):
+def _add_level(levels, base, volume, Psi, tgt, p, stop):
     """Append one level's energy, stop reason and grid resolution to
     levels, and its mollification consistency with the level before, if
-    there is one.  A level on a finer grid than the one before is compared
+    there is one.  base is the level's reference potential, and volume
+    the model's.  A level on a finer grid than the one before is compared
     with it on the nodes the two grids share, weighted by its target
     restricted to the coarser grid (_restrict)."""
-    off = Psi - model.reference_potential[2]
+    off = Psi - base
     off = off - off.max() - 1.0
     w, _ = energy._moment_weights(off.ravel(), (), p)
-    levels["energy_trace"].append(float(np.sum(tgt.ravel() * w) * model.volume))
+    levels["energy_trace"].append(float(np.sum(tgt.ravel() * w) * volume))
     prev = levels.pop("offset", None)
     if prev is not None:
         shared, weight = off, tgt
         if prev.shape != off.shape:
             shared, weight = off[::2, ::2], _restrict(tgt)
         levels["mollification_consistency"].append(
-            float(np.sum(np.abs(shared - prev).ravel() * weight.ravel()) * model.volume))
+            float(np.sum(np.abs(shared - prev).ravel() * weight.ravel()) * volume))
     levels["offset"] = off
     levels["stop_reasons"].append(stop)
-    levels["level_resolutions"].append(model.resolution)
+    levels["level_resolutions"].append(len(base) - 1)
 
 
-def _schedule(model, T, p, widths, itmax):
-    """The mollification schedule on the model's own grid, from
-    _separable_init: one Newton level per width, then the target T
-    (cell areas, sum 1).  Returns the last level's Psi, Newton info and
-    evaluation, and the levels' diagnostics (_add_level)."""
-    t1, t2, _ = model.reference_potential
-    ref = model.reference_measure.density / model.volume
-    h = float(t1[1] - t1[0])
-    Psi = _separable_init(t1, t2, T)
-    evaluation = None
-    levels = {key: [] for key in LEVEL_KEYS}
-    schedule = list(widths) + [None]
-    while schedule:
-        eps = schedule.pop(0)
-        if eps is None:
-            tgt = T
-        else:
-            sm = _gauss_smooth(T, h, eps)
-            mix = sm + eps * ref
-            tgt = mix / mix.sum()
-        # intermediate levels are warm starts; only the final level needs
-        # the full tolerance
-        lvl_tol = 1e-9 if eps is not None else FINAL_TOL
-        Psi, res, info = _newton(t1, t2, Psi, tgt.ravel(), itmax=itmax, tol=lvl_tol,
-                                 evaluation=evaluation)
-        evaluation = info.pop("evaluation")
-        _add_level(levels, model, Psi, tgt, p, info.pop("stop"))
-        if info["stalled"]:
-            # a mollified level stalled where its cells (evaluation[1])
-            # already match the target: the last level stops there on "tol"
-            if eps is None or evaluation is None or not (
-                    np.abs(evaluation[1] - T.ravel()).sum() < FINAL_TOL):
-                break
-            schedule = [None]
-    return Psi, info, evaluation, levels
+def _level(levels, grid, Psi, T, p, volume, itmax, evaluation):
+    """One Newton level on the grid (t1, t2, base) from Psi, recorded in
+    levels (_add_level); returns its Psi, Newton info and evaluation."""
+    t1, t2, base = grid
+    Psi, _, info = _newton(t1, t2, Psi, T.ravel(), itmax=itmax, evaluation=evaluation)
+    _add_level(levels, base, volume, Psi, T, p, info.pop("stop"))
+    return Psi, info, info.pop("evaluation")
 
 
-def _coarse_to_fine(model, T, p, widths, itmax):
+def _coarse_to_fine(grid, T, p, volume, itmax):
     """Psi, the last level's Newton info and evaluation, and the levels'
-    diagnostics of the toric solve of T (cell areas, sum 1) on the
-    model's grid: coarse to fine where the grid has a coarser half, and
-    the schedule (_schedule) where it has not, or where the coarse start
-    is abandoned, with the reason under "coarse_start_abandoned"."""
-    R = model.resolution
-    if R % 2 or R // 2 < MIN_TORIC_RESOLUTION:
-        return _schedule(model, T, p, widths, itmax)
-    Psi, info, _, levels = _coarse_to_fine(toric_p1p1(R // 2), _restrict(T), p, widths,
-                                           itmax)
-    levels.pop("coarse_start_abandoned", None)
-    why = f"the solve at R = {R // 2} diverged"
-    if not info["stalled"]:
-        t1, t2, _ = model.reference_potential
-        Psi, evaluation = _admissible_start(t1, t2, _prolong(Psi), T.ravel())
-        why = f"no admissible start at R = {R}"
-        if Psi is not None:
-            Psi, _, info = _newton(t1, t2, Psi, T.ravel(), itmax=itmax, tol=FINAL_TOL,
-                                   evaluation=evaluation)
-            evaluation = info.pop("evaluation")
-            stop = info.pop("stop")
-            if not info["stalled"]:
-                _add_level(levels, model, Psi, T, p, stop)
-                return Psi, info, evaluation, levels
-            why = f"the level at R = {R} stopped on {stop!r}"
-    Psi, info, evaluation, levels = _schedule(model, T, p, widths, itmax)
-    levels["coarse_start_abandoned"] = why
+    diagnostics of the toric solve of T (cell areas, sum 1) on the grid
+    (t1, t2, base): coarse to fine where R, the grid's cells per axis, is
+    even and R/2 is at least COARSEST_RESOLUTION, on the grid of every
+    other node; from _separable_init where it is not, or where the coarse
+    start is abandoned, with the reason under "coarse_start_abandoned"."""
+    t1, t2, base = grid
+    R = len(t1) - 1
+    why = None
+    if R % 2 == 0 and R // 2 >= COARSEST_RESOLUTION:
+        Psi, info, _, levels = _coarse_to_fine((t1[::2], t2[::2], base[::2, ::2]),
+                                               _restrict(T), p, volume, itmax)
+        levels.pop("coarse_start_abandoned", None)
+        why = f"the solve at R = {R // 2} diverged"
+        if not info["stalled"]:
+            Psi, evaluation = _admissible_start(t1, t2, _prolong(Psi), T.ravel())
+            why = f"no admissible start at R = {R}"
+            if Psi is not None:
+                Psi, info, evaluation = _level(levels, grid, Psi, T, p, volume, itmax,
+                                               evaluation)
+                if not info["stalled"]:
+                    return Psi, info, evaluation, levels
+                why = f"the level at R = {R} stopped on {levels['stop_reasons'][-1]!r}"
+    levels = {key: [] for key in LEVEL_KEYS}
+    Psi, info, evaluation = _level(levels, grid, _separable_init(t1, t2, T), T, p, volume,
+                                   itmax, None)
+    if why is not None:
+        levels["coarse_start_abandoned"] = why
     return Psi, info, evaluation, levels
 
 
-def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
+def solve_newton_toric(model, target, p=1.0, itmax=40):
     """Damped Newton solve of the 2-D discrete measure equation.
 
-    Coarse to fine (Merigot, "A multiscale approach to optimal
-    transport", 2011): on a grid of even resolution R whose half is at
-    least MIN_TORIC_RESOLUTION, the target is restricted to R/2 by full
-    weighting (_restrict) and solved there the same way, recursively.
-    The coarse solution is prolonged to R (_prolong), every target node
+    One rule on every grid of a hierarchy (Merigot, "A multiscale
+    approach to optimal transport", 2011).  On a grid of even resolution
+    R whose half has at least COARSEST_RESOLUTION cells, the target is
+    restricted to R/2 by full weighting (_restrict) and solved there the
+    same way, recursively, on the grid of every other node: below the
+    model floor models.MIN_TORIC_RESOLUTION too, down to 8 cells.  The
+    coarse solution is prolonged to R (_prolong), every target node
     whose cell is empty is lowered below its hull (_admissible_start),
-    and one unmollified Newton level at R runs from there.  So the
-    mollification schedule runs on the coarsest grid only.  If the coarse
-    solve diverges, no admissible start is found, or the level at R stops
-    short of its tolerance, R is solved by the schedule alone, as on the
-    coarsest grid, and diagnostics["coarse_start_abandoned"] says why; the
-    result is otherwise the schedule's to the bit.  A verdict of the
-    coarse path is therefore "diverged" only where the schedule's is.
-
-    The schedule approximates the target by decreasing widths,
-    mu_j = c_j * (G_{eps_j} * mu + eps_j * reference), each level solved
-    by warm-started Newton from _separable_init, then the unmollified
-    target is solved last.  The default schedule is the one width 1/8.
-    Narrower widths smooth nothing on a grid of node spacing h once
-    eps <= h/8 (the Gaussian weight one node away is at most 1.3e-14),
-    which at resolution 32 (h = 1/2) is every width from 1/16 down: such
-    a level only mixes in the reference measure, yet costs Newton steps.
+    and one Newton level at R runs from there.  The coarsest grid's one
+    level starts from _separable_init.  No level is mollified: damped
+    Newton converges from any start whose cells all carry mass
+    (Kitagawa, Merigot and Thibert, JEMS 2019), and the coarser grid
+    supplies such starts.  If the coarse solve diverges, no admissible
+    start is found, or the level at R stops short of FINAL_TOL, R is
+    solved by the coarsest grid's rule, one level from _separable_init,
+    and diagnostics["coarse_start_abandoned"] says why.
 
     A level stagnates when its line search is exhausted -- no step passes
     the mass floor and the Armijo test while the predicted merit decrease
     lies above the merit's rounding bound, nor the mass floor and the L1
     residual decrease once it lies below -- or when itmax steps leave the
-    residual above the level's tolerance.  Stagnation stops the schedule
-    and yields a diverged verdict with the trace so far; otherwise the
-    verdict is solved.  A mollified level that stagnates where its cells
-    already match the unmollified target to the last level's tolerance
-    (an affine start of a target on the corners) goes on to the last
-    level instead, which stops on "tol" after no step.  There is no
-    not_in_Ep verdict on this model: nonnegative node masses summing to the square's area are a
-    semi-discrete transport target, whose solution is a finite vector of
-    node values, so no infinite energy can be certified.
+    residual above FINAL_TOL.  A stagnating level at R, after its
+    fallback, yields a diverged verdict; otherwise the verdict is solved.
+    A target whose separable start already solves it (a target on the
+    corners, whose start is affine) stops on "tol" after no step.  There
+    is no not_in_Ep verdict on this model: nonnegative node masses
+    summing to the square's area are a semi-discrete transport target,
+    whose solution is a finite vector of node values, so no infinite
+    energy can be certified.
 
     diagnostics holds the last level's Newton info under "newton" and,
     one entry per level, coarsest first: the energy trace's grid
@@ -644,11 +591,8 @@ def solve_newton_toric(model, target, p=1.0, widths=DEFAULT_WIDTHS, itmax=40):
         raise InvalidInput("target mass must equal the model volume")
     if (target.density < 0).any():
         raise InvalidInput("target density must be nonnegative")
-    widths = tuple(widths)
-    if len(widths) > 1 and not all(b < a for a, b in zip(widths, widths[1:])):
-        raise InvalidInput("mollification widths must decrease strictly")
     T = target.density / model.volume  # cell areas, sum 1
-    Psi, info, evaluation, levels = _coarse_to_fine(model, T, p, widths, itmax)
+    Psi, info, evaluation, levels = _coarse_to_fine((t1, t2, base), T, p, model.volume, itmax)
     off = Psi - base
     psi = ToricGrid(t1, t2, Psi - off.max() - 1.0)
     if info["iterations"] and evaluation is not None:

@@ -14,7 +14,6 @@ import pytest
 import ma_lab.capacity as cap_mod
 from ma_lab import energy, ma, models, solver, verify
 from ma_lab.profiles import RelativeProfile, compose_weight, max_offsets, scale
-from ma_lab.solver import _newton, _separable_init
 
 
 def singular_profile(model):
@@ -160,16 +159,15 @@ def smooth_toric_target(model, seed):
 
 
 def test_toric_round_trip_64(radial):
-    # solved coarse to fine: the schedule at R = 16, then one level at
-    # R = 32 and one at R = 64
+    # solved coarse to fine: one level at each of R = 8, 16, 32 and 64
     toric = models.toric_p1p1(64)
     for seed in range(10):
         target = smooth_toric_target(toric, seed)
-        res = solver.solve_newton_toric(toric, target, widths=(0.125, 0.03125))
+        res = solver.solve_newton_toric(toric, target)
         why = (seed, res.diagnostics["stop_reasons"], res.diagnostics["l1_residual"])
         assert res.verdict == "solved", why
         assert res.residual <= 1e-5, (seed, res.residual)
-        assert res.diagnostics["level_resolutions"] == (16, 16, 16, 32, 64), why
+        assert res.diagnostics["level_resolutions"] == (8, 16, 32, 64), why
 
 
 # refinement study: a fixed smooth continuum density solved at three
@@ -231,11 +229,11 @@ def refine_deviation(res_n):
     edge[0, :] = edge[-1, :] = edge[:, 0] = edge[:, -1] = True
     T[edge] = samp[edge]
     T[~edge] *= (1.0 - T[edge].sum()) / T[~edge].sum()
-    Psi, res, info = _newton(t1, t2, _separable_init(t1, t2, T), T.ravel(),
-                             itmax=60)
-    # residual well below the deviations under study is all that matters
-    assert res <= 1e-8, (res_n, res)
-    dev = Psi - S
+    dens = model.volume * T
+    res = solver.solve_newton_toric(
+        model, ma.MaMeasure("TwoD", (t1, t2), dens, (), float(dens.sum())))
+    assert res.verdict == "solved", (res_n, res.diagnostics["stop_reasons"])
+    dev = res.psi.values - S
     core = (np.abs(t1[:, None]) <= 6.0) & (np.abs(t2[None, :]) <= 6.0)
     d = dev[core] - np.median(dev[core])
     return float(np.sqrt(np.mean(d * d)))

@@ -104,8 +104,8 @@ def test_solve_toric_writes_level_diagnostics(tmp_path):
     levels = len(payload["energy_trace"])
     assert payload["verdict"] == "solved"
     assert payload["diagnostics"]["stop_reasons"] == ["tol"] * levels
-    # the schedule and its last level at R = 16, then the level at R = 32
-    assert payload["diagnostics"]["level_resolutions"] == [16] * (levels - 1) + [32]
+    # one level at each of R = 8, 16 and 32
+    assert payload["diagnostics"]["level_resolutions"] == [8, 16, 32]
     assert levels == 3
     assert len(payload["diagnostics"]["mollification_consistency"]) == levels - 1
     assert "coarse_start_abandoned" not in payload["diagnostics"]

@@ -68,7 +68,6 @@ UNPASSED_OPTIONS = {
     ("default_grid", "octaves"): "public grid kernel; tests build a coarse grid",
     ("default_grid", "per_octave"): "public grid kernel; tests build a coarse grid",
     ("solve_separable", "p"): "public solver; its energy-trace exponent, as on the others",
-    ("solve_newton_toric", "widths"): "tests set the continuation",
     ("solve_newton_toric", "itmax"): "tests cap the Newton iterations",
     ("uniqueness_check", "measure_tol"): "tests loosen it for coarse toric solves",
     ("uniqueness_check", "deviation_tol"): "tests loosen it for coarse toric solves",

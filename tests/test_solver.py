@@ -203,12 +203,9 @@ def smooth_toric_target(model, seed):
     return ma.MaMeasure("TwoD", (t1, t2), dens, (), float(dens.sum())), vals
 
 
-SHORT_WIDTHS = (0.125, 0.03125)  # two-level warm start for smooth targets
-
-
 def test_toric_direct_solve(toric32):
     target, vals = smooth_toric_target(toric32, 0)
-    res = solver.solve_newton_toric(toric32, target, widths=())
+    res = solver.solve_newton_toric(toric32, target)
     assert res.verdict == "solved"
     assert res.residual <= 1e-6
     # recovered potential matches the generator up to a constant
@@ -252,12 +249,13 @@ def _solve_counting_hulls(model, target, **options):
     return res, len(hulls), tuple(iterations[-len(res.energy_trace):])
 
 
-def _schedule_only(model, target, **options):
+def _separable_only(model, target):
     """solve_newton_toric with the coarse-to-fine recursion switched off:
-    the mollification schedule on the model's own grid."""
+    the coarsest grid's rule, one Newton level from _separable_init, on
+    the model's own grid."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "MIN_TORIC_RESOLUTION", 1 << 30)
-        return solver.solve_newton_toric(model, target, **options)
+        mp.setattr(solver, "COARSEST_RESOLUTION", 1 << 30)
+        return solver.solve_newton_toric(model, target)
 
 
 def _bits(x):
@@ -268,8 +266,8 @@ def test_toric_schedule_boundary_target(toric32):
     # boundary-touching slopes, and the target of `ma-lab solve --model
     # toric-p1p1:32 --seed 2`: a level's full Newton step used to reach
     # the tolerance yet fail the Armijo test on merit rounding noise,
-    # stalling the level and poisoning the whole schedule with a
-    # "diverged" verdict
+    # stalling the level and poisoning the whole solve with a "diverged"
+    # verdict
     t1, t2, _ = toric32.reference_potential
     vals = np.logaddexp(0.0, 0.35 * t1[:, None] + 0.65 * t2[None, :])
     vals += np.logaddexp(0.0, 0.65 * t1[:, None] + 0.35 * t2[None, :])
@@ -282,11 +280,9 @@ def test_toric_schedule_boundary_target(toric32):
         stops = res.diagnostics["stop_reasons"]
         assert res.verdict == "solved", (name, stops, res.diagnostics["l1_residual"])
         assert res.residual <= 1e-5, (name, res.residual)
-        # the schedule and the last level at R = 16, then one level at R = 32
-        assert len(res.energy_trace) == len(solver.DEFAULT_WIDTHS) + 2
-        coarse = len(solver.DEFAULT_WIDTHS) + 1
-        assert res.diagnostics["level_resolutions"] == (16,) * coarse + (32,)
-        assert stops == ("tol",) * len(res.energy_trace), (name, stops)
+        # one level on each grid of the hierarchy, coarsest first
+        assert res.diagnostics["level_resolutions"] == (8, 16, 32)
+        assert stops == ("tol",) * 3, (name, stops)
     # rejecting trials by the chord check before their hull is built
     # moves no bit of the solve, and builds fewer hulls
     with pytest.MonkeyPatch.context() as mp:
@@ -302,9 +298,6 @@ def test_toric_schedule_boundary_target(toric32):
     assert hulls < off_hulls, (hulls, off_hulls)
 
 
-EIGHT_WIDTHS = tuple(2.0 ** -j for j in range(3, 11))  # the default before (0.125,)
-
-
 def _near_dirac_target(model, node, eps):
     """Mass 1 - eps on one node (in units of the model volume), eps
     spread evenly over every node."""
@@ -317,32 +310,39 @@ def _near_dirac_target(model, node, eps):
 
 @pytest.mark.parametrize("kind, arg", [("cli", 0), ("cli", 1), ("cli", 2),
                                        ("centre", 1e-3), ("corner", 1e-2)])
-def test_one_width_schedule_matches_eight_in_fewer_steps(toric32, kind, arg):
-    # the default one-level warm start solves what the eight-width
-    # schedule solves, to the same potential and energy; where the
-    # schedules run, on the coarsest grid of the solve, it takes fewer steps
+def test_the_hierarchy_matches_one_separable_level(toric32, kind, arg):
+    # coarse to fine, a target is solved to the potential and energy of
+    # one Newton level from the separable start at R = 32, the fallback
+    # rule, wherever that level solves it.  On the smooth CLI targets the
+    # hierarchy's level at R = 32 takes fewer steps, and within itmax = 40
+    # only the hierarchy solves seed 2.  The centre target finds no
+    # admissible start, so its result is the fallback's to the bit
     if kind == "cli":  # arg is the CLI seed
         target = solver._toric_demo_target(toric32, arg)
     else:
         n = len(toric32.reference_potential[0])
         node = (n // 2, n // 2) if kind == "centre" else (0, 0)
         target = _near_dirac_target(toric32, node, arg)
-    res, _, iterations = _solve_counting_hulls(toric32, target)
-    old, _, old_iterations = _solve_counting_hulls(toric32, target, widths=EIGHT_WIDTHS)
-    assert res.verdict == "solved" and old.verdict == "solved"
+    res, one = solver.solve_newton_toric(toric32, target), _separable_only(toric32, target)
+    assert res.verdict == "solved"
     assert res.diagnostics["stop_reasons"] == ("tol",) * len(res.energy_trace)
-    d = res.psi.values - old.psi.values
+    if kind == "centre":
+        assert res.diagnostics.pop("coarse_start_abandoned") == "no admissible start at R = 32"
+        assert _bits(res.psi.values) == _bits(one.psi.values)
+        assert res.diagnostics == one.diagnostics
+        return
+    assert res.diagnostics["level_resolutions"] == (8, 16, 32)
+    if kind == "cli":
+        steps = res.diagnostics["newton"]["iterations"], one.diagnostics["newton"]["iterations"]
+        assert steps[0] < steps[1], steps
+    if (kind, arg) == ("cli", 2):
+        assert one.verdict == "diverged" and one.diagnostics["stop_reasons"] == ("itmax",)
+        return
+    assert one.verdict == "solved"
+    d = res.psi.values - one.psi.values
     assert np.abs(d - d.mean()).max() <= 1e-9
-    e, old_e = res.energy_trace[-1], old.energy_trace[-1]
-    assert abs(e - old_e) <= 1e-10 * abs(old_e)
-
-    def on_the_coarsest_grid(res, iterations):
-        grids = res.diagnostics["level_resolutions"]
-        return sum(i for i, r in zip(iterations, grids) if r == grids[0])
-
-    assert res.diagnostics["level_resolutions"][0] == old.diagnostics["level_resolutions"][0]
-    assert (on_the_coarsest_grid(res, iterations)
-            < on_the_coarsest_grid(old, old_iterations)), (iterations, old_iterations)
+    e, one_e = res.energy_trace[-1], one.energy_trace[-1]
+    assert abs(e - one_e) <= 1e-10 * abs(one_e)
 
 
 def _emptied_demo_target(model):
@@ -459,42 +459,39 @@ def test_a_newton_step_makes_no_coo_round_trip(toric32, monkeypatch):
     assert conversions == []
 
 
-@pytest.mark.parametrize("widths", [solver.DEFAULT_WIDTHS, (0.25, 0.125)])
+@pytest.mark.parametrize("resolution", [16, 32])
 @pytest.mark.parametrize("corners", [(0,), (0, 1, 2, 3)])
-def test_a_target_its_start_solves_is_solved(corners, widths):
+def test_a_target_its_start_solves_is_solved(corners, resolution):
     # a target on the corners has an affine separable start, which solves
-    # it; the first mollified level stalls there, the schedule goes on to
-    # the last level, and that level stops on "tol" after no step
-    model = models.toric_p1p1(16)
+    # it on the coarsest grid; its prolongation is affine too, so every
+    # level of the hierarchy stops on "tol" after no step
+    model = models.toric_p1p1(resolution)
     t1, t2, _ = model.reference_potential
     dens = np.zeros((len(t1), len(t2)))
     for c in corners:
         dens[(0, -1, 0, -1)[c], (0, 0, -1, -1)[c]] = model.volume / len(corners)
-    res = solver.solve_newton_toric(model, ma.MaMeasure("TwoD", (t1, t2), dens, (), model.volume),
-                                    widths=widths)
+    res = solver.solve_newton_toric(model, ma.MaMeasure("TwoD", (t1, t2), dens, (), model.volume))
     assert res.verdict == "solved"
-    assert res.diagnostics["stop_reasons"] == ("line_search", "tol")
+    grids = tuple(r for r in (8, 16, 32) if r <= resolution)
+    assert res.diagnostics["level_resolutions"] == grids
+    assert res.diagnostics["stop_reasons"] == ("tol",) * len(grids)
     assert res.diagnostics["newton"]["iterations"] == 0
     assert res.residual == 0.0 and res.diagnostics["l1_residual"] == 0.0
-    assert len(res.energy_trace) == 2
 
 
 @pytest.mark.parametrize("node, eps, verdict, stops, steps", [
-    ("centre", 1e-3, "solved", ("tol", "tol"), 14),
-    ("centre", 1e-4, "diverged", ("line_search",), 0),
+    ("centre", 1e-3, "solved", ("tol",), 10),
+    ("centre", 1e-4, "solved", ("tol",), 9),
     ("corner", 1e-2, "solved", ("tol", "tol", "tol"), 13),
-    ("corner", 1e-3, "diverged", ("line_search",), 2),
+    ("corner", 1e-3, "solved", ("tol", "tol", "tol"), 13),
 ])
 def test_near_dirac_targets_keep_their_newton_run(toric32, node, eps, verdict, stops, steps):
-    # the near-Dirac targets at the edge of what the default schedule
-    # solves keep their verdicts, stop reasons and last-level steps, and
-    # no factorization fails on them.  The centre target's step count is
-    # rounding's: it took 13 steps under SuperLU's step and with qhull's
-    # premerge on every hull, and it moves with the BLAS kernel.  Only
-    # the corner target of mass 0.99 is solved coarse to fine (three
-    # levels, the last at R = 32); the centre one finds no admissible
-    # start at R = 32, and both diverged ones diverge at R = 16, so
-    # those three are the schedule's runs at R = 32
+    # the near-Dirac targets keep their verdicts, stop reasons and
+    # last-level steps, and no factorization fails on them.  The corner
+    # targets are solved coarse to fine (one level each at R = 8, 16 and
+    # 32); the centre ones find no admissible start at R = 32, so theirs
+    # is the fallback's one level from the separable start at R = 32.  A
+    # step count is rounding's and may move with the BLAS kernel
     n = len(toric32.reference_potential[0])
     idx = (n // 2, n // 2) if node == "centre" else (0, 0)
     res = solver.solve_newton_toric(toric32, _near_dirac_target(toric32, idx, eps))
@@ -515,8 +512,11 @@ def test_toric_validation(toric32, radial):
                           (("corner:x|y", 0.1),), target.total_mass)
     with pytest.raises(InvalidInput):
         solver.solve_newton_toric(toric32, atomic)
-    with pytest.raises(InvalidInput):
-        solver.solve_newton_toric(toric32, target, widths=(0.1, 0.2))
+    dens = target.density.copy()
+    dens[5, 5] *= -1.0
+    negative = ma.MaMeasure("TwoD", target.grid, dens, (), target.total_mass)
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        solver.solve_newton_toric(toric32, negative)
 
 
 def test_nan_target_fails_the_mass_check(radial, product, toric32):
@@ -553,17 +553,20 @@ def test_uniqueness_check_contract(radial):
 
 
 def test_toric_itmax_exhaustion_is_not_solved(toric32):
-    # a hard target starved of iterations must not masquerade as solved
+    # a hard target starved of iterations must not masquerade as solved:
+    # the hierarchy runs out of them on a coarse grid, and so does its
+    # fallback, one level at R = 32
     target, _ = smooth_toric_target(toric32, 2)
-    res = solver.solve_newton_toric(toric32, target, widths=(), itmax=10)
+    res = solver.solve_newton_toric(toric32, target, itmax=10)
     assert res.verdict == "diverged"
     assert res.diagnostics["stop_reasons"] == ("itmax",)
     assert res.diagnostics["newton"]["iterations"] == 10
+    assert res.diagnostics["coarse_start_abandoned"] == "the solve at R = 16 diverged"
 
 
 def test_uniqueness_toric(toric32):
     target, vals = smooth_toric_target(toric32, 2)
-    res = solver.solve_newton_toric(toric32, target, widths=SHORT_WIDTHS)
+    res = solver.solve_newton_toric(toric32, target)
     t1, t2, _ = toric32.reference_potential
     gen = ToricGrid(t1, t2, vals - (vals - res.psi.values).mean())
     rec = solver.uniqueness_check(toric32, res.psi, gen, measure_tol=1e-5,
@@ -597,25 +600,35 @@ def test_restriction_keeps_mass_and_prolongation_keeps_the_coarse_nodes(resoluti
     assert np.abs(solver._prolong(affine[::2, ::2]) - affine).max() <= 1e-13
 
 
+@pytest.mark.parametrize("resolution", [32, 64, 128])
+def test_the_sliced_coarse_grid_is_the_coarser_models(resolution):
+    # the hierarchy's coarser grid, every other node of the finer one, is
+    # toric_p1p1(R/2)'s grid and reference potential to the bit
+    t1, t2, base = models.toric_p1p1(resolution).reference_potential
+    c1, c2, coarse = models.toric_p1p1(resolution // 2).reference_potential
+    assert _bits(t1[::2]) == _bits(c1) and _bits(t2[::2]) == _bits(c2)
+    assert _bits(base[::2, ::2]) == _bits(coarse)
+
+
 def test_a_stalled_level_at_r_gives_the_schedules_bytes(toric32):
     # the level at R = 32, forced to stall (no step allowed), abandons the
-    # coarse start: the result is the schedule's on R = 32 to the bit, plus
-    # the reason it was abandoned
+    # coarse start: the result is the fallback's on R = 32 to the bit, one
+    # level from the separable start, plus the reason it was abandoned
     target = solver._toric_demo_target(toric32, 1)
     real = solver._newton
 
-    def stalling(t1, t2, Psi0, tgt, itmax=40, tol=1e-11, evaluation=None):
+    def stalling(t1, t2, Psi0, tgt, itmax=40, evaluation=None):
         if len(t1) == 33 and evaluation is not None and not stalled:
             stalled.append(1)  # the first level at R = 32 with an evaluation: the coarse start's
             itmax = 0
-        return real(t1, t2, Psi0, tgt, itmax=itmax, tol=tol, evaluation=evaluation)
+        return real(t1, t2, Psi0, tgt, itmax=itmax, evaluation=evaluation)
 
     stalled = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_newton", stalling)
         res = solver.solve_newton_toric(toric32, target)
     assert stalled
-    old = _schedule_only(toric32, target)
+    old = _separable_only(toric32, target)
     why = res.diagnostics.pop("coarse_start_abandoned")
     assert why == "the level at R = 32 stopped on 'itmax'"
     assert "coarse_start_abandoned" not in old.diagnostics
@@ -624,7 +637,7 @@ def test_a_stalled_level_at_r_gives_the_schedules_bytes(toric32):
     assert _bits(res.energy_trace) == _bits(old.energy_trace)
     assert _bits(res.residual) == _bits(old.residual)
     assert res.diagnostics == old.diagnostics
-    assert old.diagnostics["level_resolutions"] == (32, 32)
+    assert old.diagnostics["level_resolutions"] == (32,)
 
 
 def _verdict_family(model):
@@ -647,33 +660,28 @@ def _verdict_family(model):
 
 
 def test_the_coarse_start_moves_no_verdict(toric32):
-    # no target of the families is diverged coarse to fine where the
-    # schedule alone solves it; on these none moves the other way either
-    moved = []
+    # every target of the family is solved, coarse to fine or by the
+    # fallback at R = 32; the family's R = 64 members, the 10 acceptance
+    # targets, are solved by tests/test_acceptance.py::test_toric_round_trip_64
+    abandoned = {}
     for name, target in _verdict_family(toric32):
-        res, old = solver.solve_newton_toric(toric32, target), _schedule_only(toric32, target)
-        assert not (res.verdict == "diverged" and old.verdict == "solved"), name
-        if res.verdict != old.verdict:
-            moved.append(name)
-        if res.verdict == "diverged":  # then it is the schedule's run
-            assert res.diagnostics["stop_reasons"] == old.diagnostics["stop_reasons"], name
-    assert moved == []
-    # the family's R = 64 members, the 10 acceptance targets, are solved
-    # coarse to fine by tests/test_acceptance.py::test_toric_round_trip_64,
-    # so none of them is diverged where the schedule solves it
+        res = solver.solve_newton_toric(toric32, target)
+        assert res.verdict == "solved", (name, res.diagnostics["stop_reasons"])
+        if "coarse_start_abandoned" in res.diagnostics:
+            abandoned[name] = res.diagnostics["coarse_start_abandoned"]
+    assert abandoned == {"centre 0.001": "no admissible start at R = 32",
+                         "centre 0.0001": "no admissible start at R = 32",
+                         "emptied": "the level at R = 32 stopped on 'line_search'"}
 
 
 def test_cli_solves_count_their_r32_hulls_and_steps(tmp_path):
     # one pass of the toric-solve benchmark's calls, `ma-lab solve --model
-    # toric-p1p1:32 --seed {0,1,2}`: lower hulls and Newton steps at R = 32
-    # (90 and 75 from the schedule alone, with a hull for each final
-    # measure); 3 of the hulls at R = 32 are the demo targets' own
+    # toric-p1p1:32 --seed {0,1,2}`: lower hulls and Newton steps per
+    # grid; 3 of the hulls at R = 32 are the demo targets' own
     from ma_lab import cli
 
     hulls, steps = [], []
     real_hull, real_step = ma._lower_hull, solver._newton_step
-    for resolution in (16, 32):  # built once per process, so not counted
-        assert models.toric_p1p1(resolution).reference_measure is not None
 
     def counting_hull(t1, t2, Psi):
         hulls.append(len(t1))
@@ -689,8 +697,8 @@ def test_cli_solves_count_their_r32_hulls_and_steps(tmp_path):
         for seed in range(3):
             assert cli.main(["solve", "--model", "toric-p1p1:32", "--seed", str(seed),
                              "--out", str(tmp_path / str(seed))]) == 0
-    assert (hulls.count(33), steps.count(33 * 33)) == (33, 20)
-    assert (hulls.count(17), steps.count(17 * 17)) == (77, 70)
+    counts = {n - 1: (hulls.count(n), steps.count(n * n)) for n in sorted(set(hulls))}
+    assert counts == {8: (56, 53), 16: (30, 21), 32: (33, 20)}, counts
 
 
 def test_the_held_evaluation_is_the_measure_of_the_solution(toric32):
@@ -712,10 +720,10 @@ def test_an_admissible_start_stops_when_a_round_changes_nothing(toric32):
     # search stops there, after two hulls, not after ADMISSIBLE_ROUNDS
     n = len(toric32.reference_potential[0])
     T = _near_dirac_target(toric32, (n // 2, n // 2), 1e-3).density / toric32.volume
-    Psi, info, _, _ = solver._coarse_to_fine(models.toric_p1p1(16), solver._restrict(T), 1.0,
-                                             solver.DEFAULT_WIDTHS, 40)
+    t1, t2, base = toric32.reference_potential
+    Psi, info, _, _ = solver._coarse_to_fine((t1[::2], t2[::2], base[::2, ::2]),
+                                             solver._restrict(T), 1.0, toric32.volume, 40)
     assert not info["stalled"]
-    t1, t2, _ = toric32.reference_potential
     hulls = []
     real = ma._lower_hull
 

@@ -394,7 +394,7 @@ def test_newton_builds_no_more_hulls_than_cell_calls(monkeypatch, hull_calls):
 
     monkeypatch.setattr(ma, "_hull_cells", counting_cells)
     del hull_calls[:]
-    res = solver.solve_newton_toric(model, target, widths=(0.25,))
+    res = solver.solve_newton_toric(model, target)
     assert res.verdict == "solved"
     assert 0 < len(hull_calls) <= len(cell_calls)
 
@@ -437,8 +437,10 @@ def assert_flagged_nodes_are_off_hull(t1, t2, Psi):
 def test_chord_check_on_newton_trials():
     # every trial potential that the solves of the CLI's R = 32 demo
     # targets (seeds 0-2) send to the check, each on its own grid: the
-    # coarse levels' trials are on the 17 x 17 grid of R = 16
+    # coarse levels' trials are on the 9 x 9 and 17 x 17 grids of every
+    # fourth and every other node
     model = models.toric_p1p1(32)
+    t = model.reference_potential[0]
     trials = []
     real = solver._above_a_chord
 
@@ -450,9 +452,9 @@ def test_chord_check_on_newton_trials():
         mp.setattr(solver, "_above_a_chord", recording)
         for seed in range(3):
             solver.solve_newton_toric(model, solver._toric_demo_target(model, seed))
-    flagged = [assert_flagged_nodes_are_off_hull(
-        *models.toric_p1p1(len(Psi) - 1).reference_potential[:2], Psi) for Psi in trials]
-    assert {len(Psi) for Psi in trials} == {17, 33}
+    axes = [t[::32 // (len(Psi) - 1)] for Psi in trials]
+    flagged = [assert_flagged_nodes_are_off_hull(s, s, Psi) for s, Psi in zip(axes, trials)]
+    assert {len(Psi) for Psi in trials} == {9, 17, 33}
     assert sum(n > 0 for n in flagged) >= 50, (len(trials), flagged)
 
 
@@ -490,6 +492,13 @@ def test_the_projection_block_moves_no_bit(resolution):
         mp.setattr(ma, "PROJECTION_BLOCK", 1 << 20)
         wide, wide_dist = ma._hull_projection(hull)
     assert low.tobytes() == wide.tobytes() and dist == wide_dist
+    # nor does a block of k times the facet count: no block is left with
+    # one node, which numpy would take by a matrix-vector product
+    for k in (1, 2, 3, 4, 8, 16, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ma, "PROJECTION_BLOCK", k * len(hull.icpt))
+            blocked, blocked_dist = ma._hull_projection(hull)
+        assert low.tobytes() == blocked.tobytes() and dist == blocked_dist, k
     if resolution == 32:
         emptied = _emptied_demo_target(model)
         res = solver.solve_newton_toric(model, emptied)
